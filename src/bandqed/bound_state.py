@@ -88,7 +88,10 @@ class AtomCoupling:
 
 @dataclass
 class BoundState:
-    """Solved bound state and its effective-cavity image."""
+    """Solved bound state and its effective-cavity image.
+
+    Fields are arrays when solved for an array of detunings.
+    """
 
     delta: float        # bound-state detuning above the edge [rad/s]
     L: float            # photon-cloud decay length [m]
@@ -96,7 +99,7 @@ class BoundState:
     gbar_c: float       # effective cavity coupling [rad/s]
     omega_c_eff: float  # effective cavity frequency omega_b - delta [rad/s]
     Delta_c_eff: float  # atom-cavity detuning Delta + delta [rad/s]
-    validity: float     # sqrt(delta/(alpha*omega_b)); model holds when << 1
+    validity: float     # 1/(k0 L) = sqrt(delta/(alpha*omega_b)); valid when << 1
 
 
 def beta_from_g_cell(band: BandEdge, g_cell: float, bloch_amplitude: float = 1.0) -> float:
@@ -230,6 +233,29 @@ def mixing_angles(delta: ArrayLike, beta: ArrayLike):
     return cos_theta, sin_theta
 
 
+def interaction_length(band: BandEdge, detuning: ArrayLike) -> ArrayLike:
+    """L = sqrt(alpha omega_b/detuning)/k0 for an in-gap detuning.
+
+    The gap side is set by the curvature sign, so alpha*detuning > 0 is
+    required; anything else is a detuning inside the band.  Vectorized;
+    a scalar detuning gives a float.
+    """
+    detuning = np.asarray(detuning, dtype=float)
+    _check_finite(detuning=detuning)
+    inside = band.alpha * detuning <= 0
+    if np.any(inside):
+        raise ValueError(
+            f"detuning {detuning[inside].flat[0]:.4g} lies inside the band for "
+            f"curvature alpha = {band.alpha:.4g}; no exponentially bound interaction")
+    L = np.sqrt(band.alpha * band.omega_b / detuning) / band.k0
+    return float(L) if L.ndim == 0 else L
+
+
+def _gbar_sq(band: BandEdge, coupling: AtomCoupling, L: ArrayLike) -> ArrayLike:
+    # gbar_c^2 = g_cell^2 * a / L
+    return coupling.g_cell**2 * band.a / L
+
+
 def decay_length(band: BandEdge, delta: ArrayLike) -> ArrayLike:
     """Photon-cloud decay length L = sqrt(alpha*omega_b/delta)/k0.
 
@@ -240,29 +266,30 @@ def decay_length(band: BandEdge, delta: ArrayLike) -> ArrayLike:
     _check_finite(delta=delta)
     if np.any(delta <= 0):
         raise ValueError("delta must be positive")
-    if band.alpha * band.omega_b < 0:
-        raise ValueError(
-            "alpha < 0 with delta > 0 is not an in-gap state; "
-            "solve the mirrored lower-edge problem instead")
-    L = np.sqrt(band.alpha * band.omega_b / delta) / band.k0
-    return float(L) if L.ndim == 0 else L
+    return interaction_length(band, delta)
 
 
 def effective_cavity(band: BandEdge, coupling: AtomCoupling) -> BoundState:
-    """Solve the bound state and package it as an effective JC cavity."""
-    delta = solve_delta(band, coupling)
+    """Solve the bound state and package it as an effective JC cavity.
+
+    Vectorized over coupling.Delta: an array detuning fills every field with
+    an array, a scalar one with floats.
+    """
+    delta = bound_state_depth(coupling.beta, coupling.Delta)
     L = decay_length(band, delta)
     cos_t, sin_t = mixing_angles(delta, coupling.beta)
-    gbar_c = coupling.g_cell * math.sqrt(band.a / L)
-    return BoundState(
+    fields = dict(
         delta=delta,
         L=L,
-        theta=math.atan2(sin_t, cos_t),
-        gbar_c=gbar_c,
+        theta=np.arctan2(sin_t, cos_t),
+        gbar_c=np.sqrt(_gbar_sq(band, coupling, L)),
         omega_c_eff=band.omega_b - delta,
         Delta_c_eff=coupling.Delta + delta,
-        validity=math.sqrt(delta / (band.alpha * band.omega_b)),
+        validity=1.0 / (band.k0 * L),
     )
+    if np.ndim(delta) == 0:
+        fields = {name: float(value) for name, value in fields.items()}
+    return BoundState(**fields)
 
 
 def bloch_edge_wave(band: BandEdge) -> Callable[[ArrayLike], np.ndarray]:

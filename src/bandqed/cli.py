@@ -5,7 +5,8 @@ preset), writes machine-readable output to stdout or --out, and a short
 human summary to stderr.  CSV is comma-separated, LF-terminated, with a
 header row and 17-significant-digit floats; JSON is canonical (sorted keys,
 minimal separators).  Exit codes: 0 ok, 2 config error, 3 numerical
-failure, 4 fit failure (best-so-far still written).
+failure, 4 fit failure or tolerance not met (on a fit failure only
+{"error": ...} is written; a missed tolerance still writes the result).
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from dataclasses import replace
 import numpy as np
 
 from . import config as config_mod
-from .bound_state import TWOPI, bound_state_depth, mixing_angles
-from .config import ConfigError, RunConfig, canonical_dumps
+from .bound_state import effective_cavity, mixing_angles
+from .config import ConfigError, RunConfig, _num, canonical_dumps
 from .design import FitError, power_law_designer
 from .disorder import lyapunov_mc
 from .dynamics import (LossModel, evolve_single_excitation, exchange_simulate,
                        optimize_exchange)
-from .interactions import (atom_array, coupling_matrix_1d, interaction_length,
+from .interactions import (_pair_kernel, atom_array, coupling_matrix_1d,
                            multi_drive_sum)
 from .presets import PRESETS, get_preset
 
@@ -93,45 +94,37 @@ def _load_cfg(args, command: str) -> RunConfig:
     return config_mod.load_config(raw, command, args.seed)
 
 
-def _freq_out(cfg: RunConfig) -> float:
-    """Internal rad/s -> output numbers (Hz in si mode)."""
-    return 1.0 / TWOPI if cfg.units == "si" else 1.0
-
-
-def _param_num(cfg: RunConfig, key: str, default=None, required=False):
-    if key in cfg.params:
-        v = cfg.params[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"params.{key} must be a number")
-        return float(v)
-    if required:
-        raise ConfigError(f"missing required key params.{key}")
-    return default
+def _num_list(cfg: RunConfig, key: str) -> list:
+    values = cfg.params[key]
+    if (not isinstance(values, list) or not values
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       for v in values)):
+        raise ConfigError(f"params.{key} must be a list of numbers")
+    return values
 
 
 def cmd_bound_state(args) -> int:
     cfg = _load_cfg(args, "bound-state")
     band = cfg.require("band")
     coupling = cfg.require("coupling")
-    lo = _param_num(cfg, "grid_min", -10.0)
-    hi = _param_num(cfg, "grid_max", 10.0)
-    n = int(_param_num(cfg, "grid_points", 401))
+    lo = _num(cfg.params, "grid_min", "params", -10.0)
+    hi = _num(cfg.params, "grid_max", "params", 10.0)
+    n = int(_num(cfg.params, "grid_points", "params", 401))
     if not (lo < hi) or n < 2:
         raise ConfigError("grid_min < grid_max and grid_points >= 2 required")
     beta = coupling.beta
     x = np.linspace(lo, hi, n)
-    delta = bound_state_depth(beta, x * beta)
-    cos_t, sin_t = mixing_angles(delta, beta)
-    band_scale = abs(band.alpha) * band.omega_b
-    length = np.sqrt(band_scale / delta) / band.k0
-    gbar = np.sqrt(coupling.g_cell**2 * band.a / length)
-    validity = np.sqrt(delta / band_scale)
-    s = _freq_out(cfg)
+    try:
+        state = effective_cavity(band, replace(coupling, Delta=x * beta))
+    except ValueError as exc:   # e.g. an upper band edge: no in-gap bound state
+        raise ConfigError(str(exc)) from exc
+    cos_t, sin_t = mixing_angles(state.delta, beta)
     gbar_name = "gbar_c_Hz" if cfg.units == "si" else "gbar_c"
     header = ["Delta_over_beta", "delta_over_beta", "P_e", "P_p", "L_over_a",
               gbar_name, "validity"]
-    rows = np.column_stack([x, delta / beta, cos_t**2, sin_t**2,
-                            length / band.a, gbar * s, validity])
+    rows = np.column_stack([x, state.delta / beta, cos_t**2, sin_t**2,
+                            state.L / band.a, state.gbar_c / cfg.freq_scale,
+                            state.validity])
     text = _csv(header, rows) if args.format != "json" else _columns_json(header, rows)
     _emit(text, args)
     _say(f"bound-state: {n} rows, Delta/beta in [{lo:g}, {hi:g}]")
@@ -145,17 +138,13 @@ def cmd_interactions(args) -> int:
     if coupling.gamma <= 0:
         raise ConfigError("interactions needs gamma > 0")
     if "Delta_values" in cfg.params:
-        raw_deltas = cfg.params["Delta_values"]
-        if (not isinstance(raw_deltas, list) or not raw_deltas
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                           for v in raw_deltas)):
-            raise ConfigError("params.Delta_values must be a list of numbers")
+        raw_deltas = _num_list(cfg, "Delta_values")
     elif cfg.units == "si":
         raw_deltas = list(INTERACTIONS_DEFAULT_DELTAS_HZ)
     else:
         raise ConfigError("params.Delta_values required in dimensionless mode")
-    sep_max = _param_num(cfg, "sep_max", 55.0)
-    sep_points = int(_param_num(cfg, "sep_points", 56))
+    sep_max = _num(cfg.params, "sep_max", "params", 55.0)
+    sep_points = int(_num(cfg.params, "sep_points", "params", 56))
     if sep_max <= 0 or sep_points < 2:
         raise ConfigError("sep_max > 0 and sep_points >= 2 required")
     sep = np.linspace(0.0, sep_max, sep_points)
@@ -163,11 +152,9 @@ def cmd_interactions(args) -> int:
     header = ["separation_over_a"]
     cols = [sep]
     for d_raw in raw_deltas:
-        Delta = float(d_raw) * cfg.freq_scale
-        L = interaction_length(band, Delta)
-        gbar_sq = coupling.g_cell**2 * band.a / L
-        u_abs = np.abs(gbar_sq * np.exp(-sep * band.a / L) / (2.0 * Delta))
-        cols.append(u_abs / coupling.gamma)
+        u = _pair_kernel(band, coupling, float(d_raw) * cfg.freq_scale,
+                         sep * band.a)
+        cols.append(np.abs(u) / coupling.gamma)
         if cfg.units == "si":
             header.append(f"U_over_gamma_Delta{float(d_raw) / 1e9:g}GHz")
         else:
@@ -183,20 +170,17 @@ def cmd_interactions(args) -> int:
 def cmd_design_powerlaw(args) -> int:
     cfg = _load_cfg(args, "design-powerlaw")
     band = cfg.require("band")
-    eta = _param_num(cfg, "eta", required=True)
-    z_min = _param_num(cfg, "z_min", 1.0)
-    z_max = _param_num(cfg, "z_max", 50.0)
-    n_drives = int(_param_num(cfg, "n_drives", 2))
-    tol = _param_num(cfg, "tolerance")
+    eta = _num(cfg.params, "eta", "params", required=True)
+    z_min = _num(cfg.params, "z_min", "params", 1.0)
+    z_max = _num(cfg.params, "z_max", "params", 50.0)
+    n_drives = int(_num(cfg.params, "n_drives", "params", 2))
+    tol = _num(cfg.params, "tolerance", "params")
     beta = cfg.coupling.beta if cfg.coupling is not None else None
 
     try:
         design = power_law_designer(eta, (z_min, z_max), n_drives, band, beta=beta)
     except FitError as exc:
-        payload = {"error": str(exc)}
-        if exc.best is not None:
-            payload.update(_design_payload(exc.best, band, cfg))
-        _emit(canonical_dumps(payload), args)
+        _emit(canonical_dumps({"error": str(exc)}), args)
         _say(f"design-powerlaw: fit failed ({exc})")
         return 4
 
@@ -206,7 +190,7 @@ def cmd_design_powerlaw(args) -> int:
                                 design.fit - design.target])
         _emit(_csv(header, rows), args)
     else:
-        _emit(canonical_dumps(_design_payload(design, band, cfg)), args)
+        _emit(canonical_dumps(_design_payload(design, band)), args)
     _say(f"design-powerlaw: eta={eta:g}, {n_drives} drives, "
          f"max|resid|={design.max_error:.4g}, rms={design.rms_error:.4g}")
     if tol is not None and design.max_error > tol:
@@ -216,7 +200,7 @@ def cmd_design_powerlaw(args) -> int:
     return 0
 
 
-def _design_payload(design, band, cfg: RunConfig) -> dict:
+def _design_payload(design, band) -> dict:
     return {
         "weights": [float(w) for w in design.weights],
         "rates": [float(s) for s in design.rates],
@@ -231,7 +215,7 @@ def cmd_exchange(args) -> int:
     band = cfg.require("band")
     coupling = cfg.require("coupling")
     losses = cfg.loss_model()
-    separation = _param_num(cfg, "separation", 1.0) * band.a
+    separation = _num(cfg.params, "separation", "params", 1.0) * band.a
     optimize = cfg.params.get("optimize", True)
     if not isinstance(optimize, bool):
         raise ConfigError("params.optimize must be a boolean")
@@ -248,7 +232,7 @@ def cmd_exchange(args) -> int:
         traj = exchange_simulate(u.values[0, 1], losses)
         res = traj.result
 
-    s = _freq_out(cfg)
+    s = 1.0 / cfg.freq_scale
     if args.format == "csv":
         header = ["t", "P_1", "P_2", "norm"]
         rows = np.column_stack([traj.times, traj.populations, traj.norm])
@@ -273,10 +257,9 @@ def cmd_evolve(args) -> int:
     band = cfg.require("band")
     coupling = cfg.require("coupling")
     atoms = cfg.require("atoms")
-    losses = cfg.loss_model()
-    t_max = _param_num(cfg, "t_max", required=True)
-    n_times = int(_param_num(cfg, "n_times", 201))
-    site = int(_param_num(cfg, "initial_site", 0))
+    t_max = _num(cfg.params, "t_max", "params", required=True)
+    n_times = int(_num(cfg.params, "n_times", "params", 201))
+    site = int(_num(cfg.params, "initial_site", "params", 0))
     if t_max <= 0 or n_times < 2:
         raise ConfigError("t_max > 0 and n_times >= 2 required")
     if not 0 <= site < len(atoms):
@@ -284,8 +267,11 @@ def cmd_evolve(args) -> int:
 
     if cfg.drives:
         u = multi_drive_sum(atoms, band, coupling, cfg.drives)
+        # ground-state exchange decays at the Raman-narrowed linewidth
+        losses = cfg.losses or LossModel(kappa_p=0.0, gamma=u.gamma_narrowed)
     else:
         u = coupling_matrix_1d(atoms, band, coupling)
+        losses = cfg.loss_model()
     psi0 = np.zeros(len(atoms), dtype=complex)
     psi0[site] = 1.0
     result = evolve_single_excitation(u, losses, psi0,
@@ -303,7 +289,7 @@ def cmd_evolve(args) -> int:
 def cmd_disorder(args) -> int:
     cfg = _load_cfg(args, "disorder")
     stack = cfg.require("disorder")
-    n_trials = int(_param_num(cfg, "n_trials", 200))
+    n_trials = int(_num(cfg.params, "n_trials", "params", 200))
     eps_values = cfg.params.get("epsilon_values")
 
     if eps_values is None:
@@ -325,12 +311,8 @@ def cmd_disorder(args) -> int:
              f"analytic={res.xi_pred:.6g}")
         return 0
 
-    if (not isinstance(eps_values, list) or not eps_values
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in eps_values)):
-        raise ConfigError("params.epsilon_values must be a list of numbers")
     rows = []
-    for eps in eps_values:
+    for eps in _num_list(cfg, "epsilon_values"):
         sub = replace(stack, epsilon=float(eps))
         res = lyapunov_mc(sub, n_trials)
         rows.append([float(eps), res.sigma, res.xi_pred, res.xi_mc,
@@ -391,9 +373,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _say(f"config error: {exc}")
         return 2
-    except FitError as exc:
-        _say(f"fit failure: {exc}")
-        return 4
     except (ValueError, RuntimeError, FloatingPointError,
             np.linalg.LinAlgError) as exc:
         _say(f"numerical failure: {exc}")

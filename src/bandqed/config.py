@@ -75,7 +75,6 @@ class RunConfig:
     """Validated, unit-converted run configuration for one command."""
 
     units: str
-    seed: int
     band: Optional[BandEdge]
     coupling: Optional[AtomCoupling]
     atoms: Optional[AtomArray]
@@ -83,7 +82,6 @@ class RunConfig:
     losses: Optional[LossModel]
     stack: Optional[DielectricStack]
     params: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)  # the validated pre-conversion document
 
     @property
     def freq_scale(self) -> float:
@@ -208,7 +206,7 @@ def _build_stack(section: dict, seed: int,
     return DielectricStack(**kwargs)
 
 
-def validate_raw(raw: dict, command: Optional[str] = None) -> dict:
+def validate_raw(raw: dict, command: str) -> dict:
     """Schema-check a parsed config document without unit conversion."""
     _reject_unknown(raw, TOP_KEYS, "config")
     units = raw.get("units", "si")
@@ -218,20 +216,13 @@ def validate_raw(raw: dict, command: Optional[str] = None) -> dict:
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError("seed must be an integer")
     if "params" in raw:
-        if command is None:
-            for cmd_keys in PARAMS_KEYS.values():
-                if set(raw["params"]) <= cmd_keys:
-                    break
-            else:
-                raise ConfigError("params keys match no known command")
-        else:
-            _reject_unknown(raw["params"], PARAMS_KEYS[command], "params")
+        _reject_unknown(raw["params"], PARAMS_KEYS[command], "params")
     if "drives" in raw and not isinstance(raw["drives"], list):
         raise ConfigError("drives must be a list")
     return raw
 
 
-def load_config(raw: dict, command: Optional[str] = None,
+def load_config(raw: dict, command: str,
                 seed_override: Optional[int] = None) -> RunConfig:
     """Validate and convert a parsed JSON document into live records.
 
@@ -241,7 +232,6 @@ def load_config(raw: dict, command: Optional[str] = None,
     validate_raw(raw, command)
     units = raw.get("units", "si")
     scale = TWOPI if units == "si" else 1.0
-    seed = seed_override if seed_override is not None else raw.get("seed", 0)
 
     try:
         band = _build_band(raw["band"], scale) if "band" in raw else None
@@ -266,20 +256,9 @@ def load_config(raw: dict, command: Optional[str] = None,
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    return RunConfig(units=units, seed=seed, band=band, coupling=coupling,
+    return RunConfig(units=units, band=band, coupling=coupling,
                      atoms=atoms, drives=drives, losses=losses, stack=stack,
-                     params=dict(raw.get("params", {})), raw=raw)
-
-
-def loads(text: str, command: Optional[str] = None,
-          seed_override: Optional[int] = None) -> RunConfig:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    return load_config(raw, command, seed_override)
+                     params=dict(raw.get("params", {})))
 
 
 def canonical_dumps(obj: Any) -> str:

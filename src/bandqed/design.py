@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from .bound_state import BandEdge, _check_finite
+from .bound_state import BandEdge, _check_finite, interaction_length
 
 # Hard floor when no coupling scale is supplied; with one, the floor is the
 # rate at detuning beta, the closest approach the drive elimination allows.
@@ -28,11 +28,7 @@ S_FLOOR_DEFAULT = 1e-8
 
 
 class FitError(RuntimeError):
-    """Raised when no optimizer start converges; carries the best attempt."""
-
-    def __init__(self, message: str, best: "PowerLawDesign | None" = None):
-        super().__init__(message)
-        self.best = best
+    """Raised when no optimizer start converges."""
 
 
 @dataclass
@@ -56,9 +52,7 @@ class PowerLawDesign:
 
 def rate_for_detuning(band: BandEdge, detuning: float) -> float:
     """Range per lattice site s = a/L at the given in-gap detuning."""
-    if band.alpha * detuning <= 0:
-        raise ValueError("detuning lies inside the band")
-    return band.a * band.k0 * math.sqrt(detuning / (band.alpha * band.omega_b))
+    return band.a / interaction_length(band, detuning)
 
 
 def detuning_for_rate(band: BandEdge, s: float) -> float:
@@ -83,8 +77,7 @@ def power_law_designer(eta: float, z_range: tuple[float, float], n_drives: int,
     below by the detuning floor (beta if given) and above by s = a k0, and
     optimized from several deterministic log-spaced starts.  Ties between
     converged starts break toward lower max-error, then a tighter rate
-    spread.  Raises FitError, carrying the best attempt, if nothing
-    converges.
+    spread.  Raises FitError if nothing converges.
     """
     _check_finite(eta=eta)
     if eta < 0:
@@ -133,7 +126,7 @@ def power_law_designer(eta: float, z_range: tuple[float, float], n_drives: int,
                            float(s_fit[0] / s_fit[-1]), w, s_fit, r))
 
     if not candidates:
-        raise FitError("no optimizer start converged", best=None)
+        raise FitError("no optimizer start converged")
 
     # primary key: 2-norm cost (quantized so float noise does not mask ties)
     best_cost = min(c[0] for c in candidates)

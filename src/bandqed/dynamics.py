@@ -20,9 +20,9 @@ from typing import Optional, Union
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .bound_state import (BandEdge, AtomCoupling, _check_finite,
-                          bound_state_depth, mixing_angles)
-from .interactions import CouplingMatrix
+from .bound_state import (BandEdge, AtomCoupling, _check_finite, _gbar_sq,
+                          bound_state_depth, interaction_length, mixing_angles)
+from .interactions import CouplingMatrix, _pair_kernel
 
 MAX_ATOMS = 10_000
 GRID_POINTS_MIN = 200   # log-scan resolution before the golden-section polish
@@ -47,8 +47,12 @@ class LossModel:
 
     def gamma_eff(self):
         """gamma cos^2(theta) + kappa_p sin^2(theta); vector iff theta is one."""
-        c2 = np.cos(self.theta) ** 2
-        return self.gamma * c2 + self.kappa_p * (1.0 - c2)
+        return _dressed_linewidth(self.gamma, self.kappa_p,
+                                  np.cos(self.theta), np.sin(self.theta))
+
+
+def _dressed_linewidth(gamma, kappa_p, cos_t, sin_t):
+    return gamma * cos_t**2 + kappa_p * sin_t**2
 
 
 @dataclass
@@ -128,15 +132,12 @@ def dissipator_ratio(kappa: float, Delta: float) -> float:
 def _exchange_error_curve(Delta: np.ndarray, band: BandEdge,
                           coupling: AtomCoupling, kappa_p: float, gamma: float,
                           separation: float):
-    """Transfer error vs detuning for two atoms a fixed distance apart."""
+    """(error, tau, Gamma_eff) of a two-atom transfer vs detuning."""
     delta = bound_state_depth(coupling.beta, Delta)
     cos_t, sin_t = mixing_angles(delta, coupling.beta)
-    gamma_eff = gamma * cos_t**2 + kappa_p * sin_t**2
-    L = np.sqrt(band.alpha * band.omega_b / Delta) / band.k0
-    gbar_sq = coupling.g_cell**2 * band.a / L
-    u12 = gbar_sq * np.exp(-separation / L) / (2.0 * Delta)
-    tau = math.pi / 2.0 / np.abs(u12)
-    return -np.expm1(-gamma_eff * tau), tau, gbar_sq
+    gamma_eff = _dressed_linewidth(gamma, kappa_p, cos_t, sin_t)
+    tau = math.pi / 2.0 / np.abs(_pair_kernel(band, coupling, Delta, separation))
+    return -np.expm1(-gamma_eff * tau), tau, gamma_eff
 
 
 def optimize_exchange(band: BandEdge, coupling: AtomCoupling, losses: LossModel,
@@ -206,20 +207,18 @@ def optimize_exchange(band: BandEdge, coupling: AtomCoupling, losses: LossModel,
                 fd = err_at(np.exp(d))[0]
         d_opt = float(math.exp(0.5 * (a + b)))
 
-    err, tau, gbar_sq = (float(v) for v in err_at(np.asarray(d_opt)))
-    delta = float(bound_state_depth(beta, np.asarray(d_opt)))
-    cos_t, sin_t = mixing_angles(delta, beta)
-    gamma_eff = gamma * cos_t**2 + kappa_p * sin_t**2
+    err, tau, gamma_eff = (float(v) for v in err_at(np.asarray(d_opt)))
 
     coop = None
     if kappa_p > 0 and gamma > 0:
+        gbar_sq = _gbar_sq(band, coupling, interaction_length(band, d_opt))
         coop = cooperativity(math.sqrt(gbar_sq), kappa_p, gamma)
         bound = 2.0 * math.pi / math.sqrt(coop)
         if err > bound:
             raise RuntimeError(
                 f"optimized error {err:.4g} violates the cooperativity bound "
                 f"{bound:.4g}; the operating point is inconsistent")
-    return ExchangeResult(tau=tau, error=err, gamma_eff=float(gamma_eff),
+    return ExchangeResult(tau=tau, error=err, gamma_eff=gamma_eff,
                           optimal_Delta=d_opt, cooperativity=coop)
 
 
@@ -270,8 +269,7 @@ def collective_dissipator(U: CouplingMatrix, kappa: float, Delta: float) -> np.n
 
 
 def evolve_single_excitation(U: CouplingMatrix, losses: LossModel,
-                             psi0, t_grid: np.ndarray,
-                             rtol: float = 1e-9) -> EvolutionResult:
+                             psi0, t_grid: np.ndarray) -> EvolutionResult:
     """Integrate i dpsi/dt = (U - i Gamma_eff/2) psi on the given time grid.
 
     psi0 is an AmplitudeState or a plain unit-norm complex vector; Gamma_eff
@@ -303,7 +301,7 @@ def evolve_single_excitation(U: CouplingMatrix, losses: LossModel,
         return -1j * (h_eff @ y)
 
     sol = solve_ivp(rhs, (t_grid[0], t_grid[-1]), psi0, t_eval=t_grid,
-                    method="DOP853", rtol=rtol, atol=1e-12)
+                    method="DOP853", rtol=1e-9, atol=1e-12)
     if not sol.success:
         err = RuntimeError(f"integrator failed: {sol.message}")
         if sol.y.size:

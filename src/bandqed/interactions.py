@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import k0 as _bessel_k0
 
-from .bound_state import TWOPI, AtomCoupling, BandEdge, _check_finite
+from .bound_state import (AtomCoupling, BandEdge, _check_finite, _gbar_sq,
+                          interaction_length)
 
 HERMITICITY_RTOL = 1e-12
 DRIVE_RATIO_WARN = 0.3      # |Omega/delta_L| above this is outside the adiabatic regime
@@ -124,25 +125,6 @@ class CouplingMatrix:
         return self.values.shape[0]
 
 
-def interaction_length(band: BandEdge, detuning: float) -> float:
-    """L = sqrt(alpha omega_b/detuning)/k0 for an in-gap detuning.
-
-    The gap side is set by the curvature sign, so alpha*detuning > 0 is
-    required; anything else is a detuning inside the band.
-    """
-    _check_finite(detuning=detuning)
-    if band.alpha * detuning <= 0:
-        raise ValueError(
-            f"detuning {detuning:.4g} lies inside the band for curvature "
-            f"alpha = {band.alpha:.4g}; no exponentially bound interaction")
-    return math.sqrt(band.alpha * band.omega_b / detuning) / band.k0
-
-
-def _gbar_sq(band: BandEdge, coupling: AtomCoupling, L: float) -> float:
-    # gbar_c^2 = g_cell^2 * a / L
-    return coupling.g_cell**2 * band.a / L
-
-
 def _warn_small_detuning(detuning: float, beta: float) -> None:
     if abs(detuning) < DETUNING_BETA_WARN * beta:
         warnings.warn(
@@ -156,16 +138,37 @@ def _pair_phases(atoms: AtomArray) -> np.ndarray:
     return np.outer(e, e.conj())
 
 
+def _pair_kernel(band: BandEdge, coupling: AtomCoupling, detuning,
+                 distance, weight: float = 1.0):
+    """weight gbar_c^2 exp(-distance/L)/(2 detuning), with L at the detuning.
+
+    The 1D exchange rate before Bloch phases; broadcasts over distance and
+    detuning.
+    """
+    L = interaction_length(band, detuning)
+    u = np.exp(np.divide(distance, -L))
+    u *= weight * _gbar_sq(band, coupling, L) / (2.0 * detuning)
+    return u
+
+
+def _chain_matrix(atoms: AtomArray, band: BandEdge, coupling: AtomCoupling,
+                  detuning: float, weight: float = 1.0) -> np.ndarray:
+    """N x N values _pair_kernel(|z_j - z_l|) E_j E_l^* of a 1D chain."""
+    z = atoms.positions
+    u = _pair_kernel(band, coupling, detuning,
+                     np.abs(np.subtract.outer(z, z)), weight)
+    values = _pair_phases(atoms)
+    values *= u
+    return values
+
+
 def coupling_matrix_1d(atoms: AtomArray, band: BandEdge,
                        coupling: AtomCoupling) -> CouplingMatrix:
     """Two-level exchange matrix U_jl = gbar_c^2 f(z_j, z_l)/(2 Delta) in 1D."""
     if atoms.positions.ndim != 1:
         raise ValueError("coupling_matrix_1d needs a 1D chain")
-    L = interaction_length(band, coupling.Delta)
+    values = _chain_matrix(atoms, band, coupling, coupling.Delta)
     _warn_small_detuning(coupling.Delta, coupling.beta)
-    sep = np.abs(atoms.positions[:, None] - atoms.positions[None, :])
-    scale = _gbar_sq(band, coupling, L) / (2.0 * coupling.Delta)
-    values = scale * np.exp(-sep / L) * _pair_phases(atoms)
     return CouplingMatrix(values=values, kind="two_level_1d")
 
 
@@ -189,7 +192,7 @@ def coupling_matrix_2d(atoms: AtomArray, band: BandEdge,
         raise ValueError("duplicate atom positions give a divergent 2D kernel")
     np.fill_diagonal(r, 0.5 * band.a)   # short-range cutoff for the self-energy
     # gbar_2d^2 = 2 pi^2 g^2/L^2 with g^2 = g_cell^2 a/(2 pi)
-    gbar2d_sq = math.pi * coupling.g_cell**2 * band.a / L**2
+    gbar2d_sq = math.pi * _gbar_sq(band, coupling, L) / L
     scale = gbar2d_sq / (2.0 * coupling.Delta)
     values = scale * (2.0 / math.pi) * _bessel_k0(r / L) * _pair_phases(atoms)
     return CouplingMatrix(values=values, kind="two_level_2d",
@@ -210,12 +213,9 @@ def driven_coupling_matrix(atoms: AtomArray, band: BandEdge,
         raise ValueError("driven_coupling_matrix needs a 1D chain")
     if drive.delta_L == 0.0:
         raise ValueError("delta_L = 0: drive resonant with the excited state")
-    L = interaction_length(band, drive.Delta_L)
-    _warn_small_detuning(drive.Delta_L, coupling.beta)
-    sep = np.abs(atoms.positions[:, None] - atoms.positions[None, :])
     ratio_sq = (drive.Omega / drive.delta_L) ** 2
-    scale = ratio_sq * _gbar_sq(band, coupling, L) / (2.0 * drive.Delta_L)
-    values = scale * np.exp(-sep / L) * _pair_phases(atoms)
+    values = _chain_matrix(atoms, band, coupling, drive.Delta_L, ratio_sq)
+    _warn_small_detuning(drive.Delta_L, coupling.beta)
     kind = "lambda_driven" if drive.Omega_prime == 0.0 else "four_level"
     ratio_prime_sq = (drive.Omega_prime / drive.delta_L) ** 2
     return CouplingMatrix(values=values, kind=kind,
@@ -283,14 +283,11 @@ def mechanical_potential(atoms: AtomArray, band: BandEdge,
     omega_a = band.omega_b + coupling.Delta
     if omega_L == omega_a:
         raise ValueError("omega_L resonant with the atom")
-    laser_detuning = omega_L - band.omega_b
-    L = interaction_length(band, laser_detuning)
-    if abs(Omega / (omega_L - omega_a)) > DRIVE_RATIO_WARN:
+    ratio = Omega / (omega_L - omega_a)
+    values = _chain_matrix(atoms, band, coupling, omega_L - band.omega_b,
+                           ratio**2)
+    if abs(ratio) > DRIVE_RATIO_WARN:
         warnings.warn(
             "drive is not weak relative to |omega_L - omega_a|; "
             "the mechanical-potential expansion is strained", stacklevel=2)
-    sep = np.abs(atoms.positions[:, None] - atoms.positions[None, :])
-    scale = Omega**2 * _gbar_sq(band, coupling, L) \
-        / (2.0 * laser_detuning * (omega_L - omega_a) ** 2)
-    values = scale * np.exp(-sep / L) * _pair_phases(atoms)
     return CouplingMatrix(values=values, kind="mechanical")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -181,6 +182,19 @@ def test_effective_cavity_dressed_state_identity():
         h = np.array([[omega_a, st.gbar_c], [st.gbar_c, st.omega_c_eff]])
         upper = np.max(np.linalg.eigvalsh(h))
         assert upper == pytest.approx(band.omega_b + st.delta, rel=1e-12)
+
+
+def test_effective_cavity_vectorized_matches_scalar():
+    band = apcw_band()
+    c = apcw_coupling()
+    Delta = np.linspace(-10.0, 10.0, 41) * c.beta
+    vec = effective_cavity(band, replace(c, Delta=Delta))
+    for i, d in enumerate(Delta):
+        one = effective_cavity(band, replace(c, Delta=float(d)))
+        for f in fields(one):
+            value = getattr(one, f.name)
+            assert type(value) is float
+            assert getattr(vec, f.name)[i] == pytest.approx(value, rel=1e-14)
 
 
 # ---------------------------------------------------------------- lengths

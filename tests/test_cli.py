@@ -1,11 +1,14 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bandqed.cli import main
-from bandqed.config import canonical_dumps
+from bandqed.config import canonical_dumps, load_config
+from bandqed.interactions import atom_array, coupling_matrix_1d
+from bandqed.presets import get_preset
 
 TWOPI = 2.0 * math.pi
 
@@ -94,6 +97,15 @@ def test_bound_state_anchor_rows(capsys):
     assert np.all(np.diff(rows[:, 1]) > 0)               # depth grows with Delta
 
 
+def test_bound_state_rejects_upper_edge(capsys, tmp_path):
+    cfg = write_cfg(tmp_path, "upper.json", {"band": {"alpha": -1}})
+    code, out, err = run(capsys, ["bound-state", "--preset", "apcw",
+                                  "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert "config error" in err
+
+
 def test_csv_floats_round_trip(capsys):
     code, out, err = run(capsys, ["bound-state", "--preset", "apcw"])
     assert code == 0
@@ -122,6 +134,20 @@ def test_interactions_columns_and_range(capsys):
         assert np.allclose(slope, -a / L, rtol=1e-10)
     # deeper detuning: shorter range and weaker at distance
     assert rows[-1, 1] > rows[-1, 4]
+
+
+def test_interactions_columns_match_coupling_matrix(capsys):
+    code, out, err = run(capsys, ["interactions", "--preset", "apcw"])
+    assert code == 0
+    header, rows = parse_csv(out)
+    cfg = load_config(get_preset("apcw"), "interactions")
+    band, coupling = cfg.band, cfg.coupling
+    atoms = atom_array(rows[:, 0] * band.a, band, coupling.gamma)
+    for col, delta_hz in enumerate((400e9, 800e9, 1300e9, 2800e9), start=1):
+        u = coupling_matrix_1d(atoms, band,
+                               replace(coupling, Delta=TWOPI * delta_hz))
+        want = np.abs(u.values[0]) / coupling.gamma
+        assert np.allclose(rows[:, col], want, rtol=1e-12, atol=0.0)
 
 
 def test_interactions_rejects_in_band_detuning(capsys, tmp_path):
@@ -244,6 +270,10 @@ def test_evolve_with_drive(capsys, tmp_path):
     header, rows = parse_csv(out)
     assert header == ["t", "P_1", "P_2", "P_3", "norm"]
     assert rows[1, 2] > 0                          # excitation moved
+    # no losses section: decay at the narrowed linewidth |Omega/delta_L|^2 gamma
+    narrowed = (1e-4 / 1e-3) ** 2 * 1e-9
+    assert rows[-1, 4] == pytest.approx(math.exp(-0.5 * narrowed * 2e8),
+                                        abs=1e-6)
 
 
 # ------------------------------------------------------------- disorder

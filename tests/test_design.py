@@ -103,6 +103,5 @@ def test_input_validation():
 
 
 def test_fit_error_type():
-    err = FitError("nothing converged", best=None)
+    err = FitError("nothing converged")
     assert isinstance(err, RuntimeError)
-    assert err.best is None
