@@ -290,38 +290,31 @@ def cmd_disorder(args) -> int:
     cfg = _load_cfg(args, "disorder")
     stack = cfg.require("disorder")
     n_trials = int(_num(cfg.params, "n_trials", "params", 200))
-    eps_values = cfg.params.get("epsilon_values")
+    sweep = cfg.params.get("epsilon_values") is not None
+    stacks = ([replace(stack, epsilon=float(eps))
+               for eps in _num_list(cfg, "epsilon_values")] if sweep else [stack])
+    results = [lyapunov_mc(sub, n_trials) for sub in stacks]
 
-    if eps_values is None:
-        res = lyapunov_mc(stack, n_trials)
-        payload = {
+    header = ["epsilon", "sigma", "xi_analytic", "xi_mc", "stderr"]
+    rows = [[sub.epsilon, res.sigma, res.xi_pred, res.xi_mc, res.xi_stderr]
+            for sub, res in zip(stacks, results)]
+    res = results[0]
+    if sweep or args.format == "csv":
+        text = _csv(header, rows) if args.format != "json" else _columns_json(header, rows)
+    else:
+        text = canonical_dumps({
             "xi_mc": res.xi_mc, "xi_stderr": res.xi_stderr,
             "sigma": res.sigma, "xi_analytic": res.xi_pred,
             "unbounded": res.unbounded, "n_cells": res.n_cells,
             "n_trials": res.n_trials, "convention": res.convention,
-        }
-        if args.format == "csv":
-            header = ["epsilon", "sigma", "xi_analytic", "xi_mc", "stderr"]
-            rows = [[stack.epsilon, res.sigma, res.xi_pred, res.xi_mc,
-                     res.xi_stderr]]
-            _emit(_csv(header, rows), args)
-        else:
-            _emit(canonical_dumps(payload), args)
+        })
+    _emit(text, args)
+    if sweep:
+        _say(f"disorder: swept {len(stacks)} epsilon values, "
+             f"{n_trials} trials each")
+    else:
         _say(f"disorder: epsilon={stack.epsilon:g}, xi_mc={res.xi_mc:.6g}, "
              f"analytic={res.xi_pred:.6g}")
-        return 0
-
-    rows = []
-    for eps in _num_list(cfg, "epsilon_values"):
-        sub = replace(stack, epsilon=float(eps))
-        res = lyapunov_mc(sub, n_trials)
-        rows.append([float(eps), res.sigma, res.xi_pred, res.xi_mc,
-                     res.xi_stderr])
-    header = ["epsilon", "sigma", "xi_analytic", "xi_mc", "stderr"]
-    text = _csv(header, rows) if args.format != "json" else _columns_json(header, rows)
-    _emit(text, args)
-    _say(f"disorder: swept {len(eps_values)} epsilon values, "
-         f"{n_trials} trials each")
     return 0
 
 

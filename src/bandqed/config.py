@@ -67,6 +67,8 @@ def _num(section: dict, key: str, where: str, default=None, required=False):
     v = section[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number")
+    if not math.isfinite(v):
+        raise ConfigError(f"{where}.{key} must be finite, got {v!r}")
     return float(v)
 
 

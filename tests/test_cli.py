@@ -162,6 +162,21 @@ def test_interactions_rejects_in_band_detuning(capsys, tmp_path):
     assert "inside the band" in err
 
 
+@pytest.mark.parametrize("command, params", [
+    ("interactions", {"sep_max": float("nan")}),
+    ("evolve", {"t_max": float("inf")}),
+], ids=["nan-sep_max", "inf-t_max"])
+def test_non_finite_param_is_a_config_error(capsys, tmp_path, command, params):
+    doc = {"params": params}
+    if command == "evolve":
+        doc["atoms"] = {"positions": [0.0, 371e-9, 742e-9]}
+    cfg = write_cfg(tmp_path, "nonfinite.json", doc)   # JSON NaN / Infinity
+    code, out, err = run(capsys, [command, "--preset", "apcw", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 # ------------------------------------------------------------- design
 
 def test_design_payload_and_tolerance_gate(capsys, tmp_path):

@@ -189,6 +189,54 @@ def test_light_cone_smoke():
         math.exp(2.0 * (15 - 3) / 10.0), rel=0.05)
 
 
+@pytest.mark.parametrize("J_over_delta", [3.0, 1.0, 0.4])
+def test_per_atom_loss_two_atoms_closed_form(J_over_delta):
+    # h_eff = -i gbar/2 + M with M = [[-i d, J], [J, i d]] and M^2 = W^2,
+    # so psi(t) = e^{-gbar t/2}[cos(W t) psi0 - i sin(W t)/W M psi0];
+    # J = |d| is the exceptional point, J < |d| the overdamped side
+    losses = LossModel(kappa_p=4.0e6, gamma=1.0e6, theta=np.array([0.3, 1.1]))
+    g1, g2 = losses.gamma_eff()
+    d = (g1 - g2) / 4.0
+    J = J_over_delta * abs(d)
+    t = np.linspace(0.0, 8.0 / abs(d), 101)
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    out = evolve_single_excitation(exchange_matrix(J), losses, psi0, t)
+
+    W = np.sqrt(complex(J * J - d * d))
+    sinc_t = t if W == 0 else np.sin(W * t) / W
+    M = np.array([[-1j * d, J], [J, 1j * d]])
+    want = np.exp(-0.25 * (g1 + g2) * t)[:, None] * (
+        np.cos(W * t)[:, None] * psi0 - 1j * sinc_t[:, None] * (M @ psi0))
+    assert np.max(np.abs(out.amplitudes - want)) <= 1e-12
+
+
+def test_non_uniform_grid_matches_diagonalization():
+    rng = np.random.default_rng(31)
+    n, gamma = 6, 2.0e5
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = (h + h.conj().T) / 2.0 * 1e6
+    psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi0 /= np.linalg.norm(psi0)
+    t = np.geomspace(1e-9, 5e-6, 40)
+    out = evolve_single_excitation(CouplingMatrix(values=h, kind="two_level_1d"),
+                                   LossModel(0.0, gamma), psi0, t)
+
+    evals, evecs = np.linalg.eigh(h)
+    s = t - t[0]
+    want = (np.exp(-1j * np.outer(s, evals)) * (evecs.conj().T @ psi0)) @ evecs.T
+    want *= np.exp(-0.5 * gamma * s)[:, None]
+    assert np.max(np.abs(out.amplitudes - want)) <= 1e-12
+
+
+def test_non_finite_time_grid_is_rejected():
+    U = exchange_matrix(1e6)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            evolve_single_excitation(U, LossModel(0.0, 0.0),
+                                     np.array([1.0, 0.0]),
+                                     np.array([0.0, 1e-7, bad]))
+
+
 def test_failure_carries_last_state():
     U = exchange_matrix(1e6)
     bad = np.array([0.0, np.inf])

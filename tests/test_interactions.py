@@ -176,6 +176,21 @@ def test_matrix_validation():
     with pytest.raises(ValueError):
         CouplingMatrix(values=np.array([[1.0, 1.0], [0.2, 1.0]]),
                        kind="two_level_1d")
+    with pytest.raises(ValueError, match="not Hermitian"):   # complex diagonal
+        CouplingMatrix(values=np.diag([1.0, 1.0 + 1e-3j]), kind="two_level_1d")
+    # an asymmetry past the first row block of the check is still caught
+    big = np.eye(600, dtype=complex)
+    big[500, 10] = 1e-3
+    with pytest.raises(ValueError, match="not Hermitian"):
+        CouplingMatrix(values=big, kind="two_level_1d")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_matrix_rejected(bad):
+    values = np.eye(3, dtype=complex)
+    values[0, 2] = values[2, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        CouplingMatrix(values=values, kind="two_level_1d")
 
 
 def test_in_band_detuning_rejected():
