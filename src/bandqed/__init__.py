@@ -1,5 +1,12 @@
 """Atoms coupled to photonic-crystal band edges: bound states, tunable
-long-range exchange, loss-limited dynamics, and disorder localization."""
+long-range exchange, loss-limited dynamics, and disorder localization.
+
+Importing the package loads numpy and no scipy module.  The three scipy
+functions used are imported inside the one function that calls each:
+`least_squares` in `power_law_designer`, `expm` in
+`evolve_single_excitation` and the Bessel `k0` in `coupling_matrix_2d`.
+A one-shot CLI command therefore pays for no scipy import it does not run.
+"""
 
 from .bound_state import (
     AtomCoupling,

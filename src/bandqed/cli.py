@@ -24,8 +24,8 @@ from .bound_state import effective_cavity, mixing_angles
 from .config import ConfigError, RunConfig, _num, canonical_dumps
 from .design import FitError, power_law_designer
 from .disorder import lyapunov_mc
-from .dynamics import (LossModel, evolve_single_excitation, exchange_simulate,
-                       optimize_exchange)
+from .dynamics import (LossModel, check_atom_count, evolve_single_excitation,
+                       exchange_simulate, optimize_exchange)
 from .interactions import (_pair_kernel, atom_array, coupling_matrix_1d,
                            multi_drive_sum)
 from .presets import PRESETS, get_preset
@@ -84,7 +84,7 @@ def _load_cfg(args, command: str) -> RunConfig:
             raise ConfigError(f"cannot read config: {exc}") from exc
         try:
             user = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # JSONDecodeError, or an integer past the digit limit
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
@@ -264,6 +264,7 @@ def cmd_evolve(args) -> int:
         raise ConfigError("t_max > 0 and n_times >= 2 required")
     if not 0 <= site < len(atoms):
         raise ConfigError("initial_site out of range")
+    check_atom_count(len(atoms))   # before the dense U is built
 
     if cfg.drives:
         u = multi_drive_sum(atoms, band, coupling, cfg.drives)

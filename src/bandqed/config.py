@@ -67,9 +67,13 @@ def _num(section: dict, key: str, where: str, default=None, required=False):
     v = section[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number")
-    if not math.isfinite(v):
+    try:
+        x = float(v)
+    except OverflowError:   # a JSON integer beyond the float range
+        raise ConfigError(f"{where}.{key} is beyond the float range") from None
+    if not math.isfinite(x):
         raise ConfigError(f"{where}.{key} must be finite, got {v!r}")
-    return float(v)
+    return x
 
 
 @dataclass

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .bound_state import BandEdge, _check_finite, interaction_length
 
@@ -98,6 +97,7 @@ def power_law_designer(eta: float, z_range: tuple[float, float], n_drives: int,
         s_min = S_FLOOR_DEFAULT
     s_max = band.a * band.k0   # L = a: interaction range down to one site
     log_lo, log_hi = math.log(s_min), math.log(s_max)
+    from scipy.optimize import least_squares   # function scope: see the package docstring
 
     def packed_residual(log_s):
         _, r = _solve_weights(np.exp(log_s), z, target)

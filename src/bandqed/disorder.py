@@ -32,6 +32,7 @@ from .bound_state import _check_finite
 EPSILON_WARN = 0.05      # fractional thickness noise beyond the perturbative regime
 RENORM_CELLS = 16        # renormalize the propagated vector every 32 layers
 CLIP_SIGMA = 4.0
+MC_BLOCK_CELLS = 256     # cells drawn per block; bounds lyapunov_mc's memory
 
 # 2 Gamma(1/6) / (6^(1/3) sqrt(pi)) = 3.45652...
 XI_PREFACTOR = 2.0 * math.gamma(1.0 / 6.0) / (6.0 ** (1.0 / 3.0) * math.sqrt(math.pi))
@@ -160,7 +161,9 @@ def lyapunov_mc(stack: DielectricStack, n_trials: int = 200) -> LocalizationResu
     n_cells disordered bilayers, renormalizing every 32 layers; the
     Lyapunov slope is taken after discarding the first tenth as direction
     burn-in.  Trial i draws from PCG64(SeedSequence((seed, i))), so results
-    are reproducible per (seed, trial) independent of n_trials.
+    are reproducible per (seed, trial) independent of n_trials.  Phases are
+    drawn MC_BLOCK_CELLS cells at a time, so memory does not grow with
+    n_cells.
 
     When the fitted length is too large to resolve on n_cells (including
     the clean case, whose growth is algebraic, not exponential), the result
@@ -177,14 +180,12 @@ def lyapunov_mc(stack: DielectricStack, n_trials: int = 200) -> LocalizationResu
     i_hl_t = i_hl.T.astype(complex)
     i_lh_t = i_lh.T.astype(complex)
 
-    # column 0: high-index layer shift, column 1: low-index layer shift
-    draws = np.empty((n_trials, n_cells, 2))
-    for t in range(n_trials):
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence((stack.seed, t))))
-        draws[t] = rng.standard_normal((n_cells, 2))
-    np.clip(draws, -CLIP_SIGMA, CLIP_SIGMA, out=draws)
-    phases = phi_edge + stack.phi_b * stack.epsilon * draws
+    # trial t draws from its own stream, a block of cells at a time; the
+    # streams stay alive across blocks, so the draws match one-shot sampling
+    rngs = [np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence((stack.seed, t)))) for t in range(n_trials)]
+    draws = np.empty((n_trials, MC_BLOCK_CELLS, 2))
+    scale = stack.phi_b * stack.epsilon
 
     v = np.zeros((n_trials, 2), dtype=complex)
     v[:, 0] = 1.0
@@ -194,26 +195,35 @@ def lyapunov_mc(stack: DielectricStack, n_trials: int = 200) -> LocalizationResu
     # finiteness is checked at every renormalization, so intermediate
     # overflow is allowed to propagate silently up to that point
     with np.errstate(over="ignore", invalid="ignore"):
-        for c in range(n_cells):
-            v = v @ i_hl_t
-            pl = np.exp(1j * phases[:, c, 1])
-            v[:, 0] *= pl
-            v[:, 1] *= pl.conj()
-            v = v @ i_lh_t
-            ph = np.exp(1j * phases[:, c, 0])
-            v[:, 0] *= ph
-            v[:, 1] *= ph.conj()
-            if c + 1 == burn:
-                log_burn = log_accum + 0.5 * np.log(
-                    np.sum(np.abs(v) ** 2, axis=1))
-            if (c + 1) % RENORM_CELLS == 0:
-                nrm = np.sqrt(np.sum(np.abs(v) ** 2, axis=1))
-                if not np.all(np.isfinite(nrm)):
-                    raise FloatingPointError(
-                        "transfer-matrix product overflowed between "
-                        "renormalizations; the stack parameters are extreme")
-                log_accum += np.log(nrm)
-                v /= nrm[:, None]
+        for start in range(0, n_cells, MC_BLOCK_CELLS):
+            m = min(MC_BLOCK_CELLS, n_cells - start)
+            block = draws[:, :m]
+            for t, rng in enumerate(rngs):
+                rng.standard_normal((m, 2), out=block[t])
+            np.clip(block, -CLIP_SIGMA, CLIP_SIGMA, out=block)
+            # rot[j, layer, t] = (e^{i phi}, e^{-i phi}) of cell j, trial t;
+            # layer 0 is the high-index layer, layer 1 the low-index one
+            phases = phi_edge + scale * block.transpose(1, 2, 0)
+            rot = np.empty((m, 2, n_trials, 2), dtype=complex)
+            np.exp(1j * phases, out=rot[..., 0])
+            np.conjugate(rot[..., 0], out=rot[..., 1])
+            for j in range(m):
+                v = v @ i_hl_t
+                v *= rot[j, 1]
+                v = v @ i_lh_t
+                v *= rot[j, 0]
+                done = start + j + 1    # cells propagated so far
+                if done == burn:
+                    log_burn = log_accum + 0.5 * np.log(
+                        np.sum(np.abs(v) ** 2, axis=1))
+                if done % RENORM_CELLS == 0:
+                    nrm = np.sqrt(np.sum(np.abs(v) ** 2, axis=1))
+                    if not np.all(np.isfinite(nrm)):
+                        raise FloatingPointError(
+                            "transfer-matrix product overflowed between "
+                            "renormalizations; the stack parameters are extreme")
+                    log_accum += np.log(nrm)
+                    v /= nrm[:, None]
 
     log_total = log_accum + 0.5 * np.log(np.sum(np.abs(v) ** 2, axis=1))
     slopes = (log_total - log_burn) / (n_cells - burn)

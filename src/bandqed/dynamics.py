@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg import expm
 
 from .bound_state import (BandEdge, AtomCoupling, _check_finite, _gbar_sq,
                           bound_state_depth, interaction_length, mixing_angles)
@@ -269,6 +268,12 @@ def collective_dissipator(U: CouplingMatrix, kappa: float, Delta: float) -> np.n
     return dissipator_ratio(kappa, Delta) * np.asarray(U.values)
 
 
+def check_atom_count(n: int) -> None:
+    """Refuse a chain too large for the dense propagator (N > MAX_ATOMS)."""
+    if n > MAX_ATOMS:
+        raise ValueError(f"N = {n} exceeds the supported size {MAX_ATOMS}")
+
+
 def evolve_single_excitation(U: CouplingMatrix, losses: LossModel,
                              psi0, t_grid: np.ndarray) -> EvolutionResult:
     """Propagate i dpsi/dt = (U - i Gamma_eff/2) psi exactly on the given grid.
@@ -282,8 +287,7 @@ def evolve_single_excitation(U: CouplingMatrix, losses: LossModel,
     """
     values = np.asarray(U.values)
     n = values.shape[0]
-    if n > MAX_ATOMS:
-        raise ValueError(f"N = {n} exceeds the supported size {MAX_ATOMS}")
+    check_atom_count(n)
     if isinstance(psi0, AmplitudeState):
         psi0 = psi0.amplitudes
     psi0 = np.asarray(psi0, dtype=complex)
@@ -299,6 +303,8 @@ def evolve_single_excitation(U: CouplingMatrix, losses: LossModel,
     if t_grid.ndim != 1 or len(t_grid) < 2:
         raise ValueError("t_grid must have at least two points")
     _check_finite(t_grid=t_grid)
+
+    from scipy.linalg import expm   # function scope: see the package docstring
 
     amps = np.empty((len(t_grid), n), dtype=complex)
     amps[0] = psi0

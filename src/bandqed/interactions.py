@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import k0 as _bessel_k0
 
 from .bound_state import (AtomCoupling, BandEdge, _check_finite, _gbar_sq,
                           interaction_length)
@@ -186,6 +185,7 @@ def coupling_matrix_2d(atoms: AtomArray, band: BandEdge,
     """
     if atoms.positions.ndim != 2 or atoms.positions.shape[1] != 2:
         raise ValueError("coupling_matrix_2d needs (N, 2) positions")
+    from scipy.special import k0 as bessel_k0   # function scope: see the package docstring
     L = interaction_length(band, coupling.Delta)
     _warn_small_detuning(coupling.Delta, coupling.beta)
     diff = atoms.positions[:, None, :] - atoms.positions[None, :, :]
@@ -197,7 +197,7 @@ def coupling_matrix_2d(atoms: AtomArray, band: BandEdge,
     # gbar_2d^2 = 2 pi^2 g^2/L^2 with g^2 = g_cell^2 a/(2 pi)
     gbar2d_sq = math.pi * _gbar_sq(band, coupling, L) / L
     scale = gbar2d_sq / (2.0 * coupling.Delta)
-    values = scale * (2.0 / math.pi) * _bessel_k0(r / L) * _pair_phases(atoms)
+    values = scale * (2.0 / math.pi) * bessel_k0(r / L) * _pair_phases(atoms)
     return CouplingMatrix(values=values, kind="two_level_2d",
                           diagonal_regularized=True)
 

@@ -12,6 +12,7 @@ import time
 
 import mpmath as mp
 import numpy as np
+from scipy.integrate import quad
 
 from bandqed.bound_state import (BandEdge, atom_coupling, bound_state_depth,
                                  bound_state_depth_bisect, decay_length,
@@ -113,7 +114,6 @@ def test_criterion_3_interaction_curves(acceptance_report, tmp_path):
     slope_dev = 0.0
     quote_dev = 0.0
     scale_dev = 0.0
-    mp.mp.dps = 30
     for col, delta_hz in enumerate((400e9, 800e9, 1300e9, 2800e9), start=1):
         L_over_a = math.sqrt(10.6 * OMEGA_B / (TWOPI * delta_hz)) / math.pi
         # every emitted curve must be the exponential with decay length L
@@ -128,9 +128,12 @@ def test_criterion_3_interaction_curves(acceptance_report, tmp_path):
         L = L_over_a * a
         gbar_sq = (TWOPI * 12.2e9) ** 2 * a / L
         w = 4.0 / L_over_a
-        integral = mp.quadosc(lambda u: mp.cos(w * u) / (1.0 + u * u),
-                              [0, mp.inf], omega=w)
-        oracle = float(gbar_sq / (math.pi * Delta) * integral) / (TWOPI * 5e6)
+        # QUADPACK's Fourier-integral rule (QAWF): ~1e-11 relative, well
+        # inside the 1e-6 gate, in milliseconds where mpmath.quadosc takes
+        # seconds of the 5 s budget
+        integral, _ = quad(lambda u: 1.0 / (1.0 + u * u), 0.0, math.inf,
+                           weight="cos", wvar=w)
+        oracle = gbar_sq / (math.pi * Delta) * integral / (TWOPI * 5e6)
         emitted = rows[np.argmin(np.abs(sep - 4.0)), col]
         scale_dev = max(scale_dev, abs(emitted - oracle) / oracle)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from bandqed.cli import main
 from bandqed.config import canonical_dumps, load_config
+from bandqed.dynamics import MAX_ATOMS
 from bandqed.interactions import atom_array, coupling_matrix_1d
 from bandqed.presets import get_preset
 
@@ -177,6 +179,16 @@ def test_non_finite_param_is_a_config_error(capsys, tmp_path, command, params):
     assert "finite" in err
 
 
+def test_huge_json_integer_is_a_config_error(capsys, tmp_path):
+    path = tmp_path / "huge.json"    # 401 digits: beyond the float range
+    path.write_text('{"params": {"sep_max": 1' + "0" * 400 + "}}")
+    code, out, err = run(capsys, ["interactions", "--preset", "apcw",
+                                  "--config", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "sep_max is beyond the float range" in err
+
+
 # ------------------------------------------------------------- design
 
 def test_design_payload_and_tolerance_gate(capsys, tmp_path):
@@ -289,6 +301,23 @@ def test_evolve_with_drive(capsys, tmp_path):
     narrowed = (1e-4 / 1e-3) ** 2 * 1e-9
     assert rows[-1, 4] == pytest.approx(math.exp(-0.5 * narrowed * 2e8),
                                         abs=1e-6)
+
+
+def test_evolve_refuses_too_many_atoms_before_building_u(capsys, tmp_path):
+    cfg = write_cfg(tmp_path, "big.json", {
+        "atoms": {"positions": [i * 371e-9 for i in range(MAX_ATOMS + 1)]},
+        "params": {"t_max": 1e-9, "n_times": 3},
+    })
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, ["evolve", "--preset", "apcw", "--config", cfg])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == ""
+    assert f"N = {MAX_ATOMS + 1} exceeds the supported size {MAX_ATOMS}" in err
+    assert peak < 50e6     # the dense U alone would be ~400 MB
 
 
 # ------------------------------------------------------------- disorder

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,30 @@ def test_mc_is_deterministic_and_seed_sensitive():
     assert a.xi_mc == b.xi_mc and a.xi_stderr == b.xi_stderr
     c = lyapunov_mc(reference_stack(seed=4), n_trials=8)
     assert c.xi_mc != a.xi_mc
+
+
+@pytest.mark.parametrize("epsilon, n_cells, xi_mc, xi_stderr", [
+    (1e-3, 10_000, 160.79389566925676, 1.7367869493779189),
+    (3e-3, 4000, 77.9106490990565, 0.8001075985792842),  # not a whole block count
+])
+def test_mc_values_are_pinned(epsilon, n_cells, xi_mc, xi_stderr):
+    # values of the one-shot (n_trials, n_cells, 2) draw: blocking must not move them
+    stack = DielectricStack(r=2.0, epsilon=epsilon, n_cells=n_cells, seed=7)
+    res = lyapunov_mc(stack, n_trials=200)
+    assert res.xi_mc == xi_mc
+    assert res.xi_stderr == xi_stderr
+
+
+def test_mc_memory_does_not_grow_with_n_cells():
+    def peak(n_cells):
+        tracemalloc.start()
+        try:
+            lyapunov_mc(reference_stack(n_cells=n_cells, seed=1), n_trials=20)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(40_000) <= 1.5 * peak(4_000)
 
 
 def test_clean_stack_is_unbounded():

@@ -1,0 +1,86 @@
+"""Cold-start guard: the package and the CLI import no scipy module, and each
+command loads only the scipy submodule it runs."""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+PROBE = r"""
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import bandqed, bandqed.cli
+report = {"import": scipy_modules()}
+for name, argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = bandqed.cli.main(argv)
+    report[name] = [code, scipy_modules()]
+print(json.dumps(report))
+"""
+
+
+def write_cfg(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def probe(commands):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_package_and_scipy_free_commands_load_no_scipy(tmp_path):
+    kappa_p = 8.0 * math.sqrt(2.0) * (1e-6) ** 3 / ((1e-9) ** 2 * 1e4 ** 1.5)
+    exchange = write_cfg(tmp_path, "exchange.json", {
+        "units": "dimensionless",
+        "band": {"omega_b": 1.0, "alpha": 1.0, "a": 1.0},
+        "coupling": {"Delta": 0.0, "gamma": 1e-9, "beta": 1e-6},
+        "losses": {"kappa_p": kappa_p, "gamma": 1e-9},
+        "params": {"separation": 0.0, "optimize": True},
+    })
+    disorder = write_cfg(tmp_path, "disorder.json", {
+        "disorder": {"r": 2.0, "epsilon": 1e-3, "n_cells": 300},
+        "params": {"n_trials": 4},
+    })
+    report = probe([
+        ["bound-state", ["bound-state", "--preset", "apcw"]],
+        ["interactions", ["interactions", "--preset", "apcw"]],
+        ["exchange", ["exchange", "--config", exchange]],
+        ["disorder", ["disorder", "--preset", "apcw", "--config", disorder]],
+        ["preset list", ["preset", "list"]],
+    ])
+    assert report.pop("import") == []
+    for name, (code, modules) in report.items():
+        assert code == 0, name
+        assert modules == [], f"{name} loaded {modules}"
+
+
+def test_evolve_loads_linalg_but_not_optimize(tmp_path):
+    evolve = write_cfg(tmp_path, "evolve.json", {
+        "units": "dimensionless",
+        "band": {"omega_b": 1.0, "alpha": 1.0, "a": 1.0},
+        "coupling": {"Delta": 1e-3, "gamma": 1e-9, "beta": 1e-6},
+        "atoms": {"positions": [0.0, 1.0, 2.0]},
+        "params": {"t_max": 2e6, "n_times": 5},
+    })
+    report = probe([["evolve", ["evolve", "--config", evolve]]])
+    code, modules = report["evolve"]
+    assert code == 0
+    assert "scipy.linalg" in modules
+    assert not any(m == "scipy.optimize" or m.startswith("scipy.optimize.")
+                   for m in modules)
