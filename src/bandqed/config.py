@@ -7,9 +7,11 @@ unchanged (the natural choice is omega_b = 1, a = 1, k0 = pi).  Lengths are
 meters in "si"; atom positions and separations given in the per-command
 parameters are in units of the lattice constant in both modes.
 
-Validation is strict: unknown keys anywhere in the document are rejected,
-and every embedded physical record enforces its own invariants at load
-time.  `canonical_dumps` defines the byte-stable serialization used for
+Every key is declared once, with its kind and default, in `SCHEMA` (the
+sections) or `PARAMS` (each command's params), and one reader, `_section`,
+applies the same checks to all of them.  Validation is strict: unknown
+keys anywhere in the document are rejected, and every embedded physical
+record enforces its own invariants at load time.  `canonical_dumps` defines the byte-stable serialization used for
 round-trip and determinism guarantees.
 """
 
@@ -33,47 +35,105 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-TOP_KEYS = {"units", "seed", "band", "coupling", "atoms", "drives", "losses",
-            "disorder", "params"}
-BAND_KEYS = {"omega_b", "alpha", "a", "k0"}
-COUPLING_KEYS = {"Delta", "gamma", "beta", "g_cell", "bloch_amplitude"}
-ATOMS_KEYS = {"positions", "bloch_values", "gamma"}
-DRIVE_KEYS = {"Omega", "Omega_prime", "delta_L", "Delta_L", "phi"}
-LOSSES_KEYS = {"kappa_p", "gamma", "theta"}
-DISORDER_KEYS = {"r", "phi_b", "epsilon", "n_cells", "seed"}
-PARAMS_KEYS = {
-    "bound-state": {"grid_min", "grid_max", "grid_points"},
-    "interactions": {"Delta_values", "sep_max", "sep_points"},
-    "design-powerlaw": {"eta", "z_min", "z_max", "n_drives", "tolerance"},
-    "exchange": {"separation", "optimize"},
-    "evolve": {"t_max", "n_times", "initial_site"},
-    "disorder": {"epsilon_values", "n_trials"},
+# Value kinds.  A frequency is a number multiplied by 2*pi under units "si".
+NUMBER, FREQUENCY, INTEGER, BOOLEAN, NUMBERS, PAIRS = (
+    "number", "frequency", "integer", "boolean", "list of numbers",
+    "list of [re, im] pairs")
+REQUIRED = "required"
+
+# section -> key -> (kind, default).  A REQUIRED key must be given; an
+# optional key whose default is None is left out when absent, so the record
+# built from the section applies its own default.  Four defaults depend on
+# other values and are filled in by load_config: band.k0 = pi/a, atoms.gamma
+# and losses.theta from the coupling, disorder.seed from the top-level seed
+# or --seed.  "drives" is a list of such sections.
+SCHEMA = {
+    "band": {"omega_b": (FREQUENCY, REQUIRED), "alpha": (NUMBER, REQUIRED),
+             "a": (NUMBER, REQUIRED), "k0": (NUMBER, None)},
+    "coupling": {"Delta": (FREQUENCY, 0.0), "gamma": (FREQUENCY, REQUIRED),
+                 "beta": (FREQUENCY, None), "g_cell": (FREQUENCY, None),
+                 "bloch_amplitude": (NUMBER, 1.0)},
+    "atoms": {"positions": (NUMBERS, REQUIRED), "bloch_values": (PAIRS, None),
+              "gamma": (FREQUENCY, None)},
+    "drives": {"Omega": (FREQUENCY, REQUIRED), "Omega_prime": (FREQUENCY, 0.0),
+               "delta_L": (FREQUENCY, REQUIRED),
+               "Delta_L": (FREQUENCY, REQUIRED), "phi": (NUMBER, 0.0)},
+    "losses": {"kappa_p": (FREQUENCY, 0.0), "gamma": (FREQUENCY, REQUIRED),
+               "theta": (NUMBER, None)},
+    "disorder": {"r": (NUMBER, REQUIRED), "phi_b": (NUMBER, None),
+                 "epsilon": (NUMBER, None), "n_cells": (INTEGER, None),
+                 "seed": (INTEGER, None)},
+}
+# command -> params key -> (kind, default); params are never unit-scaled
+PARAMS = {
+    "bound-state": {"grid_min": (NUMBER, -10.0), "grid_max": (NUMBER, 10.0),
+                    "grid_points": (INTEGER, 401)},
+    "interactions": {"Delta_values": (NUMBERS, None), "sep_max": (NUMBER, 55.0),
+                     "sep_points": (INTEGER, 56)},
+    "design-powerlaw": {"eta": (NUMBER, REQUIRED), "z_min": (NUMBER, 1.0),
+                        "z_max": (NUMBER, 50.0), "n_drives": (INTEGER, 2),
+                        "tolerance": (NUMBER, None)},
+    "exchange": {"separation": (NUMBER, 1.0), "optimize": (BOOLEAN, True)},
+    "evolve": {"t_max": (NUMBER, REQUIRED), "n_times": (INTEGER, 201),
+               "initial_site": (INTEGER, 0)},
+    "disorder": {"epsilon_values": (NUMBERS, None), "n_trials": (INTEGER, 200)},
 }
 
 
-def _reject_unknown(section: dict, allowed: set, where: str) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _num(section: dict, key: str, where: str, default=None, required=False):
-    if key not in section:
-        if required:
-            raise ConfigError(f"missing required key {where}.{key}")
-        return default
-    v = section[key]
+def _number(v, name: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number")
+        raise ConfigError(f"{name} must be a number")
     try:
         x = float(v)
     except OverflowError:   # a JSON integer beyond the float range
-        raise ConfigError(f"{where}.{key} is beyond the float range") from None
+        raise ConfigError(f"{name} is beyond the float range") from None
     if not math.isfinite(x):
-        raise ConfigError(f"{where}.{key} must be finite, got {v!r}")
+        raise ConfigError(f"{name} must be finite, got {v!r}")
     return x
+
+
+def _value(v, kind: str, name: str, scale: float):
+    """One checked, converted value of the given kind."""
+    if kind == BOOLEAN:
+        if not isinstance(v, bool):
+            raise ConfigError(f"{name} must be a boolean")
+        return v
+    if kind == INTEGER:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ConfigError(f"{name} must be an integer")
+        _number(v, name)
+        return v
+    if kind == NUMBERS:
+        if not isinstance(v, list) or not v:
+            raise ConfigError(f"{name} must be a non-empty {kind}")
+        return [_number(x, f"{name}[{i}]") for i, x in enumerate(v)]
+    if kind == PAIRS:
+        if not isinstance(v, list) or not v or not all(
+                isinstance(p, list) and len(p) == 2 for p in v):
+            raise ConfigError(f"{name} must be a non-empty {kind}")
+        arr = np.array([[_number(x, f"{name}[{i}]") for x in p]
+                        for i, p in enumerate(v)])
+        return arr[:, 0] + 1j * arr[:, 1]
+    x = _number(v, name)
+    return x * scale if kind == FREQUENCY else x
+
+
+def _section(doc, table: dict, path: str, scale: float = 1.0) -> dict:
+    """Check one JSON object against its table; return its converted values."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} must be a JSON object")
+    unknown = set(doc) - set(table)
+    if unknown:
+        raise ConfigError(f"unknown keys in {path}: {sorted(unknown)}")
+    out = {}
+    for key, (kind, default) in table.items():
+        if key in doc:
+            out[key] = _value(doc[key], kind, f"{path}.{key}", scale)
+        elif default is REQUIRED:
+            raise ConfigError(f"missing required key {path}.{key}")
+        elif default is not None:
+            out[key] = default
+    return out
 
 
 @dataclass
@@ -86,7 +146,7 @@ class RunConfig:
     atoms: Optional[AtomArray]
     drives: list[DriveField]
     losses: Optional[LossModel]
-    stack: Optional[DielectricStack]
+    disorder: Optional[DielectricStack]
     params: dict = field(default_factory=dict)
 
     @property
@@ -95,7 +155,7 @@ class RunConfig:
         return TWOPI if self.units == "si" else 1.0
 
     def require(self, name: str):
-        value = getattr(self, name if name != "disorder" else "stack")
+        value = getattr(self, name)
         if value is None:
             raise ConfigError(f"this command needs a {name!r} section")
         return value
@@ -109,66 +169,6 @@ class RunConfig:
                          theta=default_mixing_theta(self.coupling))
 
 
-def _build_band(section: dict, scale: float) -> BandEdge:
-    _reject_unknown(section, BAND_KEYS, "band")
-    omega_b = _num(section, "omega_b", "band", required=True) * scale
-    alpha = _num(section, "alpha", "band", required=True)
-    a = _num(section, "a", "band", required=True)
-    k0 = _num(section, "k0", "band")
-    if k0 is None:
-        k0 = math.pi / a
-    return BandEdge(omega_b=omega_b, alpha=alpha, k0=k0, a=a)
-
-
-def _build_coupling(section: dict, band: BandEdge, scale: float) -> AtomCoupling:
-    _reject_unknown(section, COUPLING_KEYS, "coupling")
-    Delta = _num(section, "Delta", "coupling", default=0.0) * scale
-    gamma = _num(section, "gamma", "coupling", required=True) * scale
-    beta = _num(section, "beta", "coupling")
-    g_cell = _num(section, "g_cell", "coupling")
-    u = _num(section, "bloch_amplitude", "coupling", default=1.0)
-    if beta is not None:
-        beta *= scale
-    if g_cell is not None:
-        g_cell *= scale
-    return atom_coupling(band, Delta=Delta, gamma=gamma, beta=beta,
-                         g_cell=g_cell, bloch_amplitude=u)
-
-
-def _build_atoms(section: dict, band: BandEdge, coupling: Optional[AtomCoupling],
-                 scale: float) -> AtomArray:
-    _reject_unknown(section, ATOMS_KEYS, "atoms")
-    if "positions" not in section:
-        raise ConfigError("missing required key atoms.positions")
-    positions = np.asarray(section["positions"], dtype=float)
-    gamma = _num(section, "gamma", "atoms")
-    if gamma is None:
-        if coupling is None:
-            raise ConfigError("atoms.gamma required without a coupling section")
-        gamma = coupling.gamma
-    else:
-        gamma *= scale
-    bloch = section.get("bloch_values")
-    if bloch is not None:
-        arr = np.asarray(bloch, dtype=float)
-        if arr.ndim != 2 or arr.shape[-1] != 2 or len(arr) != len(positions):
-            raise ConfigError(
-                "atoms.bloch_values must be [[re, im], ...] matching positions")
-        bloch = arr[:, 0] + 1j * arr[:, 1]
-    return atom_array(positions, band, gamma, bloch_values=bloch)
-
-
-def _build_drive(section: dict, index: int, scale: float) -> DriveField:
-    _reject_unknown(section, DRIVE_KEYS, f"drives[{index}]")
-    return DriveField(
-        Omega=_num(section, "Omega", f"drives[{index}]", required=True) * scale,
-        Omega_prime=_num(section, "Omega_prime", f"drives[{index}]",
-                         default=0.0) * scale,
-        delta_L=_num(section, "delta_L", f"drives[{index}]", required=True) * scale,
-        Delta_L=_num(section, "Delta_L", f"drives[{index}]", required=True) * scale,
-        phi=_num(section, "phi", f"drives[{index}]", default=0.0))
-
-
 def default_mixing_theta(coupling: Optional[AtomCoupling]) -> float:
     """Bound-state mixing angle at the coupling's detuning; 0 without one."""
     if coupling is None:
@@ -178,56 +178,6 @@ def default_mixing_theta(coupling: Optional[AtomCoupling]) -> float:
     return math.atan2(sin_t, cos_t)
 
 
-def _build_losses(section: dict, scale: float,
-                  coupling: Optional[AtomCoupling]) -> LossModel:
-    _reject_unknown(section, LOSSES_KEYS, "losses")
-    theta = _num(section, "theta", "losses")
-    if theta is None:
-        theta = default_mixing_theta(coupling)
-    return LossModel(
-        kappa_p=_num(section, "kappa_p", "losses", default=0.0) * scale,
-        gamma=_num(section, "gamma", "losses", required=True) * scale,
-        theta=theta)
-
-
-def _build_stack(section: dict, seed: int,
-                 seed_override: Optional[int]) -> DielectricStack:
-    _reject_unknown(section, DISORDER_KEYS, "disorder")
-    kwargs = dict(r=_num(section, "r", "disorder", required=True))
-    if "phi_b" in section:
-        kwargs["phi_b"] = _num(section, "phi_b", "disorder")
-    if "epsilon" in section:
-        kwargs["epsilon"] = _num(section, "epsilon", "disorder")
-    if "n_cells" in section:
-        n = section["n_cells"]
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ConfigError("disorder.n_cells must be an integer")
-        kwargs["n_cells"] = n
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
-    else:
-        kwargs["seed"] = section.get("seed", seed)
-    if isinstance(kwargs["seed"], bool) or not isinstance(kwargs["seed"], int):
-        raise ConfigError("disorder.seed must be an integer")
-    return DielectricStack(**kwargs)
-
-
-def validate_raw(raw: dict, command: str) -> dict:
-    """Schema-check a parsed config document without unit conversion."""
-    _reject_unknown(raw, TOP_KEYS, "config")
-    units = raw.get("units", "si")
-    if units not in ("si", "dimensionless"):
-        raise ConfigError('units must be "si" or "dimensionless"')
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
-    if "params" in raw:
-        _reject_unknown(raw["params"], PARAMS_KEYS[command], "params")
-    if "drives" in raw and not isinstance(raw["drives"], list):
-        raise ConfigError("drives must be a list")
-    return raw
-
-
 def load_config(raw: dict, command: str,
                 seed_override: Optional[int] = None) -> RunConfig:
     """Validate and convert a parsed JSON document into live records.
@@ -235,36 +185,57 @@ def load_config(raw: dict, command: str,
     Any invariant violation inside the embedded physical records surfaces
     as ConfigError.
     """
-    validate_raw(raw, command)
+    unknown = set(raw) - {"units", "seed", "params", *SCHEMA}
+    if unknown:
+        raise ConfigError(f"unknown keys in config: {sorted(unknown)}")
     units = raw.get("units", "si")
+    if units not in ("si", "dimensionless"):
+        raise ConfigError('units must be "si" or "dimensionless"')
+    seed = _value(raw.get("seed", 0), INTEGER, "seed", 1.0)
+    if not isinstance(raw.get("drives", []), list):
+        raise ConfigError("drives must be a list")
     scale = TWOPI if units == "si" else 1.0
+    sec = {name: _section(raw[name], SCHEMA[name], name, scale)
+           for name in SCHEMA if name != "drives" and name in raw}
+    params = _section(raw.get("params", {}), PARAMS[command], "params")
 
     try:
-        band = _build_band(raw["band"], scale) if "band" in raw else None
-        coupling = None
-        if "coupling" in raw:
-            if band is None:
-                raise ConfigError("coupling section needs a band section")
-            coupling = _build_coupling(raw["coupling"], band, scale)
-        atoms = None
-        if "atoms" in raw:
-            if band is None:
-                raise ConfigError("atoms section needs a band section")
-            atoms = _build_atoms(raw["atoms"], band, coupling, scale)
-        drives = [_build_drive(d, i, scale)
+        band = coupling = atoms = losses = stack = None
+        if "band" in sec:
+            if "k0" not in sec["band"]:
+                sec["band"]["k0"] = math.pi / sec["band"]["a"]
+            band = BandEdge(**sec["band"])
+        for name in ("coupling", "atoms"):
+            if name in sec and band is None:
+                raise ConfigError(f"{name} section needs a band section")
+        if "coupling" in sec:
+            coupling = atom_coupling(band, **sec["coupling"])
+        if "atoms" in sec:
+            if "gamma" not in sec["atoms"]:
+                if coupling is None:
+                    raise ConfigError(
+                        "atoms.gamma required without a coupling section")
+                sec["atoms"]["gamma"] = coupling.gamma
+            atoms = atom_array(band=band, **sec["atoms"])
+        drives = [DriveField(**_section(d, SCHEMA["drives"], f"drives[{i}]",
+                                        scale))
                   for i, d in enumerate(raw.get("drives", []))]
-        losses = (_build_losses(raw["losses"], scale, coupling)
-                  if "losses" in raw else None)
-        stack = (_build_stack(raw["disorder"], raw.get("seed", 0), seed_override)
-                 if "disorder" in raw else None)
+        if "losses" in sec:
+            if "theta" not in sec["losses"]:
+                sec["losses"]["theta"] = default_mixing_theta(coupling)
+            losses = LossModel(**sec["losses"])
+        if "disorder" in sec:
+            if seed_override is not None:
+                sec["disorder"]["seed"] = seed_override
+            sec["disorder"].setdefault("seed", seed)
+            stack = DielectricStack(**sec["disorder"])
     except ConfigError:
         raise
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    return RunConfig(units=units, band=band, coupling=coupling,
-                     atoms=atoms, drives=drives, losses=losses, stack=stack,
-                     params=dict(raw.get("params", {})))
+    return RunConfig(units=units, band=band, coupling=coupling, atoms=atoms,
+                     drives=drives, losses=losses, disorder=stack, params=params)
 
 
 def canonical_dumps(obj: Any) -> str:

@@ -293,6 +293,7 @@ def evolve_single_excitation(U: CouplingMatrix, losses: LossModel,
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (n,):
         raise ValueError("psi0 length must match the coupling matrix")
+    _check_finite(psi0=psi0)   # NaN would pass the unit-norm test below
     nrm = np.linalg.norm(psi0)
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"psi0 must be unit-norm (got {nrm:.6g})")

@@ -1,13 +1,15 @@
+import hashlib
 import json
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bandqed.cli import main
-from bandqed.config import canonical_dumps, load_config
+from bandqed.config import PARAMS, SCHEMA, canonical_dumps, load_config
 from bandqed.dynamics import MAX_ATOMS
 from bandqed.interactions import atom_array, coupling_matrix_1d
 from bandqed.presets import get_preset
@@ -108,6 +110,14 @@ def test_bound_state_rejects_upper_edge(capsys, tmp_path):
     assert "config error" in err
 
 
+def test_zero_lattice_constant_is_a_config_error(capsys, tmp_path):
+    cfg = write_cfg(tmp_path, "a0.json", {"band": {"a": 0}})   # k0 = pi/a
+    code, out, err = run(capsys, ["bound-state", "--preset", "apcw",
+                                  "--config", cfg])
+    assert code == 2
+    assert out == ""
+
+
 def test_csv_floats_round_trip(capsys):
     code, out, err = run(capsys, ["bound-state", "--preset", "apcw"])
     assert code == 0
@@ -187,6 +197,59 @@ def test_huge_json_integer_is_a_config_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "sep_max is beyond the float range" in err
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("evolve", {"atoms": {"positions": [0.0, "BAD"]},
+                "params": {"t_max": 1e-9}}),
+    ("evolve", {"atoms": {"positions": [0.0, 3.71e-7],
+                          "bloch_values": [[1, 0], ["BAD", 0]]},
+                "params": {"t_max": 1e-9}}),
+    ("interactions", {"params": {"Delta_values": [400e9, "BAD"]}}),
+    ("disorder", {"disorder": {"r": 2.0, "n_cells": 10},
+                  "params": {"n_trials": 2, "epsilon_values": [1e-3, "BAD"]}}),
+], ids=["positions", "bloch_values", "Delta_values", "epsilon_values"])
+def test_list_entries_get_the_number_check(capsys, tmp_path, command, doc):
+    for bad in ("1" + "0" * 400, "1e400"):   # beyond the float range, infinite
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps(doc).replace('"BAD"', bad))
+        code, out, err = run(capsys, [command, "--preset", "apcw",
+                                      "--config", str(path)])
+        assert code == 2, err
+        assert out == ""
+        assert "config error" in err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("bound-state", "grid_points", 2.9),
+    ("interactions", "sep_points", 6.0),
+    ("evolve", "n_times", 3.5),
+    ("evolve", "initial_site", 1.0),
+    ("disorder", "n_trials", 2.5),
+    ("design-powerlaw", "n_drives", 2.0),
+], ids=str)
+def test_integer_setting_must_be_a_json_integer(capsys, tmp_path, command,
+                                                key, value):
+    required = {"evolve": {"t_max": 1e-9}, "design-powerlaw": {"eta": 0.5}}
+    doc = {"params": {**required.get(command, {}), key: value},
+           "atoms": {"positions": [0.0, 3.71e-7]},
+           "disorder": {"r": 2.0, "n_cells": 10}}
+    cfg = write_cfg(tmp_path, "int.json", doc)
+    code, out, err = run(capsys, [command, "--preset", "apcw", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert f"params.{key} must be an integer" in err
+
+
+def test_allocation_failure_is_a_numerical_failure(capsys, tmp_path):
+    # asks numpy for 7 PiB, which fails before any memory is touched
+    cfg = write_cfg(tmp_path, "huge.json",
+                    {"params": {"grid_points": 10 ** 15}})
+    code, out, err = run(capsys, ["bound-state", "--preset", "apcw",
+                                  "--config", cfg])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: ")
 
 
 # ------------------------------------------------------------- design
@@ -410,3 +473,157 @@ def test_config_overlays_preset(capsys, tmp_path):
     assert code == 0
     header, rows = parse_csv(out)
     assert rows.shape == (401, 7)
+
+
+def test_readme_documents_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tables = list(SCHEMA.values()) + list(PARAMS.values())
+    missing = [key for table in tables for key, (kind, _) in table.items()
+               if f"| `{key}` | {kind}" not in readme]
+    assert missing == []
+
+
+# ------------------------------------------------------------- output pins
+
+def _pin_docs():
+    dimless = {"units": "dimensionless",
+               "band": {"omega_b": 1.0, "alpha": 1.0, "a": 1.0},
+               "coupling": {"Delta": 1e-3, "gamma": 1e-9, "beta": 1e-6}}
+    fixed = dimensionless_exchange_cfg(1e4)
+    fixed["coupling"]["Delta"] = 1e-3
+    fixed["params"] = {"separation": 1.0, "optimize": False}
+    stack = {"r": 2.0, "epsilon": 1e-2, "n_cells": 1000, "seed": 3}
+    return {
+        "bound-state": (["bound-state", "--preset", "apcw"],
+                        {"params": {"grid_points": 9}}),
+        "interactions": (["interactions", "--preset", "apcw"],
+                         {"params": {"sep_max": 10, "sep_points": 6}}),
+        "exchange-optimized": (["exchange"], dimensionless_exchange_cfg(1e4)),
+        "exchange-fixed": (["exchange"], fixed),
+        "evolve": (["evolve"], {**dimless,
+                                "atoms": {"positions": [0.0, 1.0, 2.0]},
+                                "params": {"t_max": 2e6, "n_times": 5}}),
+        "evolve-driven": (["evolve"], {
+            **dimless, "atoms": {"positions": [0.0, 1.0, 2.0]},
+            "drives": [{"Omega": 1e-4, "delta_L": 1e-3, "Delta_L": 1e-3}],
+            "params": {"t_max": 2e8, "n_times": 5, "initial_site": 2}}),
+        "disorder-point": (["disorder"], {"disorder": stack,
+                                          "params": {"n_trials": 4}}),
+        "disorder-sweep": (["disorder"], {
+            "disorder": stack,
+            "params": {"n_trials": 4, "epsilon_values": [1e-2, 3e-2]}}),
+        "preset-list": (["preset", "list"], None),
+    }
+
+
+def _pin_run(capsys, tmp_path, case, fmt):
+    argv, doc = _pin_docs()[case]
+    argv = list(argv)
+    if doc is not None:
+        argv += ["--config", write_cfg(tmp_path, "pin.json", doc)]
+    if fmt is not None:
+        argv += ["--format", fmt]
+    return run(capsys, argv)
+
+
+# (case, --format) -> (exit code, sha256 of stdout, stderr)
+OUTPUT_PINS = {
+    ('bound-state', None): (0, "d501f45e8b477d376807279cd17e343a0bbd153588896a6bc27a63a8092465b9",
+        'bound-state: 9 rows, Delta/beta in [-10, 10]\n'),
+    ('bound-state', 'csv'): (0, "d501f45e8b477d376807279cd17e343a0bbd153588896a6bc27a63a8092465b9",
+        'bound-state: 9 rows, Delta/beta in [-10, 10]\n'),
+    ('bound-state', 'json'): (0, "6d47810f3bcf1ea805ce7a652d864bcd8260772e0b3267a070b0d31461893ba0",
+        'bound-state: 9 rows, Delta/beta in [-10, 10]\n'),
+    ('interactions', None): (0, "f331627311ea972d6bda4182f1faaf98f3a235fa496b8e84406a92909333b88d",
+        'interactions: 4 detuning curves, separations 0..10 a\n'),
+    ('interactions', 'csv'): (0, "f331627311ea972d6bda4182f1faaf98f3a235fa496b8e84406a92909333b88d",
+        'interactions: 4 detuning curves, separations 0..10 a\n'),
+    ('interactions', 'json'): (0, "cde75478c5fa5764e9efbce36f2262b77d558e8d536f3fddb59381c057b4a04c",
+        'interactions: 4 detuning curves, separations 0..10 a\n'),
+    ('exchange-optimized', None): (0, "9db2535171b140189caa01bc0bea7418387e60fffd3a690465d54f4919d8a6d6",
+        'exchange: tau=2.22105e+07, error=0.0327697\n'),
+    ('exchange-optimized', 'csv'): (0, "eae11d8f9bfe51dd7ef3ce247379cf2efbdc23f841ce90cbf5c6d057eafba373",
+        'exchange: tau=2.22105e+07, error=0.0327697\n'),
+    ('exchange-optimized', 'json'): (0, "9db2535171b140189caa01bc0bea7418387e60fffd3a690465d54f4919d8a6d6",
+        'exchange: tau=2.22105e+07, error=0.0327697\n'),
+    ('exchange-fixed', None): (0, "8b767ff55ae8f702ee202f3711153a86bb63155777626af5a20107639fccaa9f",
+        'exchange: tau=2.74306e+07, error=0.0365574\n'),
+    ('exchange-fixed', 'csv'): (0, "657911871e60b2a478afbe16fd50788d934b744c951eeff1055b0060c9e1c799",
+        'exchange: tau=2.74306e+07, error=0.0365574\n'),
+    ('exchange-fixed', 'json'): (0, "8b767ff55ae8f702ee202f3711153a86bb63155777626af5a20107639fccaa9f",
+        'exchange: tau=2.74306e+07, error=0.0365574\n'),
+    ('evolve', None): (0, "a606b1bf51461f74ef8c5a5a81a1640d812eefb1f135376a9b6b687e3bbc2411",
+        'evolve: 3 atoms, 5 times, final norm 0.999001\n'),
+    ('evolve', 'csv'): (0, "a606b1bf51461f74ef8c5a5a81a1640d812eefb1f135376a9b6b687e3bbc2411",
+        'evolve: 3 atoms, 5 times, final norm 0.999001\n'),
+    ('evolve', 'json'): (0, "14109cb7a901938cf9c2a928a55abf9090ff15c4f955b0e49794beeea399282c",
+        'evolve: 3 atoms, 5 times, final norm 0.999001\n'),
+    ('evolve-driven', None): (0, "9a90b413760110026940274e20bec99e58e1cf7b5093389dc37bd54303380d5d",
+        'evolve: 3 atoms, 5 times, final norm 0.999\n'),
+    ('evolve-driven', 'csv'): (0, "9a90b413760110026940274e20bec99e58e1cf7b5093389dc37bd54303380d5d",
+        'evolve: 3 atoms, 5 times, final norm 0.999\n'),
+    ('evolve-driven', 'json'): (0, "7bc2f758015cb33ec018db98b40da2f85dc885749f835e4d6ef57ef5597f0b36",
+        'evolve: 3 atoms, 5 times, final norm 0.999\n'),
+    ('disorder-point', None): (0, "185cea5cba27c64ef5774eddba04e282a26f8f3a047dff408dca87636878238a",
+        'disorder: epsilon=0.01, xi_mc=35.3596, analytic=37.7503\n'),
+    ('disorder-point', 'csv'): (0, "a94317fe80173f6fcbb5da2f081119553e85a7fb00169df8e6dc8d8878c09dc9",
+        'disorder: epsilon=0.01, xi_mc=35.3596, analytic=37.7503\n'),
+    ('disorder-point', 'json'): (0, "185cea5cba27c64ef5774eddba04e282a26f8f3a047dff408dca87636878238a",
+        'disorder: epsilon=0.01, xi_mc=35.3596, analytic=37.7503\n'),
+    ('disorder-sweep', None): (0, "4250bccaa5f1775cc2096c2acba478879cd288cb1e832be0d1694919fc8fc253",
+        'disorder: swept 2 epsilon values, 4 trials each\n'),
+    ('disorder-sweep', 'csv'): (0, "4250bccaa5f1775cc2096c2acba478879cd288cb1e832be0d1694919fc8fc253",
+        'disorder: swept 2 epsilon values, 4 trials each\n'),
+    ('disorder-sweep', 'json'): (0, "d6bc19f3ef169182729754b09240da29ba93b38f8f3e1491de9597a7e71d3667",
+        'disorder: swept 2 epsilon values, 4 trials each\n'),
+    ('preset-list', None): (0, "006bc900d455f8b7f9363512f8df1227a129be326d54b389eabb5b0086a7e8a3",
+        '1 preset(s) available\n'),
+    ('preset-list', 'csv'): (0, "006bc900d455f8b7f9363512f8df1227a129be326d54b389eabb5b0086a7e8a3",
+        '1 preset(s) available\n'),
+    ('preset-list', 'json'): (0, "006bc900d455f8b7f9363512f8df1227a129be326d54b389eabb5b0086a7e8a3",
+        '1 preset(s) available\n'),
+}
+
+
+@pytest.mark.parametrize("case, fmt", sorted(OUTPUT_PINS, key=str),
+                         ids=str)
+def test_output_pins(capsys, tmp_path, case, fmt):
+    code, out, err = _pin_run(capsys, tmp_path, case, fmt)
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) \
+        == OUTPUT_PINS[case, fmt]
+
+
+@pytest.mark.parametrize("fmt", [None, "csv", "json"], ids=str)
+def test_design_output_shape(capsys, tmp_path, fmt):
+    # design-powerlaw digits may move with the optimizer: pin shape, not bytes
+    doc = {"units": "dimensionless",
+           "band": {"omega_b": 1.0, "alpha": 0.2, "a": 1.0},
+           "params": {"eta": 0.25, "z_min": 1, "z_max": 20, "n_drives": 2,
+                      "tolerance": 1e-6}}
+    argv = ["design-powerlaw", "--config", write_cfg(tmp_path, "d.json", doc)]
+    code, out, err = run(capsys, argv + (["--format", fmt] if fmt else []))
+    assert code == 4                        # tolerance missed, result written
+    if fmt == "csv":
+        assert out.split("\n", 1)[0] == "z,target,fit,residual"
+        assert len(out.split("\n")) == 22   # header, 20 rows, trailing LF
+    else:
+        assert set(json.loads(out)) == {"weights", "rates", "detunings",
+                                        "max_error", "rms_error"}
+    assert err.startswith("design-powerlaw: eta=0.25, 2 drives, max|resid|=")
+    assert "exceeds tolerance 1e-06" in err
+
+
+def test_fit_failure_writes_only_the_error(capsys, tmp_path, monkeypatch):
+    import bandqed.cli as cli
+
+    def fail(*args, **kwargs):
+        raise cli.FitError("no start converged")
+
+    monkeypatch.setattr(cli, "power_law_designer", fail)
+    cfg = write_cfg(tmp_path, "d.json", {"params": {"eta": 0.5}})
+    for fmt in ([], ["--format", "csv"]):
+        code, out, err = run(capsys, ["design-powerlaw", "--preset", "apcw",
+                                      "--config", cfg] + fmt)
+        assert code == 4
+        assert out == '{"error":"no start converged"}\n'
+        assert err == "design-powerlaw: fit failed (no start converged)\n"

@@ -235,6 +235,10 @@ def test_non_finite_time_grid_is_rejected():
             evolve_single_excitation(U, LossModel(0.0, 0.0),
                                      np.array([1.0, 0.0]),
                                      np.array([0.0, 1e-7, bad]))
+        with pytest.raises(ValueError, match="psi0 must be finite"):
+            evolve_single_excitation(U, LossModel(0.0, 0.0),
+                                     np.array([bad, 0.0]),
+                                     np.array([0.0, 1e-7]))
 
 
 def test_failure_carries_last_state():
