@@ -14,7 +14,6 @@ from .bound_state import (
     BoundState,
     atom_coupling,
     beta_from_g_cell,
-    bloch_edge_wave,
     bound_state_depth,
     bound_state_depth_bisect,
     decay_length,
@@ -23,7 +22,6 @@ from .bound_state import (
     mixing_angles,
     mode_weights,
     photon_mode_profile,
-    solve_delta,
 )
 from .design import FitError, PowerLawDesign, detuning_for_rate, power_law_designer, rate_for_detuning
 from .disorder import (
@@ -40,7 +38,6 @@ from .disorder import (
     xi_analytic,
 )
 from .dynamics import (
-    AmplitudeState,
     EvolutionResult,
     ExchangeResult,
     ExchangeTrajectory,

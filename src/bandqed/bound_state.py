@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -34,6 +34,7 @@ ArrayLike = Union[float, Sequence[float], np.ndarray]
 
 # relative mismatch allowed when beta and g_cell are both supplied
 BETA_GCELL_RTOL = 1e-6
+BISECT_ITERATIONS = 200   # halvings in bound_state_depth_bisect; far past float precision
 
 
 def _check_finite(**values) -> None:
@@ -186,8 +187,7 @@ def bound_state_depth(beta: ArrayLike, Delta: ArrayLike) -> np.ndarray:
     return x * x
 
 
-def bound_state_depth_bisect(beta: ArrayLike, Delta: ArrayLike,
-                             iterations: int = 200) -> np.ndarray:
+def bound_state_depth_bisect(beta: ArrayLike, Delta: ArrayLike) -> np.ndarray:
     """Same root by bracketed bisection; the independent check path.
 
     Bracket: f(0) < 0 and f(cbrt(2) sqrt(beta) + sqrt(max(Delta, 0))) >= 0
@@ -202,18 +202,13 @@ def bound_state_depth_bisect(beta: ArrayLike, Delta: ArrayLike,
     q2 = 2.0 * beta**1.5
     lo = np.zeros_like(q2)
     hi = np.cbrt(q2) + np.sqrt(np.maximum(Delta, 0.0))
-    for _ in range(iterations):
+    for _ in range(BISECT_ITERATIONS):
         mid = 0.5 * (lo + hi)
         below = mid**3 - Delta * mid - q2 < 0.0
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     x = 0.5 * (lo + hi)
     return x * x
-
-
-def solve_delta(band: BandEdge, coupling: AtomCoupling) -> float:
-    """Bound-state detuning delta for one atom (scalar convenience wrapper)."""
-    return float(bound_state_depth(coupling.beta, coupling.Delta))
 
 
 def mixing_angles(delta: ArrayLike, beta: ArrayLike):
@@ -292,30 +287,19 @@ def effective_cavity(band: BandEdge, coupling: AtomCoupling) -> BoundState:
     return BoundState(**fields)
 
 
-def bloch_edge_wave(band: BandEdge) -> Callable[[ArrayLike], np.ndarray]:
-    """Default Bloch sampler E_k0(z) = exp(i k0 z), unit cell-averaged amplitude.
-
-    At lattice sites z = n*a of a k0 = pi/a edge this is the alternating
-    sign (-1)^n; per-structure mode shapes can replace it with measured or
-    computed samples.
-    """
-    def sampler(z: ArrayLike) -> np.ndarray:
-        return np.exp(1j * band.k0 * np.asarray(z, dtype=float))
-    return sampler
-
-
-def photon_mode_profile(state: BoundState, bloch, z: ArrayLike) -> np.ndarray:
+def photon_mode_profile(state: BoundState, bloch_values: ArrayLike,
+                        z: ArrayLike) -> np.ndarray:
     """Bound photon wavefunction sqrt(2 pi/L) * exp(-|z|/L) * E_k0(z).
 
-    `bloch` is a callable z -> complex amplitude (see bloch_edge_wave) or an
-    array of precomputed E_k0 values matching z.
+    bloch_values holds E_k0 at each z, as AtomArray does; the bare edge
+    wave is exp(i k0 z), the alternating sign (-1)^n on the sites z = n a
+    of a k0 = pi/a edge.
     """
     if state.L <= 0:
         raise ValueError("decay length must be positive")
     z = np.asarray(z, dtype=float)
     envelope = math.sqrt(TWOPI / state.L) * np.exp(-np.abs(z) / state.L)
-    cell = bloch(z) if callable(bloch) else np.asarray(bloch)
-    return envelope * cell
+    return envelope * np.asarray(bloch_values)
 
 
 def mode_weights(state: BoundState, band: BandEdge, k: ArrayLike) -> np.ndarray:

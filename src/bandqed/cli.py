@@ -36,6 +36,7 @@ from .interactions import (_pair_kernel, atom_array, coupling_matrix_1d,
 from .presets import PRESETS, get_preset
 
 INTERACTIONS_DEFAULT_DELTAS_HZ = (400e9, 800e9, 1300e9, 2800e9)
+MAX_TABLE_CELLS = 5_000_000   # rows x columns of one table; ~80-100 B each to render
 
 
 @dataclass
@@ -63,6 +64,13 @@ def _render(out: Output, fmt: Optional[str]) -> str:
     lines = [",".join(header)]
     lines += [",".join(format(float(v), ".17g") for v in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _check_table_size(rows: int, columns: int) -> None:
+    """Refuse a table over MAX_TABLE_CELLS before anything is computed."""
+    if rows * columns > MAX_TABLE_CELLS:
+        raise ConfigError(f"{rows} rows x {columns} columns exceeds the "
+                          f"{MAX_TABLE_CELLS}-cell output limit")
 
 
 def _say(msg: str) -> None:
@@ -108,6 +116,7 @@ def cmd_bound_state(cfg: RunConfig) -> Output:
     lo, hi, n = p["grid_min"], p["grid_max"], p["grid_points"]
     if not (lo < hi) or n < 2:
         raise ConfigError("grid_min < grid_max and grid_points >= 2 required")
+    _check_table_size(n, 7)
     beta = coupling.beta
     x = np.linspace(lo, hi, n)
     try:
@@ -138,6 +147,7 @@ def cmd_interactions(cfg: RunConfig) -> Output:
     sep_max, sep_points = cfg.params["sep_max"], cfg.params["sep_points"]
     if sep_max <= 0 or sep_points < 2:
         raise ConfigError("sep_max > 0 and sep_points >= 2 required")
+    _check_table_size(sep_points, 1 + len(raw_deltas))
     sep = np.linspace(0.0, sep_max, sep_points)
 
     header = ["separation_over_a"]
@@ -158,6 +168,7 @@ def cmd_design_powerlaw(cfg: RunConfig) -> Output:
     band = cfg.require("band")
     p = cfg.params
     eta, n_drives, tol = p["eta"], p["n_drives"], p.get("tolerance")
+    _check_table_size(math.floor(p["z_max"]) - math.ceil(p["z_min"]) + 1, 4)
     beta = cfg.coupling.beta if cfg.coupling is not None else None
     design = power_law_designer(eta, (p["z_min"], p["z_max"]), n_drives, band,
                                 beta=beta)
@@ -223,6 +234,7 @@ def cmd_evolve(cfg: RunConfig) -> Output:
         raise ConfigError("t_max > 0 and n_times >= 2 required")
     if not 0 <= site < len(atoms):
         raise ConfigError("initial_site out of range")
+    _check_table_size(n_times, len(atoms) + 2)
     check_atom_count(len(atoms))   # before the dense U is built
 
     if cfg.drives:

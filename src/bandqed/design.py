@@ -24,6 +24,7 @@ from .bound_state import BandEdge, _check_finite, interaction_length
 # Hard floor when no coupling scale is supplied; with one, the floor is the
 # rate at detuning beta, the closest approach the drive elimination allows.
 S_FLOOR_DEFAULT = 1e-8
+N_STARTS = 8   # deterministic log-spaced optimizer starts
 
 
 class FitError(RuntimeError):
@@ -68,8 +69,7 @@ def _solve_weights(s: np.ndarray, z: np.ndarray, target: np.ndarray):
 
 
 def power_law_designer(eta: float, z_range: tuple[float, float], n_drives: int,
-                       band: BandEdge, beta: float | None = None,
-                       n_starts: int = 8) -> PowerLawDesign:
+                       band: BandEdge, beta: float | None = None) -> PowerLawDesign:
     """Fit n_drives exponentials to z^{-eta} on integer z in z_range.
 
     Weights come from a linear solve at each rate iterate; rates are bounded
@@ -104,7 +104,7 @@ def power_law_designer(eta: float, z_range: tuple[float, float], n_drives: int,
         return r
 
     starts = []
-    for k in range(n_starts):
+    for k in range(N_STARTS):
         hi = log_hi - 0.35 * k
         lo = max(log_lo, hi - (2.0 + 0.8 * k))
         starts.append(np.linspace(hi - 1e-3, lo, n_drives))

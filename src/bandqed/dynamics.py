@@ -26,7 +26,7 @@ from .interactions import CouplingMatrix, _pair_kernel
 
 MAX_ATOMS = 5_000       # expm needs ~144 B N^2 of working memory
 STEP_REUSE_RTOL = 1e-12  # relative step change below which expm is reused
-GRID_POINTS_MIN = 200   # log-scan resolution before the golden-section polish
+SCAN_POINTS = 400       # log-scan resolution before the golden-section polish
 
 
 @dataclass
@@ -143,8 +143,7 @@ def _exchange_error_curve(Delta: np.ndarray, band: BandEdge,
 
 def optimize_exchange(band: BandEdge, coupling: AtomCoupling, losses: LossModel,
                       separation: float,
-                      scan: Optional[tuple[float, float]] = None,
-                      n_grid: int = 400) -> ExchangeResult:
+                      scan: Optional[tuple[float, float]] = None) -> ExchangeResult:
     """Pick the atomic detuning minimizing the two-atom transfer error.
 
     The loss weights come from losses.kappa_p and losses.gamma; the mixing
@@ -177,19 +176,18 @@ def optimize_exchange(band: BandEdge, coupling: AtomCoupling, losses: LossModel,
         return _exchange_error_curve(Delta, band, coupling, kappa_p, gamma,
                                      separation)
 
-    n_grid = max(n_grid, GRID_POINTS_MIN)
-    grid = np.geomspace(lo, hi, n_grid)
+    grid = np.geomspace(lo, hi, SCAN_POINTS)
     errs = err_at(grid)[0]
 
     i = int(np.argmin(errs))
     flat = np.max(errs) - np.min(errs) <= 1e-300
-    if (i == 0 or i == n_grid - 1) and not flat:
+    if (i == 0 or i == SCAN_POINTS - 1) and not flat:
         raise RuntimeError(
             f"error minimum at scan boundary (Delta = {grid[i]:.4g}, "
             f"error = {errs[i]:.4g}); widen the scan range")
 
     if flat:
-        d_opt = float(grid[n_grid // 2])
+        d_opt = float(grid[SCAN_POINTS // 2])
     else:
         # golden-section on log(Delta) within the bracketing triple
         invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -224,38 +222,11 @@ def optimize_exchange(band: BandEdge, coupling: AtomCoupling, losses: LossModel,
 
 
 @dataclass
-class AmplitudeState:
-    """Single-excitation amplitude vector at one instant."""
-
-    amplitudes: np.ndarray  # length-N complex
-
-    def __post_init__(self):
-        self.amplitudes = np.atleast_1d(np.asarray(self.amplitudes, dtype=complex))
-        if self.amplitudes.ndim != 1:
-            raise ValueError("amplitudes must be a vector")
-        if not np.all(np.isfinite(self.amplitudes)):
-            raise ValueError("amplitudes must be finite")
-        if self.norm > 1.0 + 1e-9:
-            raise ValueError("norm exceeds 1: decay can only shrink the state")
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass
 class EvolutionResult:
     times: np.ndarray       # [s]
     amplitudes: np.ndarray  # (nt, N) complex, no-jump amplitudes
     populations: np.ndarray  # |amplitudes|^2
     norm: np.ndarray        # total no-jump norm at each time
-
-    def light_cone_rows(self):
-        """(time, site, population) triples, row-major over times."""
-        nt, n = self.populations.shape
-        t = np.repeat(self.times, n)
-        site = np.tile(np.arange(n), nt)
-        return t, site, self.populations.ravel()
 
 
 def collective_dissipator(U: CouplingMatrix, kappa: float, Delta: float) -> np.ndarray:
@@ -278,7 +249,7 @@ def evolve_single_excitation(U: CouplingMatrix, losses: LossModel,
                              psi0, t_grid: np.ndarray) -> EvolutionResult:
     """Propagate i dpsi/dt = (U - i Gamma_eff/2) psi exactly on the given grid.
 
-    psi0 is an AmplitudeState or a plain unit-norm complex vector; Gamma_eff
+    psi0 is a unit-norm complex vector of length N; Gamma_eff
     may be uniform or per-atom (vector theta in the loss model).  h_eff is
     constant, so each step applies expm(-i h_eff dt); a step equal to the
     previous one up to rounding reuses its propagator, so a uniform grid
@@ -288,8 +259,6 @@ def evolve_single_excitation(U: CouplingMatrix, losses: LossModel,
     values = np.asarray(U.values)
     n = values.shape[0]
     check_atom_count(n)
-    if isinstance(psi0, AmplitudeState):
-        psi0 = psi0.amplitudes
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (n,):
         raise ValueError("psi0 length must match the coupling matrix")

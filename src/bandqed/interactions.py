@@ -20,6 +20,7 @@ exchange cooperativity drive-independent.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -89,11 +90,11 @@ class DriveField:
     def __post_init__(self):
         _check_finite(Omega=self.Omega, Omega_prime=self.Omega_prime,
                       delta_L=self.delta_L, Delta_L=self.Delta_L, phi=self.phi)
-        if self.delta_L != 0.0 and abs(self.Omega / self.delta_L) > DRIVE_RATIO_WARN:
-            warnings.warn(
-                f"|Omega/delta_L| = {abs(self.Omega / self.delta_L):.3g} exceeds "
-                f"{DRIVE_RATIO_WARN}; adiabatic drive elimination is strained",
-                stacklevel=2)
+        if self.delta_L == 0.0:
+            raise ValueError("delta_L = 0: drive resonant with the excited state")
+        if abs(self.Omega / self.delta_L) > DRIVE_RATIO_WARN:
+            _warn(f"|Omega/delta_L| = {abs(self.Omega / self.delta_L):.3g} exceeds "
+                  f"{DRIVE_RATIO_WARN}; adiabatic drive elimination is strained")
 
 
 @dataclass
@@ -122,17 +123,19 @@ class CouplingMatrix:
         if dev > HERMITICITY_RTOL * scale:
             raise ValueError(f"matrix not Hermitian: max|U - U^dag| = {dev:.3e}")
 
-    @property
-    def n_atoms(self) -> int:
-        return self.values.shape[0]
+
+def _warn(message: str) -> None:
+    """UserWarning attributed to the nearest caller outside this module."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 def _warn_small_detuning(detuning: float, beta: float) -> None:
     if abs(detuning) < DETUNING_BETA_WARN * beta:
-        warnings.warn(
-            f"|detuning|/beta = {abs(detuning) / beta:.3g} < {DETUNING_BETA_WARN:g}; "
-            "the photon-eliminated matrix is marginal this close to the edge",
-            stacklevel=3)
+        _warn(f"|detuning|/beta = {abs(detuning) / beta:.3g} < {DETUNING_BETA_WARN:g}; "
+              "the photon-eliminated matrix is marginal this close to the edge")
 
 
 def _pair_phases(atoms: AtomArray) -> np.ndarray:
@@ -154,11 +157,21 @@ def _pair_kernel(band: BandEdge, coupling: AtomCoupling, detuning,
 
 
 def _chain_matrix(atoms: AtomArray, band: BandEdge, coupling: AtomCoupling,
-                  detuning: float, weight: float = 1.0) -> np.ndarray:
-    """N x N values _pair_kernel(|z_j - z_l|) E_j E_l^* of a 1D chain."""
+                  terms: Sequence[tuple[float, float]]) -> np.ndarray:
+    """N x N values sum_i _pair_kernel(Delta_i, |z_j - z_l|, w_i) E_j E_l^*.
+
+    Every 1D matrix here is this sum over (Delta_i, w_i) terms: one term
+    for the two-level and mechanical matrices, one per drive otherwise.
+    """
     z = atoms.positions
-    u = _pair_kernel(band, coupling, detuning,
-                     np.abs(np.subtract.outer(z, z)), weight)
+    if z.ndim != 1:
+        raise ValueError("a 1D chain matrix needs (N,) positions")
+    distance = np.abs(np.subtract.outer(z, z))
+    (detuning, weight), *rest = terms
+    u = _pair_kernel(band, coupling, detuning, distance, weight)
+    for detuning, weight in rest:
+        u += _pair_kernel(band, coupling, detuning, distance, weight)
+    del distance   # free it before the complex phases are allocated
     values = _pair_phases(atoms)
     values *= u
     return values
@@ -167,9 +180,7 @@ def _chain_matrix(atoms: AtomArray, band: BandEdge, coupling: AtomCoupling,
 def coupling_matrix_1d(atoms: AtomArray, band: BandEdge,
                        coupling: AtomCoupling) -> CouplingMatrix:
     """Two-level exchange matrix U_jl = gbar_c^2 f(z_j, z_l)/(2 Delta) in 1D."""
-    if atoms.positions.ndim != 1:
-        raise ValueError("coupling_matrix_1d needs a 1D chain")
-    values = _chain_matrix(atoms, band, coupling, coupling.Delta)
+    values = _chain_matrix(atoms, band, coupling, [(coupling.Delta, 1.0)])
     _warn_small_detuning(coupling.Delta, coupling.beta)
     return CouplingMatrix(values=values, kind="two_level_1d")
 
@@ -212,18 +223,7 @@ def driven_coupling_matrix(atoms: AtomArray, band: BandEdge,
     four_level (both legs driven, S mixes sigma_sg and sigma_gs).  The
     narrowed linewidths |Omega|^2 gamma/delta_L^2 ride along on the result.
     """
-    if atoms.positions.ndim != 1:
-        raise ValueError("driven_coupling_matrix needs a 1D chain")
-    if drive.delta_L == 0.0:
-        raise ValueError("delta_L = 0: drive resonant with the excited state")
-    ratio_sq = (drive.Omega / drive.delta_L) ** 2
-    values = _chain_matrix(atoms, band, coupling, drive.Delta_L, ratio_sq)
-    _warn_small_detuning(drive.Delta_L, coupling.beta)
-    kind = "lambda_driven" if drive.Omega_prime == 0.0 else "four_level"
-    ratio_prime_sq = (drive.Omega_prime / drive.delta_L) ** 2
-    return CouplingMatrix(values=values, kind=kind,
-                          gamma_narrowed=ratio_sq * atoms.gamma,
-                          gamma_narrowed_prime=ratio_prime_sq * atoms.gamma)
+    return multi_drive_sum(atoms, band, coupling, [drive])
 
 
 @dataclass
@@ -237,9 +237,6 @@ class SpinRotation:
     coeff_x: float
     coeff_y: float
 
-    def describe(self) -> str:
-        return f"S = {self.coeff_x:+.6g}*sigma_x {self.coeff_y:+.6g}*sigma_y"
-
 
 def spin_rotation(drive: DriveField) -> SpinRotation:
     """Spin-operator coefficients (2 cos(phi/2), -2 sin(phi/2)) for Omega' = Omega e^{i phi}."""
@@ -249,27 +246,29 @@ def spin_rotation(drive: DriveField) -> SpinRotation:
 
 def multi_drive_sum(atoms: AtomArray, band: BandEdge, coupling: AtomCoupling,
                     drives: Sequence[DriveField]) -> CouplingMatrix:
-    """Sum of per-drive matrices; adiabatic elimination is additive.
+    """Sum of one exponential term per drive; adiabatic elimination is additive.
 
-    Each drive keeps its own interaction length L_i.  Drives must sit at
-    pairwise distinct detunings delta_L: coincident frequencies interfere at
-    the amplitude level and do not add as independent potentials.
+    Term i has its own length L_i and weight |Omega_i/delta_L,i|^2.  Drives
+    need pairwise distinct delta_L: coincident frequencies interfere at the
+    amplitude level and do not add.  A single drive keeps its own kind.
     """
     if len(drives) == 0:
         raise ValueError("empty drive list")
     deltas = [d.delta_L for d in drives]
     if len(set(deltas)) != len(deltas):
         raise ValueError("drives must have pairwise distinct delta_L")
-    parts = [driven_coupling_matrix(atoms, band, coupling, d) for d in drives]
-    if len(parts) == 1:
-        return parts[0]
-    total = parts[0].values.copy()
-    for p in parts[1:]:
-        total += p.values
+    ratios = [(d.Omega / d.delta_L) ** 2 for d in drives]
+    values = _chain_matrix(atoms, band, coupling,
+                           [(d.Delta_L, r) for d, r in zip(drives, ratios)])
+    for d in drives:
+        _warn_small_detuning(d.Delta_L, coupling.beta)
+    kind = "multi_drive" if len(drives) > 1 else (
+        "lambda_driven" if drives[0].Omega_prime == 0.0 else "four_level")
     return CouplingMatrix(
-        values=total, kind="multi_drive",
-        gamma_narrowed=sum(p.gamma_narrowed for p in parts),
-        gamma_narrowed_prime=sum(p.gamma_narrowed_prime for p in parts))
+        values=values, kind=kind,
+        gamma_narrowed=sum(r * atoms.gamma for r in ratios),
+        gamma_narrowed_prime=sum((d.Omega_prime / d.delta_L) ** 2 * atoms.gamma
+                                 for d in drives))
 
 
 def mechanical_potential(atoms: AtomArray, band: BandEdge,
@@ -281,16 +280,13 @@ def mechanical_potential(atoms: AtomArray, band: BandEdge,
     with L evaluated at the laser detuning omega_L - omega_b.  The prefactor
     sign follows the gap side of omega_L.
     """
-    if atoms.positions.ndim != 1:
-        raise ValueError("mechanical_potential needs a 1D chain")
     omega_a = band.omega_b + coupling.Delta
     if omega_L == omega_a:
         raise ValueError("omega_L resonant with the atom")
     ratio = Omega / (omega_L - omega_a)
-    values = _chain_matrix(atoms, band, coupling, omega_L - band.omega_b,
-                           ratio**2)
+    values = _chain_matrix(atoms, band, coupling,
+                           [(omega_L - band.omega_b, ratio**2)])
     if abs(ratio) > DRIVE_RATIO_WARN:
-        warnings.warn(
-            "drive is not weak relative to |omega_L - omega_a|; "
-            "the mechanical-potential expansion is strained", stacklevel=2)
+        _warn("drive is not weak relative to |omega_L - omega_a|; "
+              "the mechanical-potential expansion is strained")
     return CouplingMatrix(values=values, kind="mechanical")

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bandqed.cli import main
+from bandqed import cli
+from bandqed.cli import MAX_TABLE_CELLS, main
 from bandqed.config import PARAMS, SCHEMA, canonical_dumps, load_config
 from bandqed.dynamics import MAX_ATOMS
 from bandqed.interactions import atom_array, coupling_matrix_1d
@@ -241,15 +242,37 @@ def test_integer_setting_must_be_a_json_integer(capsys, tmp_path, command,
     assert f"params.{key} must be an integer" in err
 
 
-def test_allocation_failure_is_a_numerical_failure(capsys, tmp_path):
-    # asks numpy for 7 PiB, which fails before any memory is touched
-    cfg = write_cfg(tmp_path, "huge.json",
-                    {"params": {"grid_points": 10 ** 15}})
-    code, out, err = run(capsys, ["bound-state", "--preset", "apcw",
-                                  "--config", cfg])
+def test_allocation_failure_is_a_numerical_failure(capsys, monkeypatch):
+    # the solve asks numpy for 8 PB, which fails before any memory is touched
+    monkeypatch.setattr(cli, "effective_cavity",
+                        lambda *args: np.empty(10 ** 15))
+    code, out, err = run(capsys, ["bound-state", "--preset", "apcw"])
     assert code == 3
     assert out == ""
     assert err.startswith("numerical failure: ")
+
+
+@pytest.mark.parametrize("command, params, columns", [
+    ("bound-state", {"grid_points": MAX_TABLE_CELLS // 7 + 1}, 7),
+    ("interactions", {"sep_points": MAX_TABLE_CELLS // 5 + 1}, 5),
+    ("evolve", {"t_max": 1e-9, "n_times": MAX_TABLE_CELLS // 5 + 1}, 5),
+    ("design-powerlaw", {"eta": 1.0, "z_max": MAX_TABLE_CELLS // 4 + 1}, 4),
+], ids=["bound-state", "interactions", "evolve", "design-powerlaw"])
+def test_output_over_the_cell_limit_is_refused_before_computing(
+        capsys, tmp_path, command, params, columns):
+    cfg = write_cfg(tmp_path, "big.json", {
+        "coupling": {"Delta": 400e9},
+        "atoms": {"positions": [0.0, 371e-9, 742e-9]}, "params": params})
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, [command, "--preset", "apcw", "--config", cfg])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert f"x {columns} columns exceeds the {MAX_TABLE_CELLS}-cell" in err
+    assert peak < 50e6     # the table alone would be ~400 MB
 
 
 # ------------------------------------------------------------- design
@@ -364,6 +387,21 @@ def test_evolve_with_drive(capsys, tmp_path):
     narrowed = (1e-4 / 1e-3) ** 2 * 1e-9
     assert rows[-1, 4] == pytest.approx(math.exp(-0.5 * narrowed * 2e8),
                                         abs=1e-6)
+
+
+def test_evolve_resonant_drive_is_a_config_error(capsys, tmp_path):
+    cfg = write_cfg(tmp_path, "resonant.json", {
+        "units": "dimensionless",
+        "band": {"omega_b": 1.0, "alpha": 1.0, "a": 1.0},
+        "coupling": {"Delta": 1e-3, "gamma": 1e-9, "beta": 1e-6},
+        "atoms": {"positions": [0.0, 1.0, 2.0]},
+        "drives": [{"Omega": 1e-4, "delta_L": 0.0, "Delta_L": 1e-3}],
+        "params": {"t_max": 2e8, "n_times": 11},
+    })
+    code, out, err = run(capsys, ["evolve", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert "delta_L = 0" in err
 
 
 def test_evolve_refuses_too_many_atoms_before_building_u(capsys, tmp_path):

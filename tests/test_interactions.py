@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -269,15 +270,15 @@ def test_driven_four_level_kind_and_resonance_guard():
     assert out.kind == "four_level"
     assert out.gamma_narrowed_prime == pytest.approx(0.01 * coupling.gamma)
 
-    bad = DriveField(Omega=TWOPI * 1e9, Omega_prime=0.0, delta_L=0.0,
-                     Delta_L=coupling.Delta)
-    with pytest.raises(ValueError):
-        driven_coupling_matrix(atoms, band, coupling, bad)
+    with pytest.raises(ValueError, match="resonant"):
+        DriveField(Omega=TWOPI * 1e9, Omega_prime=0.0, delta_L=0.0,
+                   Delta_L=coupling.Delta)
 
 
 def test_strong_drive_warns():
-    with pytest.warns(UserWarning, match="adiabatic"):
+    with pytest.warns(UserWarning, match="adiabatic") as record:
         DriveField(Omega=0.4, Omega_prime=0.0, delta_L=1.0, Delta_L=1.0)
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_cooperativity_is_drive_independent():
@@ -355,6 +356,41 @@ def test_multi_drive_profile_is_sum_of_exponentials():
         w = (d.Omega / d.delta_L) ** 2 * gbar_sq / (2.0 * d.Delta_L)
         profile += w * np.exp(-n * band.a / L)
     assert np.allclose(U[0], profile, rtol=1e-12)
+
+
+def test_small_detuning_warning_points_at_the_caller():
+    band = BandEdge(omega_b=1.0, alpha=1.0, k0=math.pi, a=1.0)
+    coupling = atom_coupling(band, Delta=1e-3, gamma=1e-9, beta=1e-3)
+    atoms = atom_array([0.0, 1.0], band, coupling.gamma)
+    drive = DriveField(Omega=1e-4, Omega_prime=0.0, delta_L=1e-2,
+                       Delta_L=5e-3)
+    for build in (lambda: driven_coupling_matrix(atoms, band, coupling, drive),
+                  lambda: multi_drive_sum(atoms, band, coupling, [drive])):
+        with pytest.warns(UserWarning, match="marginal") as record:
+            build()
+        assert [w.filename for w in record] == [__file__]
+
+
+def test_multi_drive_sum_memory_is_one_matrix():
+    # the drives share one |z_j - z_l| array and one complex result, so
+    # three drives cost about as much as one two-level build
+    band, coupling = apcw()
+    atoms = atom_array(np.arange(1000) * band.a, band, coupling.gamma)
+    drives = [DriveField(Omega=TWOPI * 4e9 * (i + 1), Omega_prime=0.0,
+                         delta_L=TWOPI * 100e9 * (i + 1),
+                         Delta_L=TWOPI * 400e9 * (i + 1)) for i in range(3)]
+
+    def peak(build):
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    single = peak(lambda: coupling_matrix_1d(atoms, band, coupling))
+    multi = peak(lambda: multi_drive_sum(atoms, band, coupling, drives))
+    assert multi <= 1.5 * single
 
 
 # ------------------------------------------------------------- mechanical
