@@ -33,6 +33,7 @@ EPSILON_WARN = 0.05      # fractional thickness noise beyond the perturbative re
 RENORM_CELLS = 16        # renormalize the propagated vector every 32 layers
 CLIP_SIGMA = 4.0
 MC_BLOCK_CELLS = 256     # cells drawn per block; bounds lyapunov_mc's memory
+MAX_TRIALS = 40_000      # ~42 kB per trial at n_cells >= 512: ~1.7 GB at the limit
 
 # 2 Gamma(1/6) / (6^(1/3) sqrt(pi)) = 3.45652...
 XI_PREFACTOR = 2.0 * math.gamma(1.0 / 6.0) / (6.0 ** (1.0 / 3.0) * math.sqrt(math.pi))
@@ -163,7 +164,7 @@ def lyapunov_mc(stack: DielectricStack, n_trials: int = 200) -> LocalizationResu
     burn-in.  Trial i draws from PCG64(SeedSequence((seed, i))), so results
     are reproducible per (seed, trial) independent of n_trials.  Phases are
     drawn MC_BLOCK_CELLS cells at a time, so memory does not grow with
-    n_cells.
+    n_cells; it grows with n_trials, which is refused past MAX_TRIALS.
 
     When the fitted length is too large to resolve on n_cells (including
     the clean case, whose growth is algebraic, not exponential), the result
@@ -171,6 +172,8 @@ def lyapunov_mc(stack: DielectricStack, n_trials: int = 200) -> LocalizationResu
     """
     if n_trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
+    if n_trials > MAX_TRIALS:   # before the per-trial generators are allocated
+        raise ValueError(f"n_trials = {n_trials} exceeds the supported {MAX_TRIALS}")
     n_cells = stack.n_cells
     burn = n_cells // 10
     phi_edge = band_edge_phase(stack.r)

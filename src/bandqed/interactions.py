@@ -31,7 +31,7 @@ from .bound_state import (AtomCoupling, BandEdge, _check_finite, _gbar_sq,
                           interaction_length)
 
 HERMITICITY_RTOL = 1e-12
-HERMITICITY_BLOCK = 256     # rows per Hermiticity-check block; bounds its temporaries
+TILE = 64                   # rows per 1D build block, side of a 2D or check tile; bounds temporaries
 DRIVE_RATIO_WARN = 0.3      # |Omega/delta_L| above this is outside the adiabatic regime
 DETUNING_BETA_WARN = 10.0   # Delta/beta below this strains the photon elimination
 
@@ -113,13 +113,15 @@ class CouplingMatrix:
             raise ValueError(f"unknown matrix kind {self.kind!r}")
         if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
             raise ValueError("values must be a square matrix")
-        v, b = self.values, HERMITICITY_BLOCK
+        v, b = self.values, TILE
         blocks = range(0, len(v), b)
         scale = np.max([np.max(np.abs(v[i:i + b])) for i in blocks])
         if not np.isfinite(scale):
             raise ValueError("matrix entries must be finite")
-        dev = np.max([np.max(np.abs(v[i:i + b] - v[:, i:i + b].conj().T))
-                      for i in blocks])
+        # tile pairs (I <= J) cover every (j, l) and its mirror: |v_lj - v_jl^*|
+        # equals |v_jl - v_lj^*| exactly, so this is max|U - U^dag|
+        dev = np.max([np.max(np.abs(v[i:i + b, j:j + b] - v[j:j + b, i:i + b].conj().T))
+                      for i in blocks for j in range(i, len(v), b)])
         if dev > HERMITICITY_RTOL * scale:
             raise ValueError(f"matrix not Hermitian: max|U - U^dag| = {dev:.3e}")
 
@@ -138,9 +140,15 @@ def _warn_small_detuning(detuning: float, beta: float) -> None:
               "the photon-eliminated matrix is marginal this close to the edge")
 
 
-def _pair_phases(atoms: AtomArray) -> np.ndarray:
+def _pair_phases(atoms: AtomArray, rows: slice, cols: slice,
+                 out: np.ndarray) -> np.ndarray:
+    """E_j E_l^* for j in rows, l in cols, written into out.
+
+    A (rows, 1) x (1, cols) broadcast, as in np.outer: np.multiply.outer
+    runs another loop, which rounds E_j E_j^* differently.
+    """
     e = atoms.bloch_values
-    return np.outer(e, e.conj())
+    return np.multiply(e[rows, None], e[None, cols].conj(), out=out)
 
 
 def _pair_kernel(band: BandEdge, coupling: AtomCoupling, detuning,
@@ -162,18 +170,23 @@ def _chain_matrix(atoms: AtomArray, band: BandEdge, coupling: AtomCoupling,
 
     Every 1D matrix here is this sum over (Delta_i, w_i) terms: one term
     for the two-level and mechanical matrices, one per drive otherwise.
+    Built TILE rows at a time straight into the result, so the distance
+    and kernel temporaries stay TILE x N.
     """
     z = atoms.positions
     if z.ndim != 1:
         raise ValueError("a 1D chain matrix needs (N,) positions")
-    distance = np.abs(np.subtract.outer(z, z))
-    (detuning, weight), *rest = terms
-    u = _pair_kernel(band, coupling, detuning, distance, weight)
-    for detuning, weight in rest:
-        u += _pair_kernel(band, coupling, detuning, distance, weight)
-    del distance   # free it before the complex phases are allocated
-    values = _pair_phases(atoms)
-    values *= u
+    n = len(z)
+    values = np.empty((n, n), dtype=complex)
+    for start in range(0, n, TILE):
+        rows = slice(start, start + TILE)
+        distance = np.abs(np.subtract.outer(z[rows], z))
+        (detuning, weight), *rest = terms
+        u = _pair_kernel(band, coupling, detuning, distance, weight)
+        for detuning, weight in rest:
+            u += _pair_kernel(band, coupling, detuning, distance, weight)
+        block = _pair_phases(atoms, rows, slice(None), values[rows])
+        block *= u
     return values
 
 
@@ -199,16 +212,29 @@ def coupling_matrix_2d(atoms: AtomArray, band: BandEdge,
     from scipy.special import k0 as bessel_k0   # function scope: see the package docstring
     L = interaction_length(band, coupling.Delta)
     _warn_small_detuning(coupling.Delta, coupling.beta)
-    diff = atoms.positions[:, None, :] - atoms.positions[None, :, :]
-    r = np.sqrt(np.sum(diff**2, axis=-1))
-    off_diag_zero = (r == 0.0) & ~np.eye(len(atoms), dtype=bool)
-    if np.any(off_diag_zero):
-        raise ValueError("duplicate atom positions give a divergent 2D kernel")
-    np.fill_diagonal(r, 0.5 * band.a)   # short-range cutoff for the self-energy
     # gbar_2d^2 = 2 pi^2 g^2/L^2 with g^2 = g_cell^2 a/(2 pi)
     gbar2d_sq = math.pi * _gbar_sq(band, coupling, L) / L
     scale = gbar2d_sq / (2.0 * coupling.Delta)
-    values = scale * (2.0 / math.pi) * bessel_k0(r / L) * _pair_phases(atoms)
+    p = atoms.positions
+    values = np.empty((len(p), len(p)), dtype=complex)
+    # tile pairs (I <= J): p_j - p_l = -(p_l - p_j) exactly, so r and K0 are
+    # symmetric and each tile's kernel also fills its mirror (a diagonal
+    # tile is its own mirror and gets the same values twice)
+    for i in range(0, len(p), TILE):
+        rows = slice(i, i + TILE)
+        for j in range(i, len(p), TILE):
+            cols = slice(j, j + TILE)
+            r = np.sqrt(np.sum((p[rows, None, :] - p[None, cols, :])**2, axis=-1))
+            coincident = r == 0.0
+            if i == j:
+                np.fill_diagonal(coincident, False)
+                np.fill_diagonal(r, 0.5 * band.a)   # short-range cutoff for the self-energy
+            if np.any(coincident):
+                raise ValueError("duplicate atom positions give a divergent 2D kernel")
+            kernel = scale * (2.0 / math.pi) * bessel_k0(r / L)
+            for tr, tc, k in ((rows, cols, kernel), (cols, rows, kernel.T)):
+                tile = _pair_phases(atoms, tr, tc, values[tr, tc])
+                np.multiply(k, tile, out=tile)   # kernel first, as the untiled product
     return CouplingMatrix(values=values, kind="two_level_2d",
                           diagonal_regularized=True)
 

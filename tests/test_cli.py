@@ -11,6 +11,7 @@ import pytest
 from bandqed import cli
 from bandqed.cli import MAX_TABLE_CELLS, main
 from bandqed.config import PARAMS, SCHEMA, canonical_dumps, load_config
+from bandqed.disorder import MAX_TRIALS
 from bandqed.dynamics import MAX_ATOMS
 from bandqed.interactions import atom_array, coupling_matrix_1d
 from bandqed.presets import get_preset
@@ -443,6 +444,22 @@ def test_disorder_point_payload(capsys, tmp_path):
     assert payload["n_trials"] == 8 and payload["n_cells"] == 4000
     assert "intensity decays twice as fast" in payload["convention"]
     assert payload["xi_mc"] == pytest.approx(175.0, rel=0.25)
+
+
+def test_disorder_refuses_too_many_trials(capsys, tmp_path):
+    doc = {"units": "si", "disorder": {"r": 2.0, "epsilon": 1e-3},
+           "params": {"n_trials": MAX_TRIALS + 1}}
+    cfg = write_cfg(tmp_path, "trials.json", doc)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, ["disorder", "--config", cfg])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == ""
+    assert f"n_trials = {MAX_TRIALS + 1} exceeds the supported {MAX_TRIALS}" in err
+    assert peak < 50e6
 
 
 def test_disorder_seed_override(capsys, tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bandqed.disorder import (
+    MAX_TRIALS,
     XI_PREFACTOR,
     DielectricStack,
     LocalizationResult,
@@ -181,6 +182,18 @@ def test_mc_guards():
     absurd = DielectricStack(r=1e200, epsilon=1e-3, n_cells=64)
     with pytest.raises(FloatingPointError):
         lyapunov_mc(absurd, n_trials=2)
+
+
+def test_mc_refuses_too_many_trials_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError,
+                           match=f"n_trials = {MAX_TRIALS + 1} exceeds the supported {MAX_TRIALS}"):
+            lyapunov_mc(reference_stack(), n_trials=MAX_TRIALS + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6      # the trials themselves would take ~1.7 GB
 
 
 def test_short_stack_cannot_resolve_long_lengths():

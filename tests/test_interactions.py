@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import k0 as bessel_k0
 
+from bandqed import interactions
 from bandqed.bound_state import BandEdge, atom_coupling, effective_cavity
 from bandqed.interactions import (
     AtomArray,
@@ -141,6 +143,16 @@ def test_2d_diagonal_regularization_and_duplicates():
         coupling_matrix_2d(dup, band, coupling)
 
 
+def test_2d_duplicates_in_different_tiles():
+    band, coupling = apcw()
+    n = 2 * interactions.TILE + 5
+    pos = np.stack([np.arange(n) * band.a, np.zeros(n)], axis=-1)
+    pos[n - 1] = pos[1]                  # last tile coincides with the first
+    atoms = AtomArray(positions=pos, bloch_values=np.ones(n), gamma=0.0)
+    with pytest.raises(ValueError, match="duplicate atom positions"):
+        coupling_matrix_2d(atoms, band, coupling)
+
+
 def test_2d_needs_planar_positions():
     band, coupling = apcw()
     atoms = AtomArray(positions=np.arange(3.0) * band.a,
@@ -184,6 +196,31 @@ def test_matrix_validation():
     big[500, 10] = 1e-3
     with pytest.raises(ValueError, match="not Hermitian"):
         CouplingMatrix(values=big, kind="two_level_1d")
+
+
+def _tiled_hermitian(n):
+    rng = np.random.default_rng(n)
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return h + h.conj().T
+
+
+def test_hermiticity_check_covers_every_tile():
+    t = interactions.TILE
+    n = 2 * t + 5                        # two full tiles and a partial one
+    CouplingMatrix(values=_tiled_hermitian(n), kind="two_level_1d")
+    for j, l in [(n - 1, 0),             # last lower off-diagonal tile
+                 (0, n - 1),             # last upper off-diagonal tile
+                 (t + 3, t + 10),        # interior of a diagonal tile
+                 (n - 1, n - 3)]:        # partial last tile
+        v = _tiled_hermitian(n)
+        v[j, l] += 1e-3 - 2e-3j
+        want = f"{np.max(np.abs(v - v.conj().T)):.3e}"
+        with pytest.raises(ValueError, match=f"not Hermitian: max.* = {want}$"):
+            CouplingMatrix(values=v, kind="two_level_1d")
+    v = _tiled_hermitian(n)
+    v[n - 1, 1] = np.nan                 # lower triangle only
+    with pytest.raises(ValueError, match="finite"):
+        CouplingMatrix(values=v, kind="two_level_1d")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -391,6 +428,97 @@ def test_multi_drive_sum_memory_is_one_matrix():
     single = peak(lambda: coupling_matrix_1d(atoms, band, coupling))
     multi = peak(lambda: multi_drive_sum(atoms, band, coupling, drives))
     assert multi <= 1.5 * single
+
+
+def _peak(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_coupling_matrix_1d_memory_is_the_result():
+    # rows are built a tile at a time into the result: no N x N temporaries
+    band, coupling = apcw()
+    n = 2000
+    atoms = atom_array(np.arange(n) * band.a, band, coupling.gamma)
+    assert _peak(lambda: coupling_matrix_1d(atoms, band, coupling)) \
+        <= 1.1 * n * n * 16
+
+
+def test_coupling_matrix_2d_memory_is_the_result():
+    band, coupling = apcw()
+    side = 40
+    xy = np.stack(np.meshgrid(np.arange(side), np.arange(side)), -1).reshape(-1, 2)
+    atoms = atom_array(xy * band.a, band, coupling.gamma)
+    n = side * side
+    coupling_matrix_2d(atoms, band, coupling)     # import scipy.special outside the trace
+    assert _peak(lambda: coupling_matrix_2d(atoms, band, coupling)) \
+        <= 2.2 * n * n * 16
+
+
+# ------------------------------------------------------------- byte pins
+#
+# sha256 of .values on seeded inputs.  The sizes straddle the builders'
+# 64-row tiles: N = 1, 2, 63, 65 and 131 in 1D, and a 15 x 15 lattice
+# (225 atoms: three full tiles and a remainder) in 2D.
+
+PIN_DRIVES = [dict(Omega=TWOPI * 4e9 * (i + 1), Omega_prime=0.0,
+                   delta_L=TWOPI * 100e9 * (i + 1),
+                   Delta_L=TWOPI * 400e9 * (i + 1)) for i in range(3)]
+
+PIN_BUILDERS = {
+    "coupling_matrix_1d": coupling_matrix_1d,
+    "multi_drive_sum": lambda atoms, band, coupling: multi_drive_sum(
+        atoms, band, coupling, [DriveField(**d) for d in PIN_DRIVES]),
+    "mechanical_potential": lambda atoms, band, coupling: mechanical_potential(
+        atoms, band, coupling, band.omega_b + TWOPI * 500e9, TWOPI * 1e9),
+    "coupling_matrix_2d": coupling_matrix_2d,
+}
+
+BUILDER_PINS = {
+    ("coupling_matrix_1d", 1): "3a3fee069afe134e047fd72f30dabb2b7e88482df764a603fb28936541e5c37b",
+    ("coupling_matrix_1d", 2): "e41b3099d5ba1455b824628f8871e9ee54468d08498de08cb11e82124dacaa50",
+    ("coupling_matrix_1d", 63): "c46a0d1ea50414d03ee2644d8d3e1623c4f91ad36ef71da04c1456130ae3d4a8",
+    ("coupling_matrix_1d", 65): "376d937db8bf968f79a11383929c7b5b056f95e7c969be6949351da9341922c1",
+    ("coupling_matrix_1d", 131): "dd2006201172ad586c4ea585a8fe6cca85b34efaaabbd9ce73c7908033e6b5bc",
+    ("multi_drive_sum", 1): "d2270b449a0878cdacfadd1fd7075f55e2961389f49c01edfb3f01003eb5ae15",
+    ("multi_drive_sum", 2): "8afeaf6de46c1b8c6f6d2d04e36b3e11c3f3c84920396dabeb06308e1b17bc6c",
+    ("multi_drive_sum", 63): "ce74b3d558926312fd1dab4dff07d1406f95bf31b4b5a86144a6714faafa057d",
+    ("multi_drive_sum", 65): "fd1c0b216623966afca43f88a94922bdc283541a913de5f89cfa0d219975799a",
+    ("multi_drive_sum", 131): "5c9b6bf33d65c459166815ca63b4ec532f403eb3c8f380608b31cc533ec059e2",
+    ("mechanical_potential", 1): "50ad95f6f5f73466a157a6c5fcc757dd38557b072c44e2171d46b5ef74c39969",
+    ("mechanical_potential", 2): "ecfb26075851512b0a78058ec1e0958c2b475d8b2a31ae4d41328ca506d005f1",
+    ("mechanical_potential", 63): "57fd5f24322e60886d508a19a72471b8919a66dadff4ae43dd8790c003b1a435",
+    ("mechanical_potential", 65): "83b5d77c6b8f19b947f859adc725321bfd8bb60da53bd01202ed6cf1e3f5a4f7",
+    ("mechanical_potential", 131): "93a70e7a511fc4395179a3440daa519cb819f67641c9ba94712c56cd49bf76e9",
+    ("coupling_matrix_2d", 225): "b455db5d44bf48e8c38b24790ae37c74440cc5a906d4ce4d258cb15b2a42cb1b",
+}
+
+
+def _seeded_atoms(n, dim, gamma):
+    """Displaced chain (dim 1) or square lattice (dim 2) with complex E_j."""
+    rng = np.random.default_rng([n, dim])
+    a = apcw()[0].a
+    if dim == 1:
+        pos = (np.arange(n) + rng.uniform(-0.1, 0.1, n)) * a
+    else:
+        side = math.isqrt(n)
+        grid = np.stack(np.meshgrid(np.arange(side), np.arange(side)), -1).reshape(-1, 2)
+        pos = (grid + rng.uniform(-0.1, 0.1, (n, 2))) * a
+    e = np.exp(1j * rng.uniform(0, TWOPI, n)) * rng.uniform(0.5, 1.0, n)
+    return AtomArray(positions=pos, bloch_values=e, gamma=gamma)
+
+
+@pytest.mark.parametrize("name, n", sorted(BUILDER_PINS), ids=str)
+def test_builder_byte_pins(name, n):
+    band, coupling = apcw()
+    dim = 2 if name == "coupling_matrix_2d" else 1
+    values = PIN_BUILDERS[name](_seeded_atoms(n, dim, coupling.gamma),
+                                band, coupling).values
+    assert hashlib.sha256(values.tobytes()).hexdigest() == BUILDER_PINS[name, n]
 
 
 # ------------------------------------------------------------- mechanical
