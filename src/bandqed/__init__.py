@@ -1,11 +1,14 @@
 """Atoms coupled to photonic-crystal band edges: bound states, tunable
 long-range exchange, loss-limited dynamics, and disorder localization.
 
-Importing the package loads numpy and no scipy module.  The three scipy
-functions used are imported inside the one function that calls each:
-`least_squares` in `power_law_designer`, `expm` in
-`evolve_single_excitation` and the Bessel `k0` in `coupling_matrix_2d`.
-A one-shot CLI command therefore pays for no scipy import it does not run.
+Importing the package loads numpy and no scipy module.  Every scipy
+function used is imported inside the one function that calls it:
+`least_squares` in `power_law_designer`, the Bessel `k0` in
+`coupling_matrix_2d`, and for `evolve_single_excitation` `expm` in its
+dense path and, on its structured path, `LinearOperator` and
+`expm_multiply` (`scipy.sparse.linalg`) plus the LAPACK tridiagonal
+`dpttrf`/`dpttrs` in the chain operator.  A one-shot CLI command
+therefore pays for no scipy import it does not run.
 """
 
 from .bound_state import (

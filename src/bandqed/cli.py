@@ -235,7 +235,8 @@ def cmd_evolve(cfg: RunConfig) -> Output:
     if not 0 <= site < len(atoms):
         raise ConfigError("initial_site out of range")
     _check_table_size(n_times, len(atoms) + 2)
-    check_atom_count(len(atoms))   # before the dense U is built
+    # MAX_ATOMS bounds the dense U build and the dense propagator: refuse first
+    check_atom_count(len(atoms))
 
     if cfg.drives:
         u = multi_drive_sum(atoms, band, coupling, cfg.drives)

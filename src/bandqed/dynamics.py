@@ -7,9 +7,14 @@ norm is reported, never renormalized, so 1 - P_transfer is the physical
 error of a transfer attempt.
 
 The no-jump Hamiltonian h_eff = U - i Gamma_eff/2 is time-independent, so
-`evolve_single_excitation` propagates with the exact matrix exponential
-for any N; for two atoms under uniform loss it reproduces the closed form
-of `exchange_simulate`.
+`evolve_single_excitation` propagates with the exact matrix exponential;
+for two atoms under uniform loss it reproduces the closed form of
+`exchange_simulate`.  Below STRUCTURED_MIN_ATOMS it exponentiates the dense
+matrix.  From there on, over spans short enough for it to be faster, a 1D
+chain matrix is applied in O(N) through the closed-form tridiagonal
+inverse of its exponential kernel, and only the action of the exponential
+on the state is computed (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+(2011)).
 """
 
 from __future__ import annotations
@@ -22,10 +27,14 @@ import numpy as np
 
 from .bound_state import (BandEdge, AtomCoupling, _check_finite, _gbar_sq,
                           bound_state_depth, interaction_length, mixing_angles)
-from .interactions import CouplingMatrix, _pair_kernel
+from .interactions import (CouplingMatrix, _ChainTerms, _chain_norm_bound,
+                           _chain_operator, _pair_kernel)
 
-MAX_ATOMS = 5_000       # expm needs ~144 B N^2 of working memory
-STEP_REUSE_RTOL = 1e-12  # relative step change below which expm is reused
+MAX_ATOMS = 5_000       # bounds the dense U build (16 B N^2) and dense expm (~144 B N^2)
+STEP_REUSE_RTOL = 1e-12  # relative step change below which a propagator is reused
+STRUCTURED_MIN_ATOMS = 400   # crossover: below it dense expm is the faster path
+STRUCTURED_MIN_GAP = 1e-4    # smallest adjacent gap / min L_i the structured path takes
+STRUCTURED_MAX_WORK = 1.5e-3  # span x ||h_eff||_1 per N^2 per run of steps it takes
 SCAN_POINTS = 400       # log-scan resolution before the golden-section polish
 
 
@@ -240,7 +249,7 @@ def collective_dissipator(U: CouplingMatrix, kappa: float, Delta: float) -> np.n
 
 
 def check_atom_count(n: int) -> None:
-    """Refuse a chain too large for the dense propagator (N > MAX_ATOMS)."""
+    """Refuse N > MAX_ATOMS: too large for the dense U build and dense propagator."""
     if n > MAX_ATOMS:
         raise ValueError(f"N = {n} exceeds the supported size {MAX_ATOMS}")
 
@@ -251,10 +260,13 @@ def evolve_single_excitation(U: CouplingMatrix, losses: LossModel,
 
     psi0 is a unit-norm complex vector of length N; Gamma_eff
     may be uniform or per-atom (vector theta in the loss model).  h_eff is
-    constant, so each step applies expm(-i h_eff dt); a step equal to the
-    previous one up to rounding reuses its propagator, so a uniform grid
-    costs one matrix exponential.  The norm decays from 1 and is never
-    renormalized.
+    constant, so each run of equal steps (equal up to rounding) reuses one
+    propagator; a uniform grid costs one matrix exponential.  A 1D chain
+    matrix with at least STRUCTURED_MIN_ATOMS atoms, no two closer than
+    STRUCTURED_MIN_GAP times its shortest length L_i, over a span short
+    enough for the structured path to be the faster one, takes the O(N)
+    structured path instead; its amplitudes differ from the dense ones only
+    in the last bits.  The norm decays from 1 and is never renormalized.
     """
     values = np.asarray(U.values)
     n = values.shape[0]
@@ -274,18 +286,100 @@ def evolve_single_excitation(U: CouplingMatrix, losses: LossModel,
         raise ValueError("t_grid must have at least two points")
     _check_finite(t_grid=t_grid)
 
-    from scipy.linalg import expm   # function scope: see the package docstring
-
-    amps = np.empty((len(t_grid), n), dtype=complex)
-    amps[0] = psi0
-    dt_prev = prop = None
-    for k, dt in enumerate(np.diff(t_grid), start=1):
-        if prop is None or abs(dt - dt_prev) > STEP_REUSE_RTOL * abs(dt_prev):
-            arg = values * (-1j * dt)   # -i h_eff dt, h_eff = U - i Gamma_eff/2
-            arg[np.diag_indices(n)] -= 0.5 * dt * gamma_eff
-            prop = expm(arg)
-            dt_prev = dt
-        amps[k] = prop @ amps[k - 1]
+    chain = _structured_chain(U, gamma_eff, t_grid)
+    if chain is None:
+        amps = _evolve_dense(values, gamma_eff, psi0, t_grid)
+    else:
+        amps = _evolve_structured(chain, gamma_eff, psi0, t_grid)
     pops = np.abs(amps) ** 2
     return EvolutionResult(times=t_grid, amplitudes=amps, populations=pops,
                            norm=np.sqrt(np.sum(pops, axis=1)))
+
+
+def _structured_chain(U: CouplingMatrix, gamma_eff: np.ndarray,
+                      t_grid: np.ndarray) -> Optional[_ChainTerms]:
+    """U's chain terms if the structured path should take this run, else None.
+
+    Below STRUCTURED_MIN_ATOMS dense expm is faster.  A gap below
+    STRUCTURED_MIN_GAP min L_i leaves the inverse kernel too ill-conditioned
+    for a last-bits match (and a zero gap makes it singular).  expm_multiply
+    needs matvecs in proportion to span x ||h_eff||_1, while dense expm
+    costs ~N^3 per run of equal steps and hardly depends on the span, so
+    past STRUCTURED_MAX_WORK N^2 per run dense is faster again.
+    """
+    chain = U._chain
+    n = len(gamma_eff)
+    if chain is None or n < STRUCTURED_MIN_ATOMS:
+        return None
+    gap = np.min(np.diff(np.sort(chain.positions)))
+    if gap < STRUCTURED_MIN_GAP * min(chain.lengths):
+        return None
+    norm = _chain_norm_bound(chain) + 0.5 * np.ptp(gamma_eff)
+    work = norm * np.sum(np.abs(np.diff(t_grid)))
+    runs = sum(1 for _ in _step_runs(t_grid))
+    if work > STRUCTURED_MAX_WORK * n * n * runs:
+        return None
+    return chain
+
+
+def _step_runs(t_grid: np.ndarray):
+    """(first, last) grid indices of each run of steps equal to its first step."""
+    steps = np.diff(t_grid)
+    first = 0
+    for k in range(1, len(steps)):
+        if abs(steps[k] - steps[first]) > STEP_REUSE_RTOL * abs(steps[first]):
+            yield first, k
+            first = k
+    yield first, len(steps)
+
+
+def _evolve_dense(values: np.ndarray, gamma_eff: np.ndarray, psi0: np.ndarray,
+                  t_grid: np.ndarray) -> np.ndarray:
+    """Amplitudes from expm(-i h_eff dt) of the dense matrix, one per run of steps."""
+    from scipy.linalg import expm   # function scope: see the package docstring
+
+    n = len(psi0)
+    steps = np.diff(t_grid)
+    amps = np.empty((len(t_grid), n), dtype=complex)
+    amps[0] = psi0
+    for first, last in _step_runs(t_grid):
+        dt = steps[first]
+        arg = values * (-1j * dt)   # -i h_eff dt, h_eff = U - i Gamma_eff/2
+        arg[np.diag_indices(n)] -= 0.5 * dt * gamma_eff
+        prop = expm(arg)
+        for k in range(first + 1, last + 1):
+            amps[k] = prop @ amps[k - 1]
+    return amps
+
+
+def _evolve_structured(chain: _ChainTerms, gamma_eff: np.ndarray,
+                       psi0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
+    """Amplitudes from expm_multiply on the O(N) chain operator.
+
+    -i h_eff x = -i U x - (Gamma_eff/2) x; the norm estimate needs the
+    adjoint, +i U x - (Gamma_eff/2) x, and the shift needs the exact
+    trace.  One expm_multiply call per run of equal steps.
+    """
+    # function scope: see the package docstring
+    from scipy.sparse.linalg import LinearOperator, expm_multiply
+
+    n = len(psi0)
+    apply_u = _chain_operator(chain)
+    half_loss = 0.5 * gamma_eff
+    forward = LinearOperator(
+        (n, n), dtype=complex,
+        matvec=lambda x: -1j * apply_u(x) - half_loss * np.ravel(x),
+        rmatvec=lambda x: 1j * apply_u(x) - half_loss * np.ravel(x))
+    trace = (-1j * sum(chain.scales) * np.sum(np.abs(chain.bloch_values) ** 2)
+             - np.sum(half_loss))
+
+    amps = np.empty((len(t_grid), n), dtype=complex)
+    amps[0] = psi0
+    for first, last in _step_runs(t_grid):
+        span = t_grid[last] - t_grid[first]
+        # backward runs evolve under -A for |span|: expm_multiply wants span >= 0
+        op, tr = (forward, trace) if span >= 0 else (-forward, -trace)
+        amps[first + 1:last + 1] = expm_multiply(
+            op, amps[first], start=0.0, stop=abs(span), num=last - first + 1,
+            endpoint=True, traceA=tr)[1:]
+    return amps

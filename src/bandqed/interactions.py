@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -106,6 +106,9 @@ class CouplingMatrix:
     diagonal_regularized: bool = False      # 2D diagonal from the short-range cutoff
     gamma_narrowed: Optional[float] = None  # driven kinds: |Omega|^2 gamma/delta_L^2
     gamma_narrowed_prime: Optional[float] = None
+    # exponential-sum form of values, set by the 1D chain builders only
+    _chain: Optional[_ChainTerms] = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -164,14 +167,30 @@ def _pair_kernel(band: BandEdge, coupling: AtomCoupling, detuning,
     return u
 
 
+@dataclass(frozen=True)
+class _ChainTerms:
+    """values = sum_i s_i E_j exp(-|z_j - z_l|/L_i) E_l^*: a 1D matrix as built.
+
+    Each kernel exp(-|z_j - z_l|/L) has a tridiagonal inverse in closed
+    form, so `_chain_operator` applies U in O(N) per term.
+    """
+
+    positions: np.ndarray     # z_j in the order of the matrix rows
+    bloch_values: np.ndarray  # E_j
+    lengths: tuple            # L_i
+    scales: tuple             # s_i, the term's kernel at distance 0
+
+
 def _chain_matrix(atoms: AtomArray, band: BandEdge, coupling: AtomCoupling,
-                  terms: Sequence[tuple[float, float]]) -> np.ndarray:
+                  terms: Sequence[tuple[float, float]]
+                  ) -> tuple[np.ndarray, _ChainTerms]:
     """N x N values sum_i _pair_kernel(Delta_i, |z_j - z_l|, w_i) E_j E_l^*.
 
     Every 1D matrix here is this sum over (Delta_i, w_i) terms: one term
     for the two-level and mechanical matrices, one per drive otherwise.
     Built TILE rows at a time straight into the result, so the distance
-    and kernel temporaries stay TILE x N.
+    and kernel temporaries stay TILE x N.  The same terms come back as
+    a _ChainTerms for the structured propagator.
     """
     z = atoms.positions
     if z.ndim != 1:
@@ -187,15 +206,95 @@ def _chain_matrix(atoms: AtomArray, band: BandEdge, coupling: AtomCoupling,
             u += _pair_kernel(band, coupling, detuning, distance, weight)
         block = _pair_phases(atoms, rows, slice(None), values[rows])
         block *= u
-    return values
+    chain = _ChainTerms(
+        positions=z.copy(), bloch_values=atoms.bloch_values.copy(),
+        lengths=tuple(float(interaction_length(band, d)) for d, _ in terms),
+        scales=tuple(float(_pair_kernel(band, coupling, d, 0.0, w))
+                     for d, w in terms))
+    return values, chain
+
+
+def _kernel_inverse(gaps: np.ndarray, L: float) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, off-diagonal) of the inverse of exp(-|z_j - z_l|/L).
+
+    gaps are the positive adjacent spacings of sorted positions.  With
+    r_j = exp(-gap_j/L) the off-diagonal is -r_j/(1 - r_j^2) and the
+    diagonal 1 + r_{j-1}^2/(1 - r_{j-1}^2) + r_j^2/(1 - r_j^2), without
+    the terms that do not exist at the two ends.  1 - r^2 is taken as
+    -expm1(-2 gap/L), which keeps close pairs accurate.
+    """
+    r = np.exp(-gaps / L)
+    one_minus_r2 = -np.expm1(-2.0 * gaps / L)
+    ratio = r * r / one_minus_r2
+    diagonal = np.ones(len(gaps) + 1)
+    diagonal[:-1] += ratio
+    diagonal[1:] += ratio
+    return diagonal, -r / one_minus_r2
+
+
+def _chain_operator(chain: _ChainTerms):
+    """x -> U x in O(N) per term: sum_i s_i E o solve(T_i, E^* o x).
+
+    T_i, the inverse kernel at L_i, is factored once (LAPACK dpttrf) and
+    solved on the (re, im) columns (dpttrs).  Positions are sorted
+    internally; x and U x stay in the order of the matrix rows.  Needs
+    distinct positions: a zero gap makes T_i singular.
+    """
+    # function scope: see the package docstring
+    from scipy.linalg.lapack import dpttrf, dpttrs
+
+    order = np.argsort(chain.positions, kind="stable")
+    gaps = np.diff(chain.positions[order])
+    e = chain.bloch_values[order]
+    n = len(order)
+    factors = []
+    for L, s in zip(chain.lengths, chain.scales):
+        diagonal, off = _kernel_inverse(gaps, L)
+        diagonal, off, info = dpttrf(diagonal, off)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"inverse chain kernel at L = {L:.6g} is not positive definite")
+        factors.append((s, diagonal, off))
+    columns = np.empty((n, 2), order="F")
+
+    def matvec(x):
+        b = e.conj() * np.ravel(x)[order]
+        y = np.zeros(n, dtype=complex)
+        for s, diagonal, off in factors:
+            columns[:, 0] = b.real
+            columns[:, 1] = b.imag
+            solved, _ = dpttrs(diagonal, off, columns, overwrite_b=1)
+            y += s * (solved[:, 0] + 1j * solved[:, 1])
+        out = np.empty(n, dtype=complex)
+        out[order] = e * y
+        return out
+
+    return matvec
+
+
+def _chain_norm_bound(chain: _ChainTerms) -> float:
+    """Upper bound on ||U||_1 in O(N).
+
+    The largest row sum of sum_i |s_i| |E| K_i |E|: its entries bound
+    |U_jl| and are all nonnegative, so one matvec on ones gives it.
+    """
+    magnitudes = replace(chain, bloch_values=np.abs(chain.bloch_values),
+                         scales=tuple(abs(s) for s in chain.scales))
+    ones = np.ones(len(chain.positions))
+    return float(np.max(_chain_operator(magnitudes)(ones).real))
+
+
+def _with_chain(matrix: CouplingMatrix, chain: _ChainTerms) -> CouplingMatrix:
+    matrix._chain = chain
+    return matrix
 
 
 def coupling_matrix_1d(atoms: AtomArray, band: BandEdge,
                        coupling: AtomCoupling) -> CouplingMatrix:
     """Two-level exchange matrix U_jl = gbar_c^2 f(z_j, z_l)/(2 Delta) in 1D."""
-    values = _chain_matrix(atoms, band, coupling, [(coupling.Delta, 1.0)])
+    values, chain = _chain_matrix(atoms, band, coupling, [(coupling.Delta, 1.0)])
     _warn_small_detuning(coupling.Delta, coupling.beta)
-    return CouplingMatrix(values=values, kind="two_level_1d")
+    return _with_chain(CouplingMatrix(values=values, kind="two_level_1d"), chain)
 
 
 def coupling_matrix_2d(atoms: AtomArray, band: BandEdge,
@@ -284,17 +383,17 @@ def multi_drive_sum(atoms: AtomArray, band: BandEdge, coupling: AtomCoupling,
     if len(set(deltas)) != len(deltas):
         raise ValueError("drives must have pairwise distinct delta_L")
     ratios = [(d.Omega / d.delta_L) ** 2 for d in drives]
-    values = _chain_matrix(atoms, band, coupling,
-                           [(d.Delta_L, r) for d, r in zip(drives, ratios)])
+    values, chain = _chain_matrix(atoms, band, coupling,
+                                  [(d.Delta_L, r) for d, r in zip(drives, ratios)])
     for d in drives:
         _warn_small_detuning(d.Delta_L, coupling.beta)
     kind = "multi_drive" if len(drives) > 1 else (
         "lambda_driven" if drives[0].Omega_prime == 0.0 else "four_level")
-    return CouplingMatrix(
+    return _with_chain(CouplingMatrix(
         values=values, kind=kind,
         gamma_narrowed=sum(r * atoms.gamma for r in ratios),
         gamma_narrowed_prime=sum((d.Omega_prime / d.delta_L) ** 2 * atoms.gamma
-                                 for d in drives))
+                                 for d in drives)), chain)
 
 
 def mechanical_potential(atoms: AtomArray, band: BandEdge,
@@ -310,9 +409,9 @@ def mechanical_potential(atoms: AtomArray, band: BandEdge,
     if omega_L == omega_a:
         raise ValueError("omega_L resonant with the atom")
     ratio = Omega / (omega_L - omega_a)
-    values = _chain_matrix(atoms, band, coupling,
-                           [(omega_L - band.omega_b, ratio**2)])
+    values, chain = _chain_matrix(atoms, band, coupling,
+                                  [(omega_L - band.omega_b, ratio**2)])
     if abs(ratio) > DRIVE_RATIO_WARN:
         _warn("drive is not weak relative to |omega_L - omega_a|; "
               "the mechanical-potential expansion is strained")
-    return CouplingMatrix(values=values, kind="mechanical")
+    return _with_chain(CouplingMatrix(values=values, kind="mechanical"), chain)

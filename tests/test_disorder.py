@@ -7,6 +7,7 @@ import pytest
 
 from bandqed.disorder import (
     MAX_TRIALS,
+    MC_BLOCK_CELLS,
     XI_PREFACTOR,
     DielectricStack,
     LocalizationResult,
@@ -151,6 +152,21 @@ def test_mc_memory_does_not_grow_with_n_cells():
     assert peak(40_000) <= 1.5 * peak(4_000)
 
 
+def test_mc_blocks_do_not_overlap_in_memory():
+    # the peak of a later block must not hold the previous block's buffers
+    def peak(n_cells):
+        tracemalloc.start()
+        try:
+            lyapunov_mc(reference_stack(n_cells=n_cells, seed=1), n_trials=200)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(MC_BLOCK_CELLS)   # the first call pays one-off allocations
+    one_block = peak(MC_BLOCK_CELLS)
+    assert peak(4 * MC_BLOCK_CELLS) <= 1.01 * one_block
+
+
 def test_clean_stack_is_unbounded():
     res = lyapunov_mc(reference_stack(epsilon=0.0), n_trials=4)
     assert res.unbounded
@@ -193,7 +209,7 @@ def test_mc_refuses_too_many_trials_before_allocating():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1e6      # the trials themselves would take ~1.7 GB
+    assert peak < 1e6      # the trials themselves would take ~0.9 GB
 
 
 def test_short_stack_cannot_resolve_long_lengths():

@@ -1,11 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bandqed.bound_state import BandEdge, atom_coupling
 from bandqed.dynamics import (
+    STRUCTURED_MIN_ATOMS,
+    STRUCTURED_MIN_GAP,
     LossModel,
+    _evolve_dense,
+    _evolve_structured,
+    _structured_chain,
     collective_dissipator,
     cooperativity,
     cooperativity_at_length,
@@ -17,9 +23,11 @@ from bandqed.dynamics import (
 from bandqed.interactions import (
     AtomArray,
     CouplingMatrix,
+    DriveField,
     atom_array,
     coupling_matrix_1d,
     interaction_length,
+    multi_drive_sum,
 )
 
 TWOPI = 2.0 * math.pi
@@ -243,6 +251,122 @@ def test_failure_carries_last_state():
         evolve_single_excitation(U, LossModel(0.0, np.inf), np.array([1.0, 0.0]),
                                  np.array([0.0, 1.0]))
     del bad
+
+
+# ------------------------------------------------------------- structured path
+
+APCW = BandEdge(omega_b=TWOPI * 333e12, alpha=10.6, k0=math.pi / 371e-9,
+                a=371e-9)
+
+
+def apcw_chain(z, drives=0):
+    """Two-level chain at Delta/2pi = 400 GHz (L ~ 30 a), or a multi-drive sum."""
+    coupling = atom_coupling(APCW, Delta=TWOPI * 400e9, gamma=TWOPI * 5e6,
+                             g_cell=TWOPI * 12.2e9)
+    atoms = atom_array(z, APCW, coupling.gamma)
+    if not drives:
+        return coupling_matrix_1d(atoms, APCW, coupling)
+    fields = [DriveField(Omega=TWOPI * 1e9, Omega_prime=0.0,
+                         delta_L=TWOPI * 1e9 * (12.0 + 4.0 * i),
+                         Delta_L=TWOPI * 300e9 * (i + 1)) for i in range(drives)]
+    return multi_drive_sum(atoms, APCW, coupling, fields)
+
+
+def hop_time(U):
+    """1/|U_jl| of the closest pair."""
+    return 1.0 / np.max(np.abs(U.values - np.diag(np.diag(U.values))))
+
+
+@pytest.mark.parametrize("n", [2, 50, 1000])
+@pytest.mark.parametrize("case", ["uniform_loss", "per_atom_loss", "multi_drive",
+                                  "unsorted", "non_uniform_grid"])
+def test_structured_matches_dense_expm(case, n):
+    rng = np.random.default_rng(n)
+    z = (np.arange(n) + rng.uniform(-0.1, 0.1, n)) * APCW.a
+    if case == "unsorted":
+        z = rng.permutation(z)
+    U = apcw_chain(z, drives=3 if case == "multi_drive" else 0)
+    theta = rng.uniform(0.0, 1.0, n) if case == "per_atom_loss" else 0.3
+    gamma_eff = np.broadcast_to(np.atleast_1d(
+        LossModel(kappa_p=1e7, gamma=TWOPI * 5e6, theta=theta).gamma_eff()), (n,))
+    hop = hop_time(U)
+    if case == "non_uniform_grid":
+        # runs of 3, 1 and 3 equal steps, then a step back in time
+        t = hop * np.array([0.0, 0.01, 0.02, 0.03, 0.5, 1.0, 1.5, 2.0, 1.7])
+    else:
+        t = np.linspace(0.0, 2.0 * hop, 21)
+    psi0 = np.zeros(n, dtype=complex)
+    psi0[n // 2] = 1.0
+
+    dense = _evolve_dense(np.asarray(U.values), gamma_eff, psi0, t)
+    structured = _evolve_structured(U._chain, gamma_eff, psi0, t)
+    assert np.max(np.abs(structured - dense)) <= 1e-12
+    assert np.max(np.abs(dense[-1] - psi0)) > 0.1   # the state did move
+
+
+def test_structured_path_needs_size_resolved_gaps_and_a_short_span():
+    n = STRUCTURED_MIN_ATOMS
+    z = np.arange(n) * APCW.a
+    U = apcw_chain(z)
+    gamma_eff = np.full(n, 1e7)
+    t = np.linspace(0.0, 2.0 * hop_time(U), 21)
+
+    def route(U, t=t):
+        return _structured_chain(U, gamma_eff[:len(U.values)], t)
+
+    assert route(U) is U._chain
+    assert route(apcw_chain(z[:-1])) is None
+    # a matrix given by its values has no chain structure
+    assert route(CouplingMatrix(values=U.values, kind=U.kind)) is None
+    L = U._chain.lengths[0]
+    assert L == pytest.approx(29.9 * APCW.a, rel=1e-3)
+    for gap in (0.0, 0.99 * STRUCTURED_MIN_GAP * L):
+        close = z.copy()
+        close[n // 2 + 1] = close[n // 2] + gap
+        assert route(apcw_chain(close)) is None
+    close[n // 2 + 1] = close[n // 2] + 1.01 * STRUCTURED_MIN_GAP * L
+    assert route(apcw_chain(close)) is not None
+    # expm_multiply's cost grows with the span, dense expm's hardly does; one
+    # dense exponential per distinct step makes a non-uniform grid cheaper
+    assert route(U, 50.0 * t) is None
+    assert route(U, np.geomspace(1e-3, 100.0, 200) * hop_time(U)) is U._chain
+
+
+def test_evolve_routes_by_structure():
+    n = STRUCTURED_MIN_ATOMS
+    losses = LossModel(kappa_p=0.0, gamma=TWOPI * 5e6, theta=0.3)
+    gamma_eff = np.full(n, losses.gamma_eff())
+    psi0 = np.zeros(n, dtype=complex)
+    psi0[0] = 1.0
+    z = np.arange(n) * APCW.a
+    U = apcw_chain(z)
+    t = np.linspace(0.0, 2.0 * hop_time(U), 5)
+    out = evolve_single_excitation(U, losses, psi0, t)
+    assert np.array_equal(out.amplitudes,
+                          _evolve_structured(U._chain, gamma_eff, psi0, t))
+    z[1] = z[0]   # coincident atoms: the inverse kernel is singular
+    U = apcw_chain(z)
+    out = evolve_single_excitation(U, losses, psi0, t)
+    assert np.array_equal(out.amplitudes,
+                          _evolve_dense(np.asarray(U.values), gamma_eff, psi0, t))
+
+
+def test_structured_evolution_memory():
+    # the dense path would need ~144 B N^2, ~577 MB at N = 2000
+    n = 2000
+    U = apcw_chain(np.arange(n) * APCW.a)
+    psi0 = np.zeros(n, dtype=complex)
+    psi0[n // 2] = 1.0
+    t = np.linspace(0.0, 2.0 * hop_time(U), 21)
+    import scipy.linalg.lapack, scipy.sparse.linalg   # imports are not the evolution's
+    tracemalloc.start()
+    try:
+        out = evolve_single_excitation(U, LossModel(0.0, TWOPI * 5e6), psi0, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.norm[-1] < 1.0
+    assert peak < 8e6   # ~3.5 MB measured
 
 
 # ------------------------------------------------------------- optimization

@@ -1,5 +1,6 @@
 """Cold-start guard: the package and the CLI import no scipy module, and each
-command loads only the scipy submodule it runs."""
+command loads only the scipy submodule it runs; `evolve` loads
+`scipy.sparse.linalg` only on the structured path."""
 
 import json
 import math
@@ -35,10 +36,33 @@ def write_cfg(tmp_path, name, doc):
     return str(path)
 
 
-def probe(commands):
+LIBRARY_PROBE = r"""
+import json, sys
+import numpy as np
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import bandqed
+from bandqed.dynamics import STRUCTURED_MIN_ATOMS
+report = {"import": scipy_modules()}
+band = bandqed.BandEdge(omega_b=1.0, alpha=1.0, a=1.0, k0=np.pi)
+coupling = bandqed.atom_coupling(band, Delta=1e-3, gamma=1e-9, beta=1e-6)
+atoms = bandqed.atom_array(np.arange(float(STRUCTURED_MIN_ATOMS)), band, 1e-9)
+u = bandqed.coupling_matrix_1d(atoms, band, coupling)
+psi0 = np.zeros(len(atoms), dtype=complex)
+psi0[0] = 1.0
+bandqed.evolve_single_excitation(u, bandqed.LossModel(0.0, 1e-9), psi0,
+                                 np.linspace(0.0, 2e6, 5))
+report["evolve"] = scipy_modules()
+print(json.dumps(report))
+"""
+
+
+def probe(commands, script=PROBE):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(commands)],
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -84,6 +108,15 @@ def test_evolve_loads_linalg_but_not_optimize(tmp_path):
     assert "scipy.linalg" in modules
     assert not any(m == "scipy.optimize" or m.startswith("scipy.optimize.")
                    for m in modules)
+    # 3 atoms take the dense path, which needs no scipy.sparse
+    assert not any(m == "scipy.sparse" or m.startswith("scipy.sparse.")
+                   for m in modules)
+
+
+def test_chain_past_the_crossover_loads_sparse_linalg():
+    report = probe([], script=LIBRARY_PROBE)
+    assert report["import"] == []
+    assert "scipy.sparse.linalg" in report["evolve"]
 
 
 PUBLIC_API = [
