@@ -2,13 +2,13 @@
 long-range exchange, loss-limited dynamics, and disorder localization.
 
 Importing the package loads numpy and no scipy module.  Every scipy
-function used is imported inside the one function that calls it:
-`least_squares` in `power_law_designer`, the Bessel `k0` in
-`coupling_matrix_2d`, and for `evolve_single_excitation` `expm` in its
-dense path and, on its structured path, `LinearOperator` and
-`expm_multiply` (`scipy.sparse.linalg`) plus the LAPACK tridiagonal
-`dpttrf`/`dpttrs` in the chain operator.  A one-shot CLI command
-therefore pays for no scipy import it does not run.
+function used is imported inside the one function that calls it: the
+Bessel `k0` in `coupling_matrix_2d`, and for `evolve_single_excitation`
+`expm` in its dense path and, on its structured path, `LinearOperator`
+and `expm_multiply` (`scipy.sparse.linalg`) plus the LAPACK tridiagonal
+`dpttrf`/`dpttrs` in the chain operator.  `power_law_designer` fits with
+numpy alone.  A one-shot CLI command therefore pays for no scipy import
+it does not run.
 """
 
 from .bound_state import (

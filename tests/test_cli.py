@@ -682,3 +682,17 @@ def test_fit_failure_writes_only_the_error(capsys, tmp_path, monkeypatch):
         assert code == 4
         assert out == '{"error":"no start converged"}\n'
         assert err == "design-powerlaw: fit failed (no start converged)\n"
+
+
+def test_unrealizable_design_exits_4(capsys, tmp_path):
+    # every start coalesces on the beta floor with cancelling weights
+    cfg = write_cfg(tmp_path, "d.json", {
+        "units": "dimensionless",
+        "band": {"omega_b": 1.0, "alpha": 0.2, "a": 1.0},
+        "coupling": {"gamma": 1e-9, "beta": 0.05},
+        "params": {"eta": 1.5, "z_min": 1, "z_max": 30, "n_drives": 3},
+    })
+    code, out, err = run(capsys, ["design-powerlaw", "--config", cfg])
+    assert code == 4
+    assert set(json.loads(out)) == {"error"}
+    assert err.startswith("design-powerlaw: fit failed (")

@@ -3,13 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import bandqed.design as design_mod
 from bandqed.bound_state import BandEdge
 from bandqed.design import (
+    MAX_CANCELLATION,
+    MIN_RATE_GAP,
+    N_STARTS,
     FitError,
     PowerLawDesign,
     detuning_for_rate,
     power_law_designer,
     rate_for_detuning,
+    _realizable,
 )
 
 
@@ -70,6 +75,91 @@ def test_inverse_law_three_drives():
     assert design.max_error <= 0.02
     assert design.max_error == pytest.approx(0.002605184100546276, rel=1e-5)
     assert np.all(np.diff(design.rates) < 0)      # sorted stiff to soft
+
+
+def vp_cost(log_s, z, target):
+    # 2-norm residual with the weights re-solved at the rates (numpy lstsq)
+    A = np.exp(-np.outer(z, np.exp(log_s)))
+    w, *_ = np.linalg.lstsq(A, target, rcond=None)
+    return np.linalg.norm(A @ w - target)
+
+
+@pytest.mark.parametrize("eta, z_range, n_drives",
+                         [(0.25, (1, 50), 2), (1.0, (1, 30), 3)],
+                         ids=["criterion-4", "inverse-law"])
+def test_fit_is_stationary(eta, z_range, n_drives):
+    # the returned rates are a minimum of the cost, whatever optimizer found
+    # them: the central difference along each interior log-rate vanishes
+    band = soft_band()
+    design = power_law_designer(eta, z_range, n_drives, band)
+    x = np.log(design.rates)
+    assert np.all(x > math.log(design_mod.S_FLOOR_DEFAULT))
+    assert np.all(x < math.log(band.a * band.k0))
+    cost = vp_cost(x, design.z_grid, design.target)
+    assert cost == pytest.approx(design.rms_error * math.sqrt(len(design.z_grid)),
+                                 rel=1e-12)
+    h = 1e-4
+    for e in np.eye(len(x)):
+        slope = (vp_cost(x + h * e, design.z_grid, design.target)
+                 - vp_cost(x - h * e, design.z_grid, design.target)) / (2 * h)
+        # 1e-3 off the optimum the slopes read 9e-4 to 0.14 of the cost
+        assert abs(slope) <= 1e-5 * cost
+
+
+def test_unrealizable_recipe_is_refused():
+    # beta = 0.05 puts the rate floor at s = pi/2 (alpha = 0.2) or 0.70
+    # (alpha = 1, a = pi): three drives coalesce on the floor and cancel,
+    # with weights of +-1e9 to 1e13 on rates within 2e-5 of each other.  No
+    # set of Raman drives realizes that.
+    with pytest.raises(FitError):
+        power_law_designer(1.5, (1, 30), 3, soft_band(), beta=0.05)
+    with pytest.raises(FitError):
+        power_law_designer(1.5, (1, 30), 3, BandEdge(1.0, 1.0, 1.0, math.pi),
+                           beta=0.05)
+
+
+def test_realizability_thresholds():
+    z = np.arange(1.0, 31.0)
+    target = z ** -1.0
+    s = np.array([1.5, 0.3, 0.05])
+    w = np.array([2.2, 0.5, 0.1])
+    assert _realizable(w, s, 1.0, target)
+    # a negative weight
+    assert not _realizable(np.array([2.2, -0.5, 0.1]), s, 1.0, target)
+    # rates closer than MIN_RATE_GAP, relative
+    close = s.copy()
+    close[1] = s[0] * (1 - 0.5 * MIN_RATE_GAP)
+    assert not _realizable(w, close, 1.0, target)
+    close[1] = s[0] * (1 - 2.0 * MIN_RATE_GAP)
+    assert _realizable(w, close, 1.0, target)
+    # sum |w_i| e^{-s_i z_min} over max|target| above MAX_CANCELLATION
+    big = w * 1.01 * MAX_CANCELLATION / np.sum(w * np.exp(-s))
+    assert not _realizable(big, s, 1.0, target)
+    assert _realizable(big / 1.02, s, 1.0, target)
+    # NaN or infinite weights never pass
+    assert not _realizable(np.array([np.nan, 0.5, 0.1]), s, 1.0, target)
+    assert not _realizable(np.array([np.inf, 0.5, 0.1]), s, 1.0, target)
+
+
+def test_starts_outside_the_rate_bounds_are_skipped(monkeypatch):
+    # beta = 0.02 raises the floor to log s = -0.007, above the softest rate
+    # of the later starts: those are skipped, not clipped into the bounds
+    band = soft_band()
+    log_lo = math.log(rate_for_detuning(band, 0.02))
+    log_hi = math.log(band.a * band.k0)
+    fit = design_mod._fit_log_rates
+    received = []
+
+    def checked_fit(x0, z, target, lo, hi):
+        assert (lo, hi) == (log_lo, log_hi)
+        assert np.all((lo <= x0) & (x0 <= hi)), x0
+        received.append(x0)
+        return fit(x0, z, target, lo, hi)
+
+    monkeypatch.setattr(design_mod, "_fit_log_rates", checked_fit)
+    design = power_law_designer(2.0, (1, 30), 2, band, beta=0.02)
+    assert 0 < len(received) < N_STARTS
+    assert np.min(design.rates) >= math.exp(log_lo) * (1 - 1e-12)
 
 
 def test_designer_is_deterministic():

@@ -1,6 +1,6 @@
-"""Cold-start guard: the package and the CLI import no scipy module, and each
-command loads only the scipy submodule it runs; `evolve` loads
-`scipy.sparse.linalg` only on the structured path."""
+"""Cold-start guard: the package and the CLI import no scipy module, and of
+the CLI commands only `evolve` loads scipy: `scipy.linalg`, plus
+`scipy.sparse.linalg` on the structured path."""
 
 import json
 import math
@@ -81,12 +81,16 @@ def test_package_and_scipy_free_commands_load_no_scipy(tmp_path):
         "disorder": {"r": 2.0, "epsilon": 1e-3, "n_cells": 300},
         "params": {"n_trials": 4},
     })
+    design = write_cfg(tmp_path, "design.json", {
+        "params": {"eta": 1.5, "n_drives": 3},
+    })
     report = probe([
         ["bound-state", ["bound-state", "--preset", "apcw"]],
         ["interactions", ["interactions", "--preset", "apcw"]],
         ["exchange", ["exchange", "--config", exchange]],
         ["disorder", ["disorder", "--preset", "apcw", "--config", disorder]],
         ["preset list", ["preset", "list"]],
+        ["design-powerlaw", ["design-powerlaw", "--preset", "apcw", "--config", design]],
     ])
     assert report.pop("import") == []
     for name, (code, modules) in report.items():
