@@ -4,9 +4,9 @@ long-range exchange, loss-limited dynamics, and disorder localization.
 Importing the package loads numpy and no scipy module.  Every scipy
 function used is imported inside the one function that calls it: the
 Bessel `k0` in `coupling_matrix_2d`, and for `evolve_single_excitation`
-`expm` in its dense path and, on its structured path, `LinearOperator`
-and `expm_multiply` (`scipy.sparse.linalg`) plus the LAPACK tridiagonal
-`dpttrf`/`dpttrs` in the chain operator.  `power_law_designer` fits with
+`expm` in its dense path and, on its structured path, the Bessel `jv`
+for the Chebyshev coefficients plus the LAPACK tridiagonal
+`dpttrf`/`zpttrs` in the chain operator.  `power_law_designer` fits with
 numpy alone.  A one-shot CLI command therefore pays for no scipy import
 it does not run.
 """

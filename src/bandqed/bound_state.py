@@ -195,6 +195,7 @@ def bound_state_depth_bisect(beta: ArrayLike, Delta: ArrayLike) -> np.ndarray:
     """
     beta = np.asarray(beta, dtype=float)
     Delta = np.asarray(Delta, dtype=float)
+    _check_finite(beta=beta, Delta=Delta)
     if np.any(beta <= 0):
         raise ValueError("beta must be positive")
     beta, Delta = np.broadcast_arrays(beta, Delta)

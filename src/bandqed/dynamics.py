@@ -10,11 +10,11 @@ The no-jump Hamiltonian h_eff = U - i Gamma_eff/2 is time-independent, so
 `evolve_single_excitation` propagates with the exact matrix exponential;
 for two atoms under uniform loss it reproduces the closed form of
 `exchange_simulate`.  Below STRUCTURED_MIN_ATOMS it exponentiates the dense
-matrix.  From there on, over spans short enough for it to be faster, a 1D
-chain matrix is applied in O(N) through the closed-form tridiagonal
-inverse of its exponential kernel, and only the action of the exponential
-on the state is computed (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
-(2011)).
+matrix.  From there on, under uniform loss and over spans short enough for
+it to be faster, a 1D chain matrix is applied in O(N) through the
+closed-form tridiagonal inverse of its exponential kernel, and the
+exponential acts on the state through a Chebyshev expansion (Tal-Ezer &
+Kosloff, J. Chem. Phys. 81, 3967 (1984)).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ MAX_ATOMS = 5_000       # bounds the dense U build (16 B N^2) and dense expm (~1
 STEP_REUSE_RTOL = 1e-12  # relative step change below which a propagator is reused
 STRUCTURED_MIN_ATOMS = 400   # crossover: below it dense expm is the faster path
 STRUCTURED_MIN_GAP = 1e-4    # smallest adjacent gap / min L_i the structured path takes
-STRUCTURED_MAX_WORK = 1.5e-3  # span x ||h_eff||_1 per N^2 per run of steps it takes
+STRUCTURED_MAX_WORK = 1.5e-3  # span x ||U||_1 bound per N^2 per run of steps it takes
 SCAN_POINTS = 400       # log-scan resolution before the golden-section polish
 
 
@@ -48,9 +48,7 @@ class LossModel:
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
-        _check_finite(kappa_p=self.kappa_p, gamma=self.gamma)
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("theta must be finite")
+        _check_finite(kappa_p=self.kappa_p, gamma=self.gamma, theta=theta)
         if self.kappa_p < 0 or self.gamma < 0:
             raise ValueError("loss rates must be nonnegative")
         self.theta = theta if theta.ndim else float(theta)
@@ -91,6 +89,7 @@ def exchange_simulate(U12: complex, losses: LossModel,
     Populations e^{-Gamma t} cos^2(|U12| t) and e^{-Gamma t} sin^2(|U12| t);
     the transfer error is evaluated at tau = pi/(2 |U12|).
     """
+    _check_finite(U12=U12)
     u = abs(U12)
     if u == 0.0:
         raise ValueError("U12 = 0: no exchange, transfer time diverges")
@@ -258,15 +257,15 @@ def evolve_single_excitation(U: CouplingMatrix, losses: LossModel,
                              psi0, t_grid: np.ndarray) -> EvolutionResult:
     """Propagate i dpsi/dt = (U - i Gamma_eff/2) psi exactly on the given grid.
 
-    psi0 is a unit-norm complex vector of length N; Gamma_eff
-    may be uniform or per-atom (vector theta in the loss model).  h_eff is
-    constant, so each run of equal steps (equal up to rounding) reuses one
-    propagator; a uniform grid costs one matrix exponential.  A 1D chain
-    matrix with at least STRUCTURED_MIN_ATOMS atoms, no two closer than
-    STRUCTURED_MIN_GAP times its shortest length L_i, over a span short
-    enough for the structured path to be the faster one, takes the O(N)
-    structured path instead; its amplitudes differ from the dense ones only
-    in the last bits.  The norm decays from 1 and is never renormalized.
+    psi0 is a unit-norm complex vector of length N; Gamma_eff may be uniform
+    or per-atom (vector theta in the loss model).  h_eff is constant, so
+    each run of equal steps (equal up to rounding) reuses one propagator; a
+    uniform grid costs one matrix exponential.  Under uniform loss, a 1D
+    chain matrix with at least STRUCTURED_MIN_ATOMS atoms, no two closer
+    than STRUCTURED_MIN_GAP times its shortest length L_i, over a span
+    short enough for the structured path to be the faster one, takes the
+    O(N) structured path instead; its amplitudes differ from the dense ones
+    only in the last bits.  The norm decays from 1 and is never renormalized.
     """
     values = np.asarray(U.values)
     n = values.shape[0]
@@ -286,40 +285,41 @@ def evolve_single_excitation(U: CouplingMatrix, losses: LossModel,
         raise ValueError("t_grid must have at least two points")
     _check_finite(t_grid=t_grid)
 
-    chain = _structured_chain(U, gamma_eff, t_grid)
-    if chain is None:
+    route = _structured_chain(U, gamma_eff, t_grid)
+    if route is None:
         amps = _evolve_dense(values, gamma_eff, psi0, t_grid)
     else:
-        amps = _evolve_structured(chain, gamma_eff, psi0, t_grid)
+        amps = _evolve_structured(*route, gamma_eff[0], psi0, t_grid)
     pops = np.abs(amps) ** 2
     return EvolutionResult(times=t_grid, amplitudes=amps, populations=pops,
                            norm=np.sqrt(np.sum(pops, axis=1)))
 
 
 def _structured_chain(U: CouplingMatrix, gamma_eff: np.ndarray,
-                      t_grid: np.ndarray) -> Optional[_ChainTerms]:
-    """U's chain terms if the structured path should take this run, else None.
+                      t_grid: np.ndarray) -> Optional[tuple[_ChainTerms, float]]:
+    """(U's chain terms, their norm bound) for the structured path, or None.
 
-    Below STRUCTURED_MIN_ATOMS dense expm is faster.  A gap below
-    STRUCTURED_MIN_GAP min L_i leaves the inverse kernel too ill-conditioned
-    for a last-bits match (and a zero gap makes it singular).  expm_multiply
-    needs matvecs in proportion to span x ||h_eff||_1, while dense expm
-    costs ~N^3 per run of equal steps and hardly depends on the span, so
-    past STRUCTURED_MAX_WORK N^2 per run dense is faster again.
+    Below STRUCTURED_MIN_ATOMS dense expm is faster; per-atom loss makes
+    h_eff non-Hermitian.  A gap below STRUCTURED_MIN_GAP min L_i leaves the
+    inverse kernel too ill-conditioned for a last-bits match (and a zero gap
+    makes it singular).  The series needs matvecs in proportion to span x
+    ||U||_1, while dense expm costs ~N^3 per run of equal steps and hardly
+    depends on the span, so past STRUCTURED_MAX_WORK N^2 per run dense is
+    faster again.
     """
     chain = U._chain
     n = len(gamma_eff)
-    if chain is None or n < STRUCTURED_MIN_ATOMS:
+    if chain is None or n < STRUCTURED_MIN_ATOMS or np.ptp(gamma_eff) > 0:
         return None
     gap = np.min(np.diff(np.sort(chain.positions)))
     if gap < STRUCTURED_MIN_GAP * min(chain.lengths):
         return None
-    norm = _chain_norm_bound(chain) + 0.5 * np.ptp(gamma_eff)
-    work = norm * np.sum(np.abs(np.diff(t_grid)))
+    bound = _chain_norm_bound(chain)
+    work = bound * np.sum(np.abs(np.diff(t_grid)))
     runs = sum(1 for _ in _step_runs(t_grid))
     if work > STRUCTURED_MAX_WORK * n * n * runs:
         return None
-    return chain
+    return chain, bound
 
 
 def _step_runs(t_grid: np.ndarray):
@@ -352,34 +352,34 @@ def _evolve_dense(values: np.ndarray, gamma_eff: np.ndarray, psi0: np.ndarray,
     return amps
 
 
-def _evolve_structured(chain: _ChainTerms, gamma_eff: np.ndarray,
+def _evolve_structured(chain: _ChainTerms, bound: float, gamma_eff: float,
                        psi0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
-    """Amplitudes from expm_multiply on the O(N) chain operator.
+    """Amplitudes from a Chebyshev series on the O(N) chain operator.
 
-    -i h_eff x = -i U x - (Gamma_eff/2) x; the norm estimate needs the
-    adjoint, +i U x - (Gamma_eff/2) x, and the shift needs the exact
-    trace.  One expm_multiply call per run of equal steps.
+    Uniform loss splits off as e^{-Gamma_eff dt/2}.  U/bound has its
+    spectrum in [-1, 1], where e^{-i x y} = sum_k c_k T_k(y) for x = bound dt
+    of either sign, c_0 = J_0(x), c_k = 2 (-i)^k J_k(x) (Tal-Ezer & Kosloff,
+    J. Chem. Phys. 81, 3967 (1984)).
     """
-    # function scope: see the package docstring
-    from scipy.sparse.linalg import LinearOperator, expm_multiply
+    from scipy.special import jv   # function scope: see the package docstring
 
-    n = len(psi0)
     apply_u = _chain_operator(chain)
-    half_loss = 0.5 * gamma_eff
-    forward = LinearOperator(
-        (n, n), dtype=complex,
-        matvec=lambda x: -1j * apply_u(x) - half_loss * np.ravel(x),
-        rmatvec=lambda x: 1j * apply_u(x) - half_loss * np.ravel(x))
-    trace = (-1j * sum(chain.scales) * np.sum(np.abs(chain.bloch_values) ** 2)
-             - np.sum(half_loss))
-
-    amps = np.empty((len(t_grid), n), dtype=complex)
+    amps = np.empty((len(t_grid), len(psi0)), dtype=complex)
     amps[0] = psi0
     for first, last in _step_runs(t_grid):
-        span = t_grid[last] - t_grid[first]
-        # backward runs evolve under -A for |span|: expm_multiply wants span >= 0
-        op, tr = (forward, trace) if span >= 0 else (-forward, -trace)
-        amps[first + 1:last + 1] = expm_multiply(
-            op, amps[first], start=0.0, stop=abs(span), num=last - first + 1,
-            endpoint=True, traceA=tr)[1:]
+        dt = t_grid[first + 1] - t_grid[first]
+        x = bound * dt
+        # past k = |x|, |J_k(x)| falls monotonically: stop below the rounding
+        m = math.floor(abs(x)) + 1
+        while abs(jv(m, x)) >= np.finfo(float).eps:
+            m += 1
+        order = np.arange(m)
+        c = 2.0 * (-1j) ** order * jv(order, x) * math.exp(-0.5 * gamma_eff * dt)
+        c[0] *= 0.5
+        for j in range(first + 1, last + 1):
+            prev, cur = 0.0, amps[j - 1]
+            amps[j] = c[0] * cur
+            for k in range(1, m):   # T_1(y) = y, T_{k+1} = 2 y T_k - T_{k-1}
+                prev, cur = cur, (2.0 - (k == 1)) / bound * apply_u(cur) - prev
+                amps[j] += c[k] * cur
     return amps

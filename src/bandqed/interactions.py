@@ -54,9 +54,8 @@ class AtomArray:
             raise ValueError("positions must be (N,) or (N, 2)")
         if len(self.bloch_values) != len(self.positions):
             raise ValueError("positions and bloch_values lengths differ")
-        _check_finite(positions=self.positions, gamma=self.gamma)
-        if not np.all(np.isfinite(self.bloch_values)):
-            raise ValueError("bloch_values must be finite")
+        _check_finite(positions=self.positions, gamma=self.gamma,
+                      bloch_values=self.bloch_values)
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
 
@@ -236,12 +235,12 @@ def _chain_operator(chain: _ChainTerms):
     """x -> U x in O(N) per term: sum_i s_i E o solve(T_i, E^* o x).
 
     T_i, the inverse kernel at L_i, is factored once (LAPACK dpttrf) and
-    solved on the (re, im) columns (dpttrs).  Positions are sorted
+    solved on the complex vector (zpttrs).  Positions are sorted
     internally; x and U x stay in the order of the matrix rows.  Needs
     distinct positions: a zero gap makes T_i singular.
     """
     # function scope: see the package docstring
-    from scipy.linalg.lapack import dpttrf, dpttrs
+    from scipy.linalg.lapack import dpttrf, zpttrs
 
     order = np.argsort(chain.positions, kind="stable")
     gaps = np.diff(chain.positions[order])
@@ -254,17 +253,13 @@ def _chain_operator(chain: _ChainTerms):
         if info != 0:
             raise np.linalg.LinAlgError(
                 f"inverse chain kernel at L = {L:.6g} is not positive definite")
-        factors.append((s, diagonal, off))
-    columns = np.empty((n, 2), order="F")
+        factors.append((s, diagonal, off.astype(complex)))
 
     def matvec(x):
-        b = e.conj() * np.ravel(x)[order]
+        b = e.conj() * x[order]
         y = np.zeros(n, dtype=complex)
         for s, diagonal, off in factors:
-            columns[:, 0] = b.real
-            columns[:, 1] = b.imag
-            solved, _ = dpttrs(diagonal, off, columns, overwrite_b=1)
-            y += s * (solved[:, 0] + 1j * solved[:, 1])
+            y += s * zpttrs(diagonal, off, b)[0]
         out = np.empty(n, dtype=complex)
         out[order] = e * y
         return out

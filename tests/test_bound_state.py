@@ -103,6 +103,15 @@ def test_explicit_vs_bisected_root():
     assert np.max(np.abs(num - closed) / closed) <= 1e-10
 
 
+@pytest.mark.parametrize("depth", [bound_state_depth, bound_state_depth_bisect])
+@pytest.mark.parametrize("beta, Delta", [(1e-6, np.nan), (1e-6, np.inf),
+                                         (1e-6, -np.inf), (np.nan, 1e-6),
+                                         (np.inf, 1e-6)])
+def test_depth_paths_refuse_non_finite_input(depth, beta, Delta):
+    with pytest.raises(ValueError, match="must be finite"):
+        depth(beta, Delta)
+
+
 def test_depth_examples():
     beta = 3.7e-7
     assert float(bound_state_depth(beta, -beta)) == pytest.approx(beta, rel=1e-12)

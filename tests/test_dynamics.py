@@ -24,6 +24,7 @@ from bandqed.interactions import (
     AtomArray,
     CouplingMatrix,
     DriveField,
+    _chain_norm_bound,
     atom_array,
     coupling_matrix_1d,
     interaction_length,
@@ -67,6 +68,13 @@ def test_exchange_guards():
     mixed = LossModel(kappa_p=1.0, gamma=2.0, theta=np.array([0.1, 0.2]))
     with pytest.raises(ValueError):
         exchange_simulate(1.0, mixed)
+
+
+def test_exchange_refuses_non_finite_coupling():
+    # inf used to give tau = error = 0, a "perfect" transfer of NaN populations
+    for u in (np.nan, np.inf, complex(np.inf, 0.0), complex(0.0, np.nan)):
+        with pytest.raises(ValueError, match="U12 must be finite"):
+            exchange_simulate(u, LossModel(kappa_p=0.0, gamma=0.0))
 
 
 def test_mixing_angle_weights_losses():
@@ -277,9 +285,13 @@ def hop_time(U):
     return 1.0 / np.max(np.abs(U.values - np.diag(np.diag(U.values))))
 
 
-@pytest.mark.parametrize("n", [2, 50, 1000])
-@pytest.mark.parametrize("case", ["uniform_loss", "per_atom_loss", "multi_drive",
-                                  "unsorted", "non_uniform_grid"])
+CASES = ["uniform_loss", "per_atom_loss", "multi_drive", "unsorted",
+         "non_uniform_grid"]
+
+
+@pytest.mark.parametrize("case, n", [(case, n) for case in CASES
+                                     for n in (2, 50, 1000)]
+                         + [("span_20", 1000), ("span_200", 1000)])
 def test_structured_matches_dense_expm(case, n):
     rng = np.random.default_rng(n)
     z = (np.arange(n) + rng.uniform(-0.1, 0.1, n)) * APCW.a
@@ -287,20 +299,28 @@ def test_structured_matches_dense_expm(case, n):
         z = rng.permutation(z)
     U = apcw_chain(z, drives=3 if case == "multi_drive" else 0)
     theta = rng.uniform(0.0, 1.0, n) if case == "per_atom_loss" else 0.3
-    gamma_eff = np.broadcast_to(np.atleast_1d(
-        LossModel(kappa_p=1e7, gamma=TWOPI * 5e6, theta=theta).gamma_eff()), (n,))
+    losses = LossModel(kappa_p=1e7, gamma=TWOPI * 5e6, theta=theta)
+    gamma_eff = np.broadcast_to(np.atleast_1d(losses.gamma_eff()), (n,))
     hop = hop_time(U)
     if case == "non_uniform_grid":
         # runs of 3, 1 and 3 equal steps, then a step back in time
         t = hop * np.array([0.0, 0.01, 0.02, 0.03, 0.5, 1.0, 1.5, 2.0, 1.7])
     else:
-        t = np.linspace(0.0, 2.0 * hop, 21)
+        # a short series shows first at 200 hop times (B dt ~ 600 per step)
+        span = {"span_20": 20.0, "span_200": 200.0}.get(case, 2.0)
+        t = np.linspace(0.0, span * hop, 21)
     psi0 = np.zeros(n, dtype=complex)
     psi0[n // 2] = 1.0
 
     dense = _evolve_dense(np.asarray(U.values), gamma_eff, psi0, t)
-    structured = _evolve_structured(U._chain, gamma_eff, psi0, t)
-    assert np.max(np.abs(structured - dense)) <= 1e-12
+    if case == "per_atom_loss":
+        # h_eff is not Hermitian: evolve takes the dense path at every N
+        out = evolve_single_excitation(U, losses, psi0, t)
+        assert np.array_equal(out.amplitudes, dense)
+    else:
+        structured = _evolve_structured(U._chain, _chain_norm_bound(U._chain),
+                                        float(losses.gamma_eff()), psi0, t)
+        assert np.max(np.abs(structured - dense)) <= 1e-12
     assert np.max(np.abs(dense[-1] - psi0)) > 0.1   # the state did move
 
 
@@ -314,8 +334,11 @@ def test_structured_path_needs_size_resolved_gaps_and_a_short_span():
     def route(U, t=t):
         return _structured_chain(U, gamma_eff[:len(U.values)], t)
 
-    assert route(U) is U._chain
+    chain, bound = route(U)
+    assert chain is U._chain and bound == _chain_norm_bound(chain)
     assert route(apcw_chain(z[:-1])) is None
+    # per-atom loss makes h_eff non-Hermitian
+    assert _structured_chain(U, np.linspace(1e7, 2e7, n), t) is None
     # a matrix given by its values has no chain structure
     assert route(CouplingMatrix(values=U.values, kind=U.kind)) is None
     L = U._chain.lengths[0]
@@ -326,10 +349,10 @@ def test_structured_path_needs_size_resolved_gaps_and_a_short_span():
         assert route(apcw_chain(close)) is None
     close[n // 2 + 1] = close[n // 2] + 1.01 * STRUCTURED_MIN_GAP * L
     assert route(apcw_chain(close)) is not None
-    # expm_multiply's cost grows with the span, dense expm's hardly does; one
+    # the expansion's cost grows with the span, dense expm's hardly does; one
     # dense exponential per distinct step makes a non-uniform grid cheaper
     assert route(U, 50.0 * t) is None
-    assert route(U, np.geomspace(1e-3, 100.0, 200) * hop_time(U)) is U._chain
+    assert route(U, np.geomspace(1e-3, 100.0, 200) * hop_time(U))[0] is U._chain
 
 
 def test_evolve_routes_by_structure():
@@ -342,8 +365,8 @@ def test_evolve_routes_by_structure():
     U = apcw_chain(z)
     t = np.linspace(0.0, 2.0 * hop_time(U), 5)
     out = evolve_single_excitation(U, losses, psi0, t)
-    assert np.array_equal(out.amplitudes,
-                          _evolve_structured(U._chain, gamma_eff, psi0, t))
+    assert np.array_equal(out.amplitudes, _evolve_structured(
+        U._chain, _chain_norm_bound(U._chain), losses.gamma_eff(), psi0, t))
     z[1] = z[0]   # coincident atoms: the inverse kernel is singular
     U = apcw_chain(z)
     out = evolve_single_excitation(U, losses, psi0, t)
@@ -358,7 +381,7 @@ def test_structured_evolution_memory():
     psi0 = np.zeros(n, dtype=complex)
     psi0[n // 2] = 1.0
     t = np.linspace(0.0, 2.0 * hop_time(U), 21)
-    import scipy.linalg.lapack, scipy.sparse.linalg   # imports are not the evolution's
+    import scipy.linalg.lapack, scipy.special   # imports are not the evolution's
     tracemalloc.start()
     try:
         out = evolve_single_excitation(U, LossModel(0.0, TWOPI * 5e6), psi0, t)

@@ -1,6 +1,6 @@
 """Cold-start guard: the package and the CLI import no scipy module, and of
 the CLI commands only `evolve` loads scipy: `scipy.linalg`, plus
-`scipy.sparse.linalg` on the structured path."""
+`scipy.special` on the structured path.  No path loads `scipy.sparse`."""
 
 import json
 import math
@@ -112,15 +112,18 @@ def test_evolve_loads_linalg_but_not_optimize(tmp_path):
     assert "scipy.linalg" in modules
     assert not any(m == "scipy.optimize" or m.startswith("scipy.optimize.")
                    for m in modules)
-    # 3 atoms take the dense path, which needs no scipy.sparse
+    # no path loads scipy.sparse
     assert not any(m == "scipy.sparse" or m.startswith("scipy.sparse.")
                    for m in modules)
 
 
-def test_chain_past_the_crossover_loads_sparse_linalg():
+def test_chain_past_the_crossover_loads_no_sparse():
     report = probe([], script=LIBRARY_PROBE)
     assert report["import"] == []
-    assert "scipy.sparse.linalg" in report["evolve"]
+    # the Bessel coefficients show that the structured path ran
+    assert "scipy.special" in report["evolve"]
+    assert not any(m == "scipy.sparse" or m.startswith("scipy.sparse.")
+                   for m in report["evolve"])
 
 
 PUBLIC_API = [
