@@ -195,6 +195,8 @@ def cmd_exchange(cfg: RunConfig) -> Output:
     band = cfg.require("band")
     coupling = cfg.require("coupling")
     losses = cfg.loss_model()
+    if cfg.params["separation"] < 0:
+        raise ConfigError("params.separation must be nonnegative")
     separation = cfg.params["separation"] * band.a
 
     if cfg.params["optimize"]:

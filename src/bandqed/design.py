@@ -155,6 +155,7 @@ def power_law_designer(eta: float, z_range: tuple[float, float], n_drives: int,
     if n_drives < 1:
         raise ValueError("need at least one drive")
     z_lo, z_hi = float(z_range[0]), float(z_range[1])
+    _check_finite(z_range=(z_lo, z_hi))
     if not (1.0 <= z_lo < z_hi):
         raise ValueError("z_range must satisfy 1 <= z_min < z_max")
     z = np.arange(math.ceil(z_lo), math.floor(z_hi) + 1, dtype=float)

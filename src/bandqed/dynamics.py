@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .bound_state import (BandEdge, AtomCoupling, _check_finite, _gbar_sq,
                           bound_state_depth, interaction_length, mixing_angles)
-from .interactions import (CouplingMatrix, _ChainTerms, _chain_norm_bound,
-                           _chain_operator, _pair_kernel)
+from .interactions import CouplingMatrix, _chain_operator, _pair_kernel
 
 MAX_ATOMS = 5_000       # bounds the dense U build (16 B N^2) and dense expm (~144 B N^2)
 STEP_REUSE_RTOL = 1e-12  # relative step change below which a propagator is reused
@@ -82,12 +81,12 @@ class ExchangeTrajectory:
     result: ExchangeResult
 
 
-def exchange_simulate(U12: complex, losses: LossModel,
-                      t_grid: Optional[np.ndarray] = None) -> ExchangeTrajectory:
+def exchange_simulate(U12: complex, losses: LossModel) -> ExchangeTrajectory:
     """Closed-form two-atom transfer under uniform loss.
 
-    Populations e^{-Gamma t} cos^2(|U12| t) and e^{-Gamma t} sin^2(|U12| t);
-    the transfer error is evaluated at tau = pi/(2 |U12|).
+    Populations e^{-Gamma t} cos^2(|U12| t) and e^{-Gamma t} sin^2(|U12| t)
+    on 201 times over [0, 2 tau]; the transfer error is evaluated at
+    tau = pi/(2 |U12|).
     """
     _check_finite(U12=U12)
     u = abs(U12)
@@ -99,15 +98,13 @@ def exchange_simulate(U12: complex, losses: LossModel,
     gamma_eff = float(g)
     tau = math.pi / (2.0 * u)
     error = -math.expm1(-gamma_eff * tau)
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 2.0 * tau, 201)
-    t_grid = np.asarray(t_grid, dtype=float)
-    envelope = np.exp(-gamma_eff * t_grid)
-    p1 = envelope * np.cos(u * t_grid) ** 2
-    p2 = envelope * np.sin(u * t_grid) ** 2
+    t = np.linspace(0.0, 2.0 * tau, 201)
+    envelope = np.exp(-gamma_eff * t)
+    p1 = envelope * np.cos(u * t) ** 2
+    p2 = envelope * np.sin(u * t) ** 2
     result = ExchangeResult(tau=tau, error=error, gamma_eff=gamma_eff)
-    return ExchangeTrajectory(times=t_grid, populations=np.stack([p1, p2], axis=1),
-                              norm=np.exp(-0.5 * gamma_eff * t_grid), result=result)
+    return ExchangeTrajectory(times=t, populations=np.stack([p1, p2], axis=1),
+                              norm=np.exp(-0.5 * gamma_eff * t), result=result)
 
 
 def cooperativity(gbar_c: float, kappa_p: float, gamma: float) -> float:
@@ -164,6 +161,7 @@ def optimize_exchange(band: BandEdge, coupling: AtomCoupling, losses: LossModel,
     """
     if band.alpha <= 0:
         raise ValueError("optimize_exchange assumes a lower band edge (alpha > 0)")
+    _check_finite(separation=separation)
     if separation < 0:
         raise ValueError("separation must be nonnegative")
     kappa_p, gamma = losses.kappa_p, losses.gamma
@@ -290,22 +288,23 @@ def evolve_single_excitation(U: CouplingMatrix, losses: LossModel,
         amps = _evolve_dense(values, gamma_eff, psi0, t_grid)
     else:
         amps = _evolve_structured(*route, gamma_eff[0], psi0, t_grid)
+    del route   # frees the chain operator's factors before the populations
     pops = np.abs(amps) ** 2
     return EvolutionResult(times=t_grid, amplitudes=amps, populations=pops,
                            norm=np.sqrt(np.sum(pops, axis=1)))
 
 
 def _structured_chain(U: CouplingMatrix, gamma_eff: np.ndarray,
-                      t_grid: np.ndarray) -> Optional[tuple[_ChainTerms, float]]:
-    """(U's chain terms, their norm bound) for the structured path, or None.
+                      t_grid: np.ndarray) -> Optional[tuple[Callable, float]]:
+    """U's chain operator and norm bound (`_chain_operator`), or None for dense.
 
     Below STRUCTURED_MIN_ATOMS dense expm is faster; per-atom loss makes
     h_eff non-Hermitian.  A gap below STRUCTURED_MIN_GAP min L_i leaves the
     inverse kernel too ill-conditioned for a last-bits match (and a zero gap
-    makes it singular).  The series needs matvecs in proportion to span x
-    ||U||_1, while dense expm costs ~N^3 per run of equal steps and hardly
-    depends on the span, so past STRUCTURED_MAX_WORK N^2 per run dense is
-    faster again.
+    makes it singular), so these checks come before the one factorization.
+    The series needs matvecs in proportion to span x ||U||_1, while dense
+    expm costs ~N^3 per run of equal steps and hardly depends on the span,
+    so past STRUCTURED_MAX_WORK N^2 per run dense is faster again.
     """
     chain = U._chain
     n = len(gamma_eff)
@@ -314,12 +313,12 @@ def _structured_chain(U: CouplingMatrix, gamma_eff: np.ndarray,
     gap = np.min(np.diff(np.sort(chain.positions)))
     if gap < STRUCTURED_MIN_GAP * min(chain.lengths):
         return None
-    bound = _chain_norm_bound(chain)
+    apply_u, bound = _chain_operator(chain)
     work = bound * np.sum(np.abs(np.diff(t_grid)))
     runs = sum(1 for _ in _step_runs(t_grid))
     if work > STRUCTURED_MAX_WORK * n * n * runs:
         return None
-    return chain, bound
+    return apply_u, bound
 
 
 def _step_runs(t_grid: np.ndarray):
@@ -352,10 +351,11 @@ def _evolve_dense(values: np.ndarray, gamma_eff: np.ndarray, psi0: np.ndarray,
     return amps
 
 
-def _evolve_structured(chain: _ChainTerms, bound: float, gamma_eff: float,
+def _evolve_structured(apply_u: Callable, bound: float, gamma_eff: float,
                        psi0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     """Amplitudes from a Chebyshev series on the O(N) chain operator.
 
+    apply_u and bound >= ||U||_1 are what `_chain_operator` returns.
     Uniform loss splits off as e^{-Gamma_eff dt/2}.  U/bound has its
     spectrum in [-1, 1], where e^{-i x y} = sum_k c_k T_k(y) for x = bound dt
     of either sign, c_0 = J_0(x), c_k = 2 (-i)^k J_k(x) (Tal-Ezer & Kosloff,
@@ -363,7 +363,6 @@ def _evolve_structured(chain: _ChainTerms, bound: float, gamma_eff: float,
     """
     from scipy.special import jv   # function scope: see the package docstring
 
-    apply_u = _chain_operator(chain)
     amps = np.empty((len(t_grid), len(psi0)), dtype=complex)
     amps[0] = psi0
     for first, last in _step_runs(t_grid):

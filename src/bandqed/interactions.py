@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -171,7 +171,8 @@ class _ChainTerms:
     """values = sum_i s_i E_j exp(-|z_j - z_l|/L_i) E_l^*: a 1D matrix as built.
 
     Each kernel exp(-|z_j - z_l|/L) has a tridiagonal inverse in closed
-    form, so `_chain_operator` applies U in O(N) per term.
+    form, so `_chain_operator` applies U, and bounds its norm, in O(N)
+    per term.
     """
 
     positions: np.ndarray     # z_j in the order of the matrix rows
@@ -232,12 +233,14 @@ def _kernel_inverse(gaps: np.ndarray, L: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def _chain_operator(chain: _ChainTerms):
-    """x -> U x in O(N) per term: sum_i s_i E o solve(T_i, E^* o x).
+    """(x -> U x, B) in O(N) per term: U x = sum_i s_i E o solve(T_i, E^* o x).
 
     T_i, the inverse kernel at L_i, is factored once (LAPACK dpttrf) and
     solved on the complex vector (zpttrs).  Positions are sorted
     internally; x and U x stay in the order of the matrix rows.  Needs
-    distinct positions: a zero gap makes T_i singular.
+    distinct positions: a zero gap makes T_i singular.  B >= ||U||_1 is
+    the largest row sum of sum_i |s_i| |E| K_i |E|, whose entries bound
+    |U_jl| and are all nonnegative: one solve per term on |E| gives it.
     """
     # function scope: see the package docstring
     from scipy.linalg.lapack import dpttrf, zpttrs
@@ -247,36 +250,28 @@ def _chain_operator(chain: _ChainTerms):
     e = chain.bloch_values[order]
     n = len(order)
     factors = []
-    for L, s in zip(chain.lengths, chain.scales):
+    for L in chain.lengths:
         diagonal, off = _kernel_inverse(gaps, L)
         diagonal, off, info = dpttrf(diagonal, off)
         if info != 0:
             raise np.linalg.LinAlgError(
                 f"inverse chain kernel at L = {L:.6g} is not positive definite")
-        factors.append((s, diagonal, off.astype(complex)))
+        factors.append((diagonal, off.astype(complex)))
 
-    def matvec(x):
-        b = e.conj() * x[order]
+    def term_sum(scales, b):
         y = np.zeros(n, dtype=complex)
-        for s, diagonal, off in factors:
+        for s, (diagonal, off) in zip(scales, factors):
             y += s * zpttrs(diagonal, off, b)[0]
+        return y
+
+    def apply_u(x):
         out = np.empty(n, dtype=complex)
-        out[order] = e * y
+        out[order] = e * term_sum(chain.scales, e.conj() * x[order])
         return out
 
-    return matvec
-
-
-def _chain_norm_bound(chain: _ChainTerms) -> float:
-    """Upper bound on ||U||_1 in O(N).
-
-    The largest row sum of sum_i |s_i| |E| K_i |E|: its entries bound
-    |U_jl| and are all nonnegative, so one matvec on ones gives it.
-    """
-    magnitudes = replace(chain, bloch_values=np.abs(chain.bloch_values),
-                         scales=tuple(abs(s) for s in chain.scales))
-    ones = np.ones(len(chain.positions))
-    return float(np.max(_chain_operator(magnitudes)(ones).real))
+    magnitude = np.abs(e)
+    y = term_sum([abs(s) for s in chain.scales], magnitude)
+    return apply_u, float(np.max((magnitude * y).real))
 
 
 def _with_chain(matrix: CouplingMatrix, chain: _ChainTerms) -> CouplingMatrix:

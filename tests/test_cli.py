@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bandqed import cli
+from bandqed import cli, dynamics
 from bandqed.cli import MAX_TABLE_CELLS, main
 from bandqed.config import PARAMS, SCHEMA, canonical_dumps, load_config
 from bandqed.disorder import MAX_TRIALS
-from bandqed.dynamics import MAX_ATOMS
+from bandqed.dynamics import MAX_ATOMS, STRUCTURED_MIN_ATOMS
 from bandqed.interactions import atom_array, coupling_matrix_1d
 from bandqed.presets import get_preset
 
@@ -350,6 +350,17 @@ def test_exchange_trajectory_csv(capsys, tmp_path):
     assert np.all(np.diff(rows[:, 3]) <= 0)
 
 
+@pytest.mark.parametrize("optimize", [False, True])
+def test_exchange_refuses_a_negative_separation(capsys, tmp_path, optimize):
+    cfg = write_cfg(tmp_path, "neg.json", {
+        "coupling": {"Delta": 400e9},
+        "params": {"separation": -1.0, "optimize": optimize}})
+    code, out, err = run(capsys, ["exchange", "--preset", "apcw", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert "separation must be nonnegative" in err
+
+
 # ------------------------------------------------------------- evolve
 
 def test_evolve_csv_layout(capsys, tmp_path):
@@ -388,6 +399,36 @@ def test_evolve_with_drive(capsys, tmp_path):
     narrowed = (1e-4 / 1e-3) ** 2 * 1e-9
     assert rows[-1, 4] == pytest.approx(math.exp(-0.5 * narrowed * 2e8),
                                         abs=1e-6)
+
+
+def test_evolve_long_chain_takes_the_structured_path(capsys, tmp_path,
+                                                     monkeypatch):
+    n = STRUCTURED_MIN_ATOMS
+    rng = np.random.default_rng(n)
+    doc = {"coupling": {"Delta": 400e9},
+           "atoms": {"positions": list((np.arange(n) + rng.uniform(-0.1, 0.1, n))
+                                       * 371e-9)},
+           "params": {"t_max": 1.0, "n_times": 21, "initial_site": n // 2}}
+    c = load_config(cli._merge(get_preset("apcw"), doc), "evolve")
+    u = coupling_matrix_1d(c.atoms, c.band, c.coupling)
+    # two hop times (1/max off-diagonal |U_jl|): well inside the span rule
+    doc["params"]["t_max"] = 2.0 / np.max(np.abs(u.values - np.diag(np.diag(u.values))))
+    routes = []
+    structured = dynamics._evolve_structured
+    monkeypatch.setattr(dynamics, "_evolve_structured",
+                        lambda *a: routes.append(a) or structured(*a))
+    cfg = write_cfg(tmp_path, "chain.json", doc)
+    code, out, err = run(capsys, ["evolve", "--preset", "apcw", "--config", cfg])
+    assert code == 0 and len(routes) == 1
+    header, rows = parse_csv(out)
+    t = np.linspace(0.0, doc["params"]["t_max"], 21)
+    assert np.array_equal(rows[:, 0], t)
+    psi0 = np.zeros(n, dtype=complex)
+    psi0[n // 2] = 1.0
+    gamma_eff = np.full(n, c.loss_model().gamma_eff())
+    dense = dynamics._evolve_dense(u.values, gamma_eff, psi0, t)
+    assert np.max(np.abs(rows[:, 1:-1] - np.abs(dense) ** 2)) <= 1e-12
+    assert rows[-1, n // 2 + 1] < 0.9   # the excitation moved
 
 
 def test_evolve_resonant_drive_is_a_config_error(capsys, tmp_path):

@@ -192,6 +192,13 @@ def test_input_validation():
         power_law_designer(0.25, (1, 3), 4, band)   # more drives than data
 
 
+@pytest.mark.parametrize("z_range", [(1.0, math.inf), (-math.inf, 5.0),
+                                     (1.0, math.nan)])
+def test_non_finite_z_range_is_refused(z_range):
+    with pytest.raises(ValueError, match="z_range must be finite"):
+        power_law_designer(0.25, z_range, 2, soft_band())
+
+
 def test_fit_error_type():
     err = FitError("nothing converged")
     assert isinstance(err, RuntimeError)

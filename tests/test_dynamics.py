@@ -24,7 +24,7 @@ from bandqed.interactions import (
     AtomArray,
     CouplingMatrix,
     DriveField,
-    _chain_norm_bound,
+    _chain_operator,
     atom_array,
     coupling_matrix_1d,
     interaction_length,
@@ -318,7 +318,7 @@ def test_structured_matches_dense_expm(case, n):
         out = evolve_single_excitation(U, losses, psi0, t)
         assert np.array_equal(out.amplitudes, dense)
     else:
-        structured = _evolve_structured(U._chain, _chain_norm_bound(U._chain),
+        structured = _evolve_structured(*_chain_operator(U._chain),
                                         float(losses.gamma_eff()), psi0, t)
         assert np.max(np.abs(structured - dense)) <= 1e-12
     assert np.max(np.abs(dense[-1] - psi0)) > 0.1   # the state did move
@@ -334,8 +334,10 @@ def test_structured_path_needs_size_resolved_gaps_and_a_short_span():
     def route(U, t=t):
         return _structured_chain(U, gamma_eff[:len(U.values)], t)
 
-    chain, bound = route(U)
-    assert chain is U._chain and bound == _chain_norm_bound(chain)
+    apply_u, bound = route(U)
+    fresh_u, fresh_bound = _chain_operator(U._chain)
+    x = np.random.default_rng(0).standard_normal(n) + 0j
+    assert bound == fresh_bound and np.array_equal(apply_u(x), fresh_u(x))
     assert route(apcw_chain(z[:-1])) is None
     # per-atom loss makes h_eff non-Hermitian
     assert _structured_chain(U, np.linspace(1e7, 2e7, n), t) is None
@@ -352,7 +354,7 @@ def test_structured_path_needs_size_resolved_gaps_and_a_short_span():
     # the expansion's cost grows with the span, dense expm's hardly does; one
     # dense exponential per distinct step makes a non-uniform grid cheaper
     assert route(U, 50.0 * t) is None
-    assert route(U, np.geomspace(1e-3, 100.0, 200) * hop_time(U))[0] is U._chain
+    assert route(U, np.geomspace(1e-3, 100.0, 200) * hop_time(U)) is not None
 
 
 def test_evolve_routes_by_structure():
@@ -366,12 +368,34 @@ def test_evolve_routes_by_structure():
     t = np.linspace(0.0, 2.0 * hop_time(U), 5)
     out = evolve_single_excitation(U, losses, psi0, t)
     assert np.array_equal(out.amplitudes, _evolve_structured(
-        U._chain, _chain_norm_bound(U._chain), losses.gamma_eff(), psi0, t))
+        *_chain_operator(U._chain), losses.gamma_eff(), psi0, t))
     z[1] = z[0]   # coincident atoms: the inverse kernel is singular
     U = apcw_chain(z)
     out = evolve_single_excitation(U, losses, psi0, t)
     assert np.array_equal(out.amplitudes,
                           _evolve_dense(np.asarray(U.values), gamma_eff, psi0, t))
+
+
+@pytest.mark.parametrize("drives", [0, 3])
+def test_structured_evolution_factors_each_term_once(monkeypatch, drives):
+    from scipy.linalg import lapack
+    dpttrf, calls = lapack.dpttrf, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return dpttrf(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dpttrf", counted)
+    n = STRUCTURED_MIN_ATOMS
+    U = apcw_chain(np.arange(n) * APCW.a, drives=drives)
+    psi0 = np.zeros(n, dtype=complex)
+    psi0[n // 2] = 1.0
+    t = np.linspace(0.0, 2.0 * hop_time(U), 21)
+    evolve_single_excitation(U, LossModel(0.0, TWOPI * 5e6), psi0, t)
+    assert len(calls) == len(U._chain.lengths) == max(drives, 1)
+    # the bound the routing and the series use holds: B >= ||U||_1
+    bound = _chain_operator(U._chain)[1]
+    assert bound >= (1.0 - 1e-12) * np.max(np.sum(np.abs(U.values), axis=0))
 
 
 def test_structured_evolution_memory():
@@ -443,6 +467,15 @@ def test_optimize_boundary_and_guard_paths():
     with pytest.raises(ValueError):
         optimize_exchange(band, coupling, losses, separation=0.0,
                           scan=(1e-2, 1e-3))
+
+
+@pytest.mark.parametrize("separation", [math.nan, math.inf])
+def test_optimize_refuses_non_finite_separation(separation):
+    band = unit_band()
+    coupling = atom_coupling(band, Delta=0.0, gamma=1e-9, beta=1e-6)
+    losses = LossModel(kappa_p=kappa_for_target_C(1e-6, 1e-9, 1e3), gamma=1e-9)
+    with pytest.raises(ValueError, match="separation must be finite"):
+        optimize_exchange(band, coupling, losses, separation=separation)
 
 
 def test_separation_costs_error():
