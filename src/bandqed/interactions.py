@@ -31,7 +31,7 @@ from .bound_state import (AtomCoupling, BandEdge, _check_finite, _gbar_sq,
                           interaction_length)
 
 HERMITICITY_RTOL = 1e-12
-TILE = 64                   # rows per 1D build block, side of a 2D or check tile; bounds temporaries
+TILE = 64                   # atoms per 1D build block, side of a 2D or check tile; bounds temporaries
 DRIVE_RATIO_WARN = 0.3      # |Omega/delta_L| above this is outside the adiabatic regime
 DETUNING_BETA_WARN = 10.0   # Delta/beta below this strains the photon elimination
 
@@ -52,6 +52,8 @@ class AtomArray:
         self.bloch_values = np.atleast_1d(np.asarray(self.bloch_values, dtype=complex))
         if self.positions.ndim not in (1, 2):
             raise ValueError("positions must be (N,) or (N, 2)")
+        if len(self.positions) == 0:
+            raise ValueError("an atom array needs at least one atom")
         if len(self.bloch_values) != len(self.positions):
             raise ValueError("positions and bloch_values lengths differ")
         _check_finite(positions=self.positions, gamma=self.gamma,
@@ -115,6 +117,8 @@ class CouplingMatrix:
             raise ValueError(f"unknown matrix kind {self.kind!r}")
         if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
             raise ValueError("values must be a square matrix")
+        if len(self.values) == 0:
+            raise ValueError("values must be at least 1 x 1")
         v, b = self.values, TILE
         blocks = range(0, len(v), b)
         scale = np.max([np.max(np.abs(v[i:i + b])) for i in blocks])
@@ -142,14 +146,12 @@ def _warn_small_detuning(detuning: float, beta: float) -> None:
               "the photon-eliminated matrix is marginal this close to the edge")
 
 
-def _pair_phases(atoms: AtomArray, rows: slice, cols: slice,
-                 out: np.ndarray) -> np.ndarray:
-    """E_j E_l^* for j in rows, l in cols, written into out.
+def _pair_phases(e: np.ndarray, rows, cols, out=None) -> np.ndarray:
+    """E_j E_l^* for j in rows, l in cols of the Bloch values e.
 
     A (rows, 1) x (1, cols) broadcast, as in np.outer: np.multiply.outer
     runs another loop, which rounds E_j E_j^* differently.
     """
-    e = atoms.bloch_values
     return np.multiply(e[rows, None], e[None, cols].conj(), out=out)
 
 
@@ -168,11 +170,11 @@ def _pair_kernel(band: BandEdge, coupling: AtomCoupling, detuning,
 
 @dataclass(frozen=True)
 class _ChainTerms:
-    """values = sum_i s_i E_j exp(-|z_j - z_l|/L_i) E_l^*: a 1D matrix as built.
+    """values = sum_i s_i E_j exp(-|z_j - z_l|/L_i) E_l^*: a 1D matrix's terms.
 
-    Each kernel exp(-|z_j - z_l|/L) has a tridiagonal inverse in closed
-    form, so `_chain_operator` applies U, and bounds its norm, in O(N)
-    per term.
+    The one source of a chain's matrix: `_chain_values` expands the dense
+    values from it, and `_chain_operator` applies U, and bounds its norm,
+    in O(N) per term through each kernel's closed-form tridiagonal inverse.
     """
 
     positions: np.ndarray     # z_j in the order of the matrix rows
@@ -188,30 +190,100 @@ def _chain_matrix(atoms: AtomArray, band: BandEdge, coupling: AtomCoupling,
 
     Every 1D matrix here is this sum over (Delta_i, w_i) terms: one term
     for the two-level and mechanical matrices, one per drive otherwise.
-    Built TILE rows at a time straight into the result, so the distance
-    and kernel temporaries stay TILE x N.  The same terms come back as
-    a _ChainTerms for the structured propagator.
+    The terms become a _ChainTerms, and `_chain_values` expands the dense
+    values from it; the same _ChainTerms comes back for the structured
+    propagator.
     """
     z = atoms.positions
     if z.ndim != 1:
         raise ValueError("a 1D chain matrix needs (N,) positions")
-    n = len(z)
-    values = np.empty((n, n), dtype=complex)
-    for start in range(0, n, TILE):
-        rows = slice(start, start + TILE)
-        distance = np.abs(np.subtract.outer(z[rows], z))
-        (detuning, weight), *rest = terms
-        u = _pair_kernel(band, coupling, detuning, distance, weight)
-        for detuning, weight in rest:
-            u += _pair_kernel(band, coupling, detuning, distance, weight)
-        block = _pair_phases(atoms, rows, slice(None), values[rows])
-        block *= u
     chain = _ChainTerms(
         positions=z.copy(), bloch_values=atoms.bloch_values.copy(),
         lengths=tuple(float(interaction_length(band, d)) for d, _ in terms),
         scales=tuple(float(_pair_kernel(band, coupling, d, 0.0, w))
                      for d, w in terms))
-    return values, chain
+    return _chain_values(chain), chain
+
+
+def _chain_values(chain: _ChainTerms) -> np.ndarray:
+    """The dense values of a chain, TILE rows at a time in position order.
+
+    For any c between z_j and z_l,
+        exp(-|z_j - z_l|/L) = exp(-|z_j - c|/L) exp(-|z_l - c|/L).
+    Rows are taken in blocks of TILE atoms in sorted order.  A block's own
+    TILE x TILE part is evaluated pair by pair, as s_i exp(d/-L_i) summed
+    over terms times E_j E_l^*.  The columns before the block factor about
+    its first position and those after it about its last, so each side is
+    one outer product per term and the build evaluates O(N TILE)
+    exponentials instead of N^2.  Both factors are <= 1, so none
+    overflows, and one underflows only where the entry is below ~1e-308
+    of its scale anyway.  For unsorted positions the two sides are masks
+    over the columns, in matrix order, and the block's strip is copied to
+    its rows: no N x N temporary either way.
+    """
+    z, e = chain.positions, chain.bloch_values
+    ec = e.conj()
+    n = len(z)
+    lengths = -np.array(chain.lengths)[:, None]   # (terms, 1), negated
+    scales = np.array(chain.scales)[:, None]
+    order = np.arange(n)
+    shuffled = bool(np.any(z[1:] < z[:-1]))
+    if shuffled:
+        order = np.argsort(z, kind="stable")
+        rank = np.argsort(order)                    # position of each atom in order
+        strip = np.empty((TILE, n), dtype=complex)
+    values = np.empty((n, n), dtype=complex)
+    for start in range(0, n, TILE):
+        block = order[start:start + TILE]
+        stop = start + len(block)
+        zb, eb = z[block], e[block]
+        if shuffled:
+            out = strip[:len(block)]
+            (a0, b0), (a1, b1) = (_factors(zb, z, zb[0], lengths, scales),
+                                  _factors(zb, z, zb[-1], lengths, scales))
+            _outer_sum(out, eb, ec, np.vstack([a0, a1]),
+                       np.vstack([b0 * (rank < start), b1 * (rank >= stop)]))
+        else:
+            out = values[start:stop]
+            _outer_sum(out[:, :start], eb, ec[:start],
+                       *_factors(zb, z[:start], zb[0], lengths, scales))
+            _outer_sum(out[:, stop:], eb, ec[stop:],
+                       *_factors(zb, z[stop:], zb[-1], lengths, scales))
+        # the block's own part pair by pair, so N <= TILE keeps the pairwise bits
+        distance = np.abs(np.subtract.outer(zb, zb))
+        u = np.sum(np.exp(distance / lengths[..., None]) * scales[..., None], axis=0)
+        diagonal = _pair_phases(e, block, block,
+                                None if shuffled else out[:, start:stop])
+        diagonal *= u
+        if shuffled:
+            out[:, block] = diagonal
+            values[block] = out
+    return values
+
+
+def _factors(z_rows, z_cols, c, lengths, scales):
+    """Rows s_i exp(-|z_j - c|/L_i) and columns exp(-|z_l - c|/L_i), one per term.
+
+    lengths holds -L_i and scales s_i, as (terms, 1) columns.  Each
+    exponential is <= 1.
+    """
+    return (np.exp(np.abs(z_rows - c) / lengths) * scales,
+            np.exp(np.abs(z_cols - c) / lengths))
+
+
+def _outer_sum(out, e_rows, ec_cols, a, b) -> None:
+    """out = E_j E_l^* sum_k a_kj b_kl, from real factors a (K, rows), b (K, cols).
+
+    One factor pair is one complex outer product.  More pairs sum their
+    real products in one einsum (numpy's own loop, no BLAS threads) and
+    take the phases once.
+    """
+    if len(a) == 1:
+        np.multiply((e_rows * a[0])[:, None], ec_cols * b[0], out=out)
+        return
+    kernel = np.einsum("kj,kl->jl", a, b)
+    np.multiply(e_rows[:, None], ec_cols, out=out)
+    out *= kernel
 
 
 def _kernel_inverse(gaps: np.ndarray, L: float) -> tuple[np.ndarray, np.ndarray]:
@@ -313,7 +385,9 @@ def coupling_matrix_2d(atoms: AtomArray, band: BandEdge,
         rows = slice(i, i + TILE)
         for j in range(i, len(p), TILE):
             cols = slice(j, j + TILE)
-            r = np.sqrt(np.sum((p[rows, None, :] - p[None, cols, :])**2, axis=-1))
+            dx = p[rows, None, 0] - p[None, cols, 0]
+            dy = p[rows, None, 1] - p[None, cols, 1]
+            r = np.sqrt(dx * dx + dy * dy)
             coincident = r == 0.0
             if i == j:
                 np.fill_diagonal(coincident, False)
@@ -322,7 +396,7 @@ def coupling_matrix_2d(atoms: AtomArray, band: BandEdge,
                 raise ValueError("duplicate atom positions give a divergent 2D kernel")
             kernel = scale * (2.0 / math.pi) * bessel_k0(r / L)
             for tr, tc, k in ((rows, cols, kernel), (cols, rows, kernel.T)):
-                tile = _pair_phases(atoms, tr, tc, values[tr, tc])
+                tile = _pair_phases(atoms.bloch_values, tr, tc, values[tr, tc])
                 np.multiply(k, tile, out=tile)   # kernel first, as the untiled product
     return CouplingMatrix(values=values, kind="two_level_2d",
                           diagonal_regularized=True)

@@ -1,6 +1,7 @@
 """Cold-start guard: the package and the CLI import no scipy module, and of
 the CLI commands only `evolve` loads scipy: `scipy.linalg`, plus
-`scipy.special` on the structured path.  No path loads `scipy.sparse`."""
+`scipy.special` on the structured path.  No path loads `scipy.sparse`, and
+the 1D matrix builders load no scipy module and start no thread."""
 
 import json
 import math
@@ -56,6 +57,29 @@ bandqed.evolve_single_excitation(u, bandqed.LossModel(0.0, 1e-9), psi0,
                                  np.linspace(0.0, 2e6, 5))
 report["evolve"] = scipy_modules()
 print(json.dumps(report))
+"""
+
+
+BUILD_PROBE = r"""
+import json, sys, threading
+import numpy as np
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import bandqed
+threads = threading.active_count()
+band = bandqed.BandEdge(omega_b=1.0, alpha=1.0, a=1.0, k0=np.pi)
+coupling = bandqed.atom_coupling(band, Delta=1e-3, gamma=1e-9, beta=1e-6)
+drives = [bandqed.DriveField(Omega=1e-4 * (i + 1), Omega_prime=0.0,
+                             delta_L=1e-2 * (i + 1), Delta_L=1e-3 * (i + 1))
+          for i in range(3)]
+for z in (np.arange(1000.0), np.arange(1000.0)[::-1]):     # sorted and unsorted
+    atoms = bandqed.atom_array(z, band, 1e-9)
+    bandqed.coupling_matrix_1d(atoms, band, coupling)
+    bandqed.multi_drive_sum(atoms, band, coupling, drives)
+print(json.dumps({"scipy": scipy_modules(),
+                  "threads": [threads, threading.active_count()]}))
 """
 
 
@@ -124,6 +148,15 @@ def test_chain_past_the_crossover_loads_no_sparse():
     assert "scipy.special" in report["evolve"]
     assert not any(m == "scipy.sparse" or m.startswith("scipy.sparse.")
                    for m in report["evolve"])
+
+
+def test_chain_builders_are_numpy_only_and_single_threaded():
+    # the 1D builders stay in numpy's own loops in the calling thread, so
+    # cold commands import nothing new and the CPU time per build is its own
+    report = probe([], script=BUILD_PROBE)
+    assert report["scipy"] == []
+    before, after = report["threads"]
+    assert after == before
 
 
 PUBLIC_API = [

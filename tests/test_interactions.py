@@ -448,6 +448,17 @@ def test_coupling_matrix_1d_memory_is_the_result():
         <= 1.1 * n * n * 16
 
 
+def test_shuffled_chain_memory_is_the_result():
+    # unsorted positions are built in sorted row blocks, each copied to its
+    # rows through one TILE x N strip
+    band, coupling = apcw()
+    n = 2000
+    z = np.random.default_rng(7).permutation(n) * band.a
+    atoms = atom_array(z, band, coupling.gamma)
+    assert _peak(lambda: coupling_matrix_1d(atoms, band, coupling)) \
+        <= 1.1 * n * n * 16
+
+
 def test_coupling_matrix_2d_memory_is_the_result():
     band, coupling = apcw()
     side = 40
@@ -462,8 +473,13 @@ def test_coupling_matrix_2d_memory_is_the_result():
 # ------------------------------------------------------------- byte pins
 #
 # sha256 of .values on seeded inputs.  The sizes straddle the builders'
-# 64-row tiles: N = 1, 2, 63, 65 and 131 in 1D, and a 15 x 15 lattice
-# (225 atoms: three full tiles and a remainder) in 2D.
+# 64-atom tiles: N = 1, 2, 63, 65 and 131 in 1D, and a 15 x 15 lattice
+# (225 atoms: three full tiles and a remainder) in 2D.  A 1D block's own
+# 64 x 64 part is evaluated pair by pair, so N <= 64 has the bits of the
+# pairwise build.  Past one block the columns outside it are outer products
+# of exp(-|z - c|/L) factors (`_chain_values`), which round differently:
+# the N = 65 and 131 pins were re-recorded for that, and moved by at most
+# 2.7e-16 max|U| from the pairwise values.
 
 PIN_DRIVES = [dict(Omega=TWOPI * 4e9 * (i + 1), Omega_prime=0.0,
                    delta_L=TWOPI * 100e9 * (i + 1),
@@ -482,18 +498,18 @@ BUILDER_PINS = {
     ("coupling_matrix_1d", 1): "3a3fee069afe134e047fd72f30dabb2b7e88482df764a603fb28936541e5c37b",
     ("coupling_matrix_1d", 2): "e41b3099d5ba1455b824628f8871e9ee54468d08498de08cb11e82124dacaa50",
     ("coupling_matrix_1d", 63): "c46a0d1ea50414d03ee2644d8d3e1623c4f91ad36ef71da04c1456130ae3d4a8",
-    ("coupling_matrix_1d", 65): "376d937db8bf968f79a11383929c7b5b056f95e7c969be6949351da9341922c1",
-    ("coupling_matrix_1d", 131): "dd2006201172ad586c4ea585a8fe6cca85b34efaaabbd9ce73c7908033e6b5bc",
+    ("coupling_matrix_1d", 65): "3825a2f3104e03869e438cd532f1112a8a9423d66b63fe2131c16aa00dee5230",
+    ("coupling_matrix_1d", 131): "12d3748f659149526dd23e35ea1a1961ca9add18c5725c72f9861aba5b797e4a",
     ("multi_drive_sum", 1): "d2270b449a0878cdacfadd1fd7075f55e2961389f49c01edfb3f01003eb5ae15",
     ("multi_drive_sum", 2): "8afeaf6de46c1b8c6f6d2d04e36b3e11c3f3c84920396dabeb06308e1b17bc6c",
     ("multi_drive_sum", 63): "ce74b3d558926312fd1dab4dff07d1406f95bf31b4b5a86144a6714faafa057d",
-    ("multi_drive_sum", 65): "fd1c0b216623966afca43f88a94922bdc283541a913de5f89cfa0d219975799a",
-    ("multi_drive_sum", 131): "5c9b6bf33d65c459166815ca63b4ec532f403eb3c8f380608b31cc533ec059e2",
+    ("multi_drive_sum", 65): "62411ff4fde80a9e5344279890fd4fd53e4190fa489634f9be96c899929f2f7f",
+    ("multi_drive_sum", 131): "80a4718d7659db623065ba91f2cb364df0f6e3282cbe757703222e72c4611d91",
     ("mechanical_potential", 1): "50ad95f6f5f73466a157a6c5fcc757dd38557b072c44e2171d46b5ef74c39969",
     ("mechanical_potential", 2): "ecfb26075851512b0a78058ec1e0958c2b475d8b2a31ae4d41328ca506d005f1",
     ("mechanical_potential", 63): "57fd5f24322e60886d508a19a72471b8919a66dadff4ae43dd8790c003b1a435",
-    ("mechanical_potential", 65): "83b5d77c6b8f19b947f859adc725321bfd8bb60da53bd01202ed6cf1e3f5a4f7",
-    ("mechanical_potential", 131): "93a70e7a511fc4395179a3440daa519cb819f67641c9ba94712c56cd49bf76e9",
+    ("mechanical_potential", 65): "522ebd8964c72af283937776c91a400d2a79c8f0cbf6366f45e21331de10da65",
+    ("mechanical_potential", 131): "c0d27d61d855d9afa5cc8a987a2dde1d5d35dfa95feb8614f3b2c7d1d88df652",
     ("coupling_matrix_2d", 225): "b455db5d44bf48e8c38b24790ae37c74440cc5a906d4ce4d258cb15b2a42cb1b",
 }
 
@@ -519,6 +535,83 @@ def test_builder_byte_pins(name, n):
     values = PIN_BUILDERS[name](_seeded_atoms(n, dim, coupling.gamma),
                                 band, coupling).values
     assert hashlib.sha256(values.tobytes()).hexdigest() == BUILDER_PINS[name, n]
+
+
+# ------------------------------------------------------------- semiseparable build
+#
+# Past one 64-atom block the 1D builders factor exp(-|z_j - z_l|/L) about
+# the block's ends.  The reference here is the pairwise sum, one entry at a
+# time: sum_i s_i exp(-|z_j - z_l|/L_i) E_j E_l^*.
+
+def _chain_case(n, layout, n_terms):
+    """(atoms, band, coupling, drives) for the agreement and permutation tests."""
+    rng = np.random.default_rng([n, n_terms])
+    if layout == "underflow":
+        # dimensionless: L = 0.03 a, so the far factors underflow to zero
+        band = BandEdge(omega_b=1.0, alpha=1.0, k0=math.pi, a=1.0)
+        Delta = 1.0 / (0.03 * math.pi) ** 2
+        coupling = atom_coupling(band, Delta=Delta, gamma=1e-9, beta=1e-6)
+        scale = 1.0
+    else:
+        band, coupling = apcw()
+        Delta, scale = coupling.Delta, TWOPI * 1e9
+    z = (np.arange(n) + rng.uniform(-0.1, 0.1, n)) * band.a
+    if layout == "coincident":
+        z[interactions.TILE] = z[interactions.TILE - 1]   # one pair across the first boundary
+    e = np.exp(1j * rng.uniform(0, TWOPI, n)) * rng.uniform(0.5, 1.0, n)
+    if layout in ("shuffled", "underflow"):
+        p = rng.permutation(n)
+        z, e = z[p], e[p]
+    atoms = AtomArray(positions=z, bloch_values=e, gamma=coupling.gamma)
+    drives = [DriveField(Omega=0.04 * scale * (i + 1), Omega_prime=0.0,
+                         delta_L=scale * (i + 1), Delta_L=Delta * (1.0 + 0.7 * i))
+              for i in range(n_terms)]
+    return atoms, band, coupling, drives
+
+
+def _chain_build(atoms, band, coupling, drives):
+    if len(drives) == 1:
+        return coupling_matrix_1d(atoms, band, coupling).values
+    return multi_drive_sum(atoms, band, coupling, drives).values
+
+
+def _pairwise(atoms, band, coupling, drives):
+    """The reference: every entry from its own |z_j - z_l|."""
+    z, e = atoms.positions, atoms.bloch_values
+    distance = np.abs(z[:, None] - z[None, :])
+    terms = ([(coupling.Delta, 1.0)] if len(drives) == 1 else
+             [(d.Delta_L, (d.Omega / d.delta_L) ** 2) for d in drives])
+    kernel = np.zeros_like(distance)
+    for Delta, w in terms:
+        L = interaction_length(band, Delta)
+        kernel += w * coupling.g_cell**2 * band.a / L / (2.0 * Delta) * np.exp(-distance / L)
+    return kernel * e[:, None] * e.conj()[None, :]
+
+
+def _assert_close(got, want):
+    bound = 1e-12 * np.abs(want) + 1e-15 * np.max(np.abs(want))
+    assert np.all(np.abs(got - want) <= bound)
+
+
+@pytest.mark.parametrize("n_terms", [1, 3])
+@pytest.mark.parametrize("layout", ["sorted", "shuffled", "coincident", "underflow"])
+@pytest.mark.parametrize("n", [65, 131, 1000])
+def test_chain_build_matches_pairwise(n, layout, n_terms):
+    case = _chain_case(n, layout, n_terms)
+    got = _chain_build(*case)
+    assert np.all(np.isfinite(got))
+    _assert_close(got, _pairwise(*case))
+
+
+@pytest.mark.parametrize("n_terms", [1, 3])
+@pytest.mark.parametrize("n", [131, 1000])
+def test_shuffled_chain_is_the_permuted_sorted_chain(n, n_terms):
+    atoms, band, coupling, drives = _chain_case(n, "sorted", n_terms)
+    p = np.random.default_rng(n).permutation(n)
+    shuffled = AtomArray(positions=atoms.positions[p],
+                         bloch_values=atoms.bloch_values[p], gamma=atoms.gamma)
+    want = _chain_build(atoms, band, coupling, drives)[np.ix_(p, p)]
+    _assert_close(_chain_build(shuffled, band, coupling, drives), want)
 
 
 # ------------------------------------------------------------- mechanical
@@ -576,3 +669,12 @@ def test_atom_array_defaults_and_validation():
         AtomArray(positions=np.zeros(3), bloch_values=np.ones(2), gamma=0.0)
     with pytest.raises(ValueError):
         AtomArray(positions=np.zeros(2), bloch_values=np.ones(2), gamma=-1.0)
+
+
+def test_empty_inputs_are_refused():
+    band, coupling = apcw()
+    for positions in (np.zeros(0), np.zeros((0, 2))):
+        with pytest.raises(ValueError, match="at least one atom"):
+            atom_array(positions, band, coupling.gamma)
+    with pytest.raises(ValueError, match="at least 1 x 1"):
+        CouplingMatrix(values=np.zeros((0, 0)), kind="two_level_1d")
