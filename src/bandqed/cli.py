@@ -341,8 +341,12 @@ def main(argv=None) -> int:
         return 3
     text = _render(out, args.format)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _say(f"config error: cannot write output: {exc}")
+            return 2
     else:
         sys.stdout.write(text)
     _say(out.summary)

@@ -9,12 +9,12 @@ error of a transfer attempt.
 The no-jump Hamiltonian h_eff = U - i Gamma_eff/2 is time-independent, so
 `evolve_single_excitation` propagates with the exact matrix exponential;
 for two atoms under uniform loss it reproduces the closed form of
-`exchange_simulate`.  Below STRUCTURED_MIN_ATOMS it exponentiates the dense
-matrix.  From there on, under uniform loss and over spans short enough for
+`exchange_simulate`.  Under uniform loss and over spans short enough for
 it to be faster, a 1D chain matrix is applied in O(N) through the
 closed-form tridiagonal inverse of its exponential kernel, and the
 exponential acts on the state through a Chebyshev expansion (Tal-Ezer &
-Kosloff, J. Chem. Phys. 81, 3967 (1984)).
+Kosloff, J. Chem. Phys. 81, 3967 (1984)); otherwise the dense matrix is
+exponentiated.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from .interactions import CouplingMatrix, _chain_operator, _pair_kernel
 
 MAX_ATOMS = 5_000       # bounds the dense U build (16 B N^2) and dense expm (~144 B N^2)
 STEP_REUSE_RTOL = 1e-12  # relative step change below which a propagator is reused
-STRUCTURED_MIN_ATOMS = 400   # crossover: below it dense expm is the faster path
-STRUCTURED_MIN_GAP = 1e-4    # smallest adjacent gap / min L_i the structured path takes
 STRUCTURED_MAX_WORK = 1.5e-3  # span x ||U||_1 bound per N^2 per run of steps it takes
 SCAN_POINTS = 400       # log-scan resolution before the golden-section polish
 
@@ -50,6 +48,8 @@ class LossModel:
         _check_finite(kappa_p=self.kappa_p, gamma=self.gamma, theta=theta)
         if self.kappa_p < 0 or self.gamma < 0:
             raise ValueError("loss rates must be nonnegative")
+        if theta.ndim > 1 or theta.size == 0:
+            raise ValueError("theta must be a scalar or a nonempty (N,) vector")
         self.theta = theta if theta.ndim else float(theta)
 
     def gamma_eff(self):
@@ -259,10 +259,9 @@ def evolve_single_excitation(U: CouplingMatrix, losses: LossModel,
     or per-atom (vector theta in the loss model).  h_eff is constant, so
     each run of equal steps (equal up to rounding) reuses one propagator; a
     uniform grid costs one matrix exponential.  Under uniform loss, a 1D
-    chain matrix with at least STRUCTURED_MIN_ATOMS atoms, no two closer
-    than STRUCTURED_MIN_GAP times its shortest length L_i, over a span
-    short enough for the structured path to be the faster one, takes the
-    O(N) structured path instead; its amplitudes differ from the dense ones
+    chain matrix whose span x ||U||_1 stays within STRUCTURED_MAX_WORK N^2
+    per run of equal steps takes the O(N) structured path instead, unless
+    two atoms nearly coincide; its amplitudes differ from the dense ones
     only in the last bits.  The norm decays from 1 and is never renormalized.
     """
     values = np.asarray(U.values)
@@ -276,7 +275,11 @@ def evolve_single_excitation(U: CouplingMatrix, losses: LossModel,
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"psi0 must be unit-norm (got {nrm:.6g})")
 
-    gamma_eff = np.broadcast_to(np.atleast_1d(losses.gamma_eff()), (n,))
+    gamma_eff = np.atleast_1d(losses.gamma_eff())
+    if len(gamma_eff) not in (1, n):
+        raise ValueError(f"per-atom theta has {len(gamma_eff)} entries "
+                         f"for {n} atoms")
+    gamma_eff = np.broadcast_to(gamma_eff, (n,))
 
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
@@ -298,27 +301,24 @@ def _structured_chain(U: CouplingMatrix, gamma_eff: np.ndarray,
                       t_grid: np.ndarray) -> Optional[tuple[Callable, float]]:
     """U's chain operator and norm bound (`_chain_operator`), or None for dense.
 
-    Below STRUCTURED_MIN_ATOMS dense expm is faster; per-atom loss makes
-    h_eff non-Hermitian.  A gap below STRUCTURED_MIN_GAP min L_i leaves the
-    inverse kernel too ill-conditioned for a last-bits match (and a zero gap
-    makes it singular), so these checks come before the one factorization.
-    The series needs matvecs in proportion to span x ||U||_1, while dense
-    expm costs ~N^3 per run of equal steps and hardly depends on the span,
-    so past STRUCTURED_MAX_WORK N^2 per run dense is faster again.
+    Per-atom loss makes h_eff non-Hermitian, and `_chain_operator` itself
+    refuses a chain whose inverse kernel is too ill-conditioned.  The
+    series needs matvecs in proportion to span x ||U||_1, while dense expm
+    costs ~N^3 per run of equal steps and hardly depends on the span, so
+    past STRUCTURED_MAX_WORK N^2 per run dense is faster; the same rule
+    keeps short chains, whose budget is small, on dense expm.
     """
-    chain = U._chain
+    if U._chain is None or np.ptp(gamma_eff) > 0:
+        return None
+    operator = _chain_operator(U._chain)
+    if operator is None:
+        return None
     n = len(gamma_eff)
-    if chain is None or n < STRUCTURED_MIN_ATOMS or np.ptp(gamma_eff) > 0:
-        return None
-    gap = np.min(np.diff(np.sort(chain.positions)))
-    if gap < STRUCTURED_MIN_GAP * min(chain.lengths):
-        return None
-    apply_u, bound = _chain_operator(chain)
-    work = bound * np.sum(np.abs(np.diff(t_grid)))
+    work = operator[1] * np.sum(np.abs(np.diff(t_grid)))
     runs = sum(1 for _ in _step_runs(t_grid))
     if work > STRUCTURED_MAX_WORK * n * n * runs:
         return None
-    return apply_u, bound
+    return operator
 
 
 def _step_runs(t_grid: np.ndarray):

@@ -34,6 +34,7 @@ HERMITICITY_RTOL = 1e-12
 TILE = 64                   # atoms per 1D build block, side of a 2D or check tile; bounds temporaries
 DRIVE_RATIO_WARN = 0.3      # |Omega/delta_L| above this is outside the adiabatic regime
 DETUNING_BETA_WARN = 10.0   # Delta/beta below this strains the photon elimination
+STRUCTURED_MIN_GAP = 1e-4   # smallest adjacent gap / min L_i the chain operator takes
 
 MATRIX_KINDS = ("two_level_1d", "two_level_2d", "lambda_driven", "four_level",
                 "multi_drive", "mechanical")
@@ -50,7 +51,7 @@ class AtomArray:
     def __post_init__(self):
         self.positions = np.atleast_1d(np.asarray(self.positions, dtype=float))
         self.bloch_values = np.atleast_1d(np.asarray(self.bloch_values, dtype=complex))
-        if self.positions.ndim not in (1, 2):
+        if self.positions.ndim != 1 and self.positions.shape[1:] != (2,):
             raise ValueError("positions must be (N,) or (N, 2)")
         if len(self.positions) == 0:
             raise ValueError("an atom array needs at least one atom")
@@ -73,7 +74,7 @@ def atom_array(positions, band: BandEdge, gamma: float,
     """
     positions = np.atleast_1d(np.asarray(positions, dtype=float))
     if bloch_values is None:
-        z_along = positions if positions.ndim == 1 else positions[:, 0]
+        z_along = positions if positions.ndim == 1 else positions[:, :1].ravel()
         bloch_values = np.exp(1j * band.k0 * z_along)
     return AtomArray(positions=positions, bloch_values=bloch_values, gamma=gamma)
 
@@ -309,16 +310,20 @@ def _chain_operator(chain: _ChainTerms):
 
     T_i, the inverse kernel at L_i, is factored once (LAPACK dpttrf) and
     solved on the complex vector (zpttrs).  Positions are sorted
-    internally; x and U x stay in the order of the matrix rows.  Needs
-    distinct positions: a zero gap makes T_i singular.  B >= ||U||_1 is
-    the largest row sum of sum_i |s_i| |E| K_i |E|, whose entries bound
-    |U_jl| and are all nonnegative: one solve per term on |E| gives it.
+    internally; x and U x stay in the order of the matrix rows.  B >=
+    ||U||_1 is the largest row sum of sum_i |s_i| |E| K_i |E|, whose
+    entries bound |U_jl| and are all nonnegative: one solve per term on
+    |E| gives it.  None for one atom, or for a gap below STRUCTURED_MIN_GAP
+    min L_i: T_i is then too ill-conditioned for a last-bits match with
+    the dense values (and singular at a zero gap).
     """
     # function scope: see the package docstring
     from scipy.linalg.lapack import dpttrf, zpttrs
 
     order = np.argsort(chain.positions, kind="stable")
     gaps = np.diff(chain.positions[order])
+    if gaps.size == 0 or gaps.min() < STRUCTURED_MIN_GAP * min(chain.lengths):
+        return None
     e = chain.bloch_values[order]
     n = len(order)
     factors = []

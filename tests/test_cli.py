@@ -12,7 +12,7 @@ from bandqed import cli, dynamics
 from bandqed.cli import MAX_TABLE_CELLS, main
 from bandqed.config import PARAMS, SCHEMA, canonical_dumps, load_config
 from bandqed.disorder import MAX_TRIALS
-from bandqed.dynamics import MAX_ATOMS, STRUCTURED_MIN_ATOMS
+from bandqed.dynamics import MAX_ATOMS
 from bandqed.interactions import atom_array, coupling_matrix_1d
 from bandqed.presets import get_preset
 
@@ -110,6 +110,16 @@ def test_bound_state_rejects_upper_edge(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "config error" in err
+
+
+def test_unwritable_out_is_a_config_error(capsys, tmp_path):
+    # a missing parent directory, and a directory in place of a file
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run(capsys, ["preset", "list", "--out", str(target)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: cannot write output:")
+        assert len(err.splitlines()) == 1
 
 
 def test_zero_lattice_constant_is_a_config_error(capsys, tmp_path):
@@ -403,7 +413,7 @@ def test_evolve_with_drive(capsys, tmp_path):
 
 def test_evolve_long_chain_takes_the_structured_path(capsys, tmp_path,
                                                      monkeypatch):
-    n = STRUCTURED_MIN_ATOMS
+    n = 400
     rng = np.random.default_rng(n)
     doc = {"coupling": {"Delta": 400e9},
            "atoms": {"positions": list((np.arange(n) + rng.uniform(-0.1, 0.1, n))

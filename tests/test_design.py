@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import bandqed.design as design_mod
-from bandqed.bound_state import BandEdge
+from bandqed.bound_state import BandEdge, _gbar_sq, atom_coupling
 from bandqed.design import (
     MAX_CANCELLATION,
     MIN_RATE_GAP,
@@ -16,6 +17,8 @@ from bandqed.design import (
     rate_for_detuning,
     _realizable,
 )
+from bandqed.interactions import (DriveField, atom_array, interaction_length,
+                                  multi_drive_sum)
 
 
 def soft_band(alpha=0.2):
@@ -202,3 +205,31 @@ def test_non_finite_z_range_is_refused(z_range):
 def test_fit_error_type():
     err = FitError("nothing converged")
     assert isinstance(err, RuntimeError)
+
+
+@pytest.mark.parametrize("eta, z_range, n_drives, warns",
+                         [(1.0, (1, 30), 3, False), (0.25, (1, 50), 2, True)],
+                         ids=["inverse-law", "criterion-4"])
+def test_designed_drives_reproduce_the_design(eta, z_range, n_drives, warns):
+    # term i of multi_drive_sum is (Omega_i/delta_L,i)^2 gbar_c^2(L_i)
+    # e^{-z/L_i}/(2 Delta_L,i), so (Omega_i/delta_L,i)^2 = C w_i 2 Delta_L,i
+    # / gbar_c^2(L_i) gives |U_0z| = C fit(z) on the unit lattice (|E| = 1)
+    band = soft_band()
+    design = power_law_designer(eta, z_range, n_drives, band, beta=1e-6)
+    coupling = atom_coupling(band, Delta=1e-3, gamma=1e-9, beta=1e-6)
+    lengths = interaction_length(band, design.detunings)
+    ratio_sq = design.weights * 2.0 * design.detunings / _gbar_sq(band, coupling,
+                                                                   lengths)
+    scale = 0.2**2 / np.max(ratio_sq)           # max |Omega/delta_L| = 0.2
+    delta_L = 1.0 + np.arange(n_drives)         # distinct drive detunings
+    drives = [DriveField(Omega=d * math.sqrt(scale * r), Omega_prime=0.0,
+                         delta_L=d, Delta_L=D)
+              for d, r, D in zip(delta_L, ratio_sq, design.detunings)]
+    atoms = atom_array(np.arange(design.z_grid[-1] + 1.0), band, 1e-9)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        U = multi_drive_sum(atoms, band, coupling, drives)
+    # the softest drive of the quarter law sits at ~1.6 beta
+    assert ["beta" in str(w.message) for w in caught] == ([True] if warns else [])
+    row = np.abs(U.values[0, design.z_grid.astype(int)]) / scale
+    assert np.max(np.abs(row - design.fit) / design.fit) <= 1e-12

@@ -6,8 +6,6 @@ import pytest
 
 from bandqed.bound_state import BandEdge, atom_coupling
 from bandqed.dynamics import (
-    STRUCTURED_MIN_ATOMS,
-    STRUCTURED_MIN_GAP,
     LossModel,
     _evolve_dense,
     _evolve_structured,
@@ -21,6 +19,7 @@ from bandqed.dynamics import (
     optimize_exchange,
 )
 from bandqed.interactions import (
+    STRUCTURED_MIN_GAP,
     AtomArray,
     CouplingMatrix,
     DriveField,
@@ -84,6 +83,18 @@ def test_mixing_angle_weights_losses():
     assert np.allclose(vec.gamma_eff(), [2.0, 4.0])
     with pytest.raises(ValueError):
         LossModel(kappa_p=-1.0, gamma=0.0)
+
+
+def test_theta_must_be_a_scalar_or_one_per_atom():
+    for theta in (np.zeros((2, 2)), np.zeros(0)):
+        with pytest.raises(ValueError, match="theta must be"):
+            LossModel(kappa_p=1.0, gamma=2.0, theta=theta)
+    psi0 = np.zeros(5, dtype=complex)
+    psi0[0] = 1.0
+    losses = LossModel(kappa_p=1.0, gamma=2.0, theta=np.zeros(3))
+    with pytest.raises(ValueError, match="3 entries for 5 atoms"):
+        evolve_single_excitation(exchange_matrix(1.0, n=5), losses, psi0,
+                                 np.linspace(0.0, 1.0, 3))
 
 
 # ------------------------------------------------------------- integration
@@ -325,7 +336,7 @@ def test_structured_matches_dense_expm(case, n):
 
 
 def test_structured_path_needs_size_resolved_gaps_and_a_short_span():
-    n = STRUCTURED_MIN_ATOMS
+    n = 400
     z = np.arange(n) * APCW.a
     U = apcw_chain(z)
     gamma_eff = np.full(n, 1e7)
@@ -338,7 +349,6 @@ def test_structured_path_needs_size_resolved_gaps_and_a_short_span():
     fresh_u, fresh_bound = _chain_operator(U._chain)
     x = np.random.default_rng(0).standard_normal(n) + 0j
     assert bound == fresh_bound and np.array_equal(apply_u(x), fresh_u(x))
-    assert route(apcw_chain(z[:-1])) is None
     # per-atom loss makes h_eff non-Hermitian
     assert _structured_chain(U, np.linspace(1e7, 2e7, n), t) is None
     # a matrix given by its values has no chain structure
@@ -358,7 +368,7 @@ def test_structured_path_needs_size_resolved_gaps_and_a_short_span():
 
 
 def test_evolve_routes_by_structure():
-    n = STRUCTURED_MIN_ATOMS
+    n = 400
     losses = LossModel(kappa_p=0.0, gamma=TWOPI * 5e6, theta=0.3)
     gamma_eff = np.full(n, losses.gamma_eff())
     psi0 = np.zeros(n, dtype=complex)
@@ -376,6 +386,44 @@ def test_evolve_routes_by_structure():
                           _evolve_dense(np.asarray(U.values), gamma_eff, psi0, t))
 
 
+@pytest.mark.parametrize("n, span, structured", [(300, 1.0, True),
+                                                  (10, 2.0, False)])
+def test_span_rule_alone_routes_short_chains(n, span, structured):
+    # B span against STRUCTURED_MAX_WORK N^2: ~61 against 135 at N = 300,
+    # ~19 against 0.15 at N = 10
+    losses = LossModel(kappa_p=0.0, gamma=TWOPI * 5e6, theta=0.3)
+    psi0 = np.zeros(n, dtype=complex)
+    psi0[n // 2] = 1.0
+    U = apcw_chain(np.arange(n) * APCW.a)
+    t = np.linspace(0.0, span * hop_time(U), 21)
+    out = evolve_single_excitation(U, losses, psi0, t)
+    if structured:
+        expected = _evolve_structured(*_chain_operator(U._chain),
+                                      losses.gamma_eff(), psi0, t)
+    else:
+        expected = _evolve_dense(np.asarray(U.values),
+                                 np.full(n, losses.gamma_eff()), psi0, t)
+    assert np.array_equal(out.amplitudes, expected)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("span", [1e-3, 2.0])
+def test_one_and_two_atom_chains_evolve_on_either_path(n, span):
+    # one atom has no gap to factor; two atoms take the series only while
+    # B span (~2 span here) stays below 1.5e-3 N^2
+    U = apcw_chain(np.arange(n) * APCW.a)
+    losses = LossModel(kappa_p=1e7, gamma=TWOPI * 5e6, theta=0.3)
+    gamma_eff = np.full(n, losses.gamma_eff())
+    psi0 = np.zeros(n, dtype=complex)
+    psi0[0] = 1.0
+    t = np.linspace(0.0, span / np.max(np.abs(U.values)), 21)
+    out = evolve_single_excitation(U, losses, psi0, t)
+    dense = _evolve_dense(np.asarray(U.values), gamma_eff, psi0, t)
+    assert np.max(np.abs(out.amplitudes - dense)) <= 1e-12
+    route = _structured_chain(U, gamma_eff, t)
+    assert (route is not None) == (n == 2 and span < 1.0)
+
+
 @pytest.mark.parametrize("drives", [0, 3])
 def test_structured_evolution_factors_each_term_once(monkeypatch, drives):
     from scipy.linalg import lapack
@@ -386,7 +434,7 @@ def test_structured_evolution_factors_each_term_once(monkeypatch, drives):
         return dpttrf(*args, **kwargs)
 
     monkeypatch.setattr(lapack, "dpttrf", counted)
-    n = STRUCTURED_MIN_ATOMS
+    n = 400
     U = apcw_chain(np.arange(n) * APCW.a, drives=drives)
     psi0 = np.zeros(n, dtype=complex)
     psi0[n // 2] = 1.0

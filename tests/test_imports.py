@@ -45,11 +45,10 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 import bandqed
-from bandqed.dynamics import STRUCTURED_MIN_ATOMS
 report = {"import": scipy_modules()}
 band = bandqed.BandEdge(omega_b=1.0, alpha=1.0, a=1.0, k0=np.pi)
 coupling = bandqed.atom_coupling(band, Delta=1e-3, gamma=1e-9, beta=1e-6)
-atoms = bandqed.atom_array(np.arange(float(STRUCTURED_MIN_ATOMS)), band, 1e-9)
+atoms = bandqed.atom_array(np.arange(400.0), band, 1e-9)
 u = bandqed.coupling_matrix_1d(atoms, band, coupling)
 psi0 = np.zeros(len(atoms), dtype=complex)
 psi0[0] = 1.0
@@ -134,6 +133,8 @@ def test_evolve_loads_linalg_but_not_optimize(tmp_path):
     code, modules = report["evolve"]
     assert code == 0
     assert "scipy.linalg" in modules
+    # three atoms over this span stay on dense expm: no Bessel coefficients
+    assert "scipy.special" not in modules
     assert not any(m == "scipy.optimize" or m.startswith("scipy.optimize.")
                    for m in modules)
     # no path loads scipy.sparse

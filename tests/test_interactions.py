@@ -671,6 +671,16 @@ def test_atom_array_defaults_and_validation():
         AtomArray(positions=np.zeros(2), bloch_values=np.ones(2), gamma=-1.0)
 
 
+def test_positions_must_be_a_chain_or_planar():
+    band, coupling = apcw()
+    for shape in ((3, 3), (3, 1), (3, 0), (3, 2, 1)):
+        with pytest.raises(ValueError, match=r"\(N,\) or \(N, 2\)"):
+            AtomArray(positions=np.zeros(shape), bloch_values=np.ones(3),
+                      gamma=0.0)
+        with pytest.raises(ValueError, match=r"\(N,\) or \(N, 2\)"):
+            atom_array(np.zeros(shape), band, coupling.gamma)
+
+
 def test_empty_inputs_are_refused():
     band, coupling = apcw()
     for positions in (np.zeros(0), np.zeros((0, 2))):
