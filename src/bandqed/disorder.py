@@ -61,10 +61,15 @@ class DielectricStack:
             warnings.warn(
                 f"epsilon = {self.epsilon:g} exceeds {EPSILON_WARN}; the "
                 "perturbative disorder mapping is unreliable", stacklevel=2)
+        for name in ("n_cells", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         if self.n_cells < 1:
             raise ValueError("n_cells must be at least 1")
-        self.n_cells = int(self.n_cells)
-        self.seed = int(self.seed)
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass

@@ -11,10 +11,10 @@ The no-jump Hamiltonian h_eff = U - i Gamma_eff/2 is time-independent, so
 for two atoms under uniform loss it reproduces the closed form of
 `exchange_simulate`.  Under uniform loss and over spans short enough for
 it to be faster, a 1D chain matrix is applied in O(N) through the
-closed-form tridiagonal inverse of its exponential kernel, and the
-exponential acts on the state through a Chebyshev expansion (Tal-Ezer &
-Kosloff, J. Chem. Phys. 81, 3967 (1984)); otherwise the dense matrix is
-exponentiated.
+closed-form bidiagonal factors of its exponential kernel's inverse, and
+the exponential acts on the state through a Chebyshev expansion
+(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)); otherwise the dense
+matrix is exponentiated.
 """
 
 from __future__ import annotations
@@ -109,6 +109,7 @@ def exchange_simulate(U12: complex, losses: LossModel) -> ExchangeTrajectory:
 
 def cooperativity(gbar_c: float, kappa_p: float, gamma: float) -> float:
     """C = gbar_c^2/(kappa_p gamma)."""
+    _check_finite(gbar_c=gbar_c, kappa_p=kappa_p, gamma=gamma)
     if kappa_p <= 0 or gamma <= 0:
         raise ValueError("cooperativity needs positive loss rates")
     return gbar_c**2 / (kappa_p * gamma)
@@ -116,6 +117,7 @@ def cooperativity(gbar_c: float, kappa_p: float, gamma: float) -> float:
 
 def cooperativity_at_length(C_lambda: float, L: float, wavelength: float) -> float:
     """Rescale a one-wavelength cooperativity to bound-state length L: C_L = lambda C/L."""
+    _check_finite(C_lambda=C_lambda, L=L, wavelength=wavelength)
     if L <= 0 or wavelength <= 0:
         raise ValueError("lengths must be positive")
     return wavelength * C_lambda / L
@@ -128,6 +130,7 @@ def dissipator_ratio(kappa: float, Delta: float) -> float:
     incoherent piece is kappa/(4 Delta) of the Hamiltonian one at matched
     matrix elements.
     """
+    _check_finite(kappa=kappa, Delta=Delta)
     if Delta <= 0:
         raise ValueError("Delta must be positive")
     if kappa < 0:
@@ -174,6 +177,7 @@ def optimize_exchange(band: BandEdge, coupling: AtomCoupling, losses: LossModel,
         lo = max(10.0 * beta, center / 300.0)
         hi = max(300.0 * center, 1e3 * lo)
     else:
+        _check_finite(scan=scan)
         lo, hi = scan
         if not (0 < lo < hi):
             raise ValueError("scan bounds must satisfy 0 < lo < hi")
@@ -260,9 +264,9 @@ def evolve_single_excitation(U: CouplingMatrix, losses: LossModel,
     each run of equal steps (equal up to rounding) reuses one propagator; a
     uniform grid costs one matrix exponential.  Under uniform loss, a 1D
     chain matrix whose span x ||U||_1 stays within STRUCTURED_MAX_WORK N^2
-    per run of equal steps takes the O(N) structured path instead, unless
-    two atoms nearly coincide; its amplitudes differ from the dense ones
-    only in the last bits.  The norm decays from 1 and is never renormalized.
+    per run of equal steps takes the O(N) structured path instead; its
+    amplitudes differ from the dense ones only in the last bits.  The norm
+    decays from 1 and is never renormalized.
     """
     values = np.asarray(U.values)
     n = values.shape[0]
@@ -301,18 +305,16 @@ def _structured_chain(U: CouplingMatrix, gamma_eff: np.ndarray,
                       t_grid: np.ndarray) -> Optional[tuple[Callable, float]]:
     """U's chain operator and norm bound (`_chain_operator`), or None for dense.
 
-    Per-atom loss makes h_eff non-Hermitian, and `_chain_operator` itself
-    refuses a chain whose inverse kernel is too ill-conditioned.  The
-    series needs matvecs in proportion to span x ||U||_1, while dense expm
-    costs ~N^3 per run of equal steps and hardly depends on the span, so
-    past STRUCTURED_MAX_WORK N^2 per run dense is faster; the same rule
-    keeps short chains, whose budget is small, on dense expm.
+    A matrix with no chain terms, or per-atom loss (h_eff is then not
+    Hermitian), goes dense.  The series needs matvecs in proportion to
+    span x ||U||_1, while dense expm costs ~N^3 per run of equal steps and
+    hardly depends on the span, so past STRUCTURED_MAX_WORK N^2 per run
+    dense is faster; the same rule keeps short chains, whose budget is
+    small, on dense expm.
     """
     if U._chain is None or np.ptp(gamma_eff) > 0:
         return None
     operator = _chain_operator(U._chain)
-    if operator is None:
-        return None
     n = len(gamma_eff)
     work = operator[1] * np.sum(np.abs(np.diff(t_grid)))
     runs = sum(1 for _ in _step_runs(t_grid))

@@ -34,7 +34,6 @@ HERMITICITY_RTOL = 1e-12
 TILE = 64                   # atoms per 1D build block, side of a 2D or check tile; bounds temporaries
 DRIVE_RATIO_WARN = 0.3      # |Omega/delta_L| above this is outside the adiabatic regime
 DETUNING_BETA_WARN = 10.0   # Delta/beta below this strains the photon elimination
-STRUCTURED_MIN_GAP = 1e-4   # smallest adjacent gap / min L_i the chain operator takes
 
 MATRIX_KINDS = ("two_level_1d", "two_level_2d", "lambda_driven", "four_level",
                 "multi_drive", "mechanical")
@@ -175,7 +174,8 @@ class _ChainTerms:
 
     The one source of a chain's matrix: `_chain_values` expands the dense
     values from it, and `_chain_operator` applies U, and bounds its norm,
-    in O(N) per term through each kernel's closed-form tridiagonal inverse.
+    in O(N) per term through the closed-form factors of each kernel's
+    inverse.
     """
 
     positions: np.ndarray     # z_j in the order of the matrix rows
@@ -287,53 +287,35 @@ def _outer_sum(out, e_rows, ec_cols, a, b) -> None:
     out *= kernel
 
 
-def _kernel_inverse(gaps: np.ndarray, L: float) -> tuple[np.ndarray, np.ndarray]:
-    """(diagonal, off-diagonal) of the inverse of exp(-|z_j - z_l|/L).
-
-    gaps are the positive adjacent spacings of sorted positions.  With
-    r_j = exp(-gap_j/L) the off-diagonal is -r_j/(1 - r_j^2) and the
-    diagonal 1 + r_{j-1}^2/(1 - r_{j-1}^2) + r_j^2/(1 - r_j^2), without
-    the terms that do not exist at the two ends.  1 - r^2 is taken as
-    -expm1(-2 gap/L), which keeps close pairs accurate.
-    """
-    r = np.exp(-gaps / L)
-    one_minus_r2 = -np.expm1(-2.0 * gaps / L)
-    ratio = r * r / one_minus_r2
-    diagonal = np.ones(len(gaps) + 1)
-    diagonal[:-1] += ratio
-    diagonal[1:] += ratio
-    return diagonal, -r / one_minus_r2
-
-
 def _chain_operator(chain: _ChainTerms):
-    """(x -> U x, B) in O(N) per term: U x = sum_i s_i E o solve(T_i, E^* o x).
+    """(x -> U x, B) in O(N) per term: U x = sum_i s_i E o K_i (E^* o x).
 
-    T_i, the inverse kernel at L_i, is factored once (LAPACK dpttrf) and
-    solved on the complex vector (zpttrs).  Positions are sorted
-    internally; x and U x stay in the order of the matrix rows.  B >=
-    ||U||_1 is the largest row sum of sum_i |s_i| |E| K_i |E|, whose
-    entries bound |U_jl| and are all nonnegative: one solve per term on
-    |E| gives it.  None for one atom, or for a gap below STRUCTURED_MIN_GAP
-    min L_i: T_i is then too ill-conditioned for a last-bits match with
-    the dense values (and singular at a zero gap).
+    On sorted positions K_i = exp(-|z_j - z_l|/L_i) is the covariance of a
+    first-order Markov chain, so its inverse has closed-form factors
+    L diag(d) L^T: L is unit lower bidiagonal with subdiagonal -r_j,
+    r_j = exp(-gap_j/L_i), d_j = 1/(1 - r_j^2) and d_N = 1.  LAPACK zpttrs
+    solves with them on the complex vector, so K_i is applied without
+    being formed or factored.  1 - r^2 is taken as -expm1(-2 gap/L_i),
+    which keeps close pairs accurate; a zero gap gives d_j = inf, whose
+    part of the solve is an exact 0.  Positions are sorted internally; x
+    and U x stay in the order of the matrix rows.  B >= ||U||_1 is the
+    largest row sum of sum_i |s_i| |E| K_i |E|, whose entries bound
+    |U_jl| and are all nonnegative: one solve per term on |E| gives it.
     """
     # function scope: see the package docstring
-    from scipy.linalg.lapack import dpttrf, zpttrs
+    from scipy.linalg.lapack import zpttrs
 
     order = np.argsort(chain.positions, kind="stable")
     gaps = np.diff(chain.positions[order])
-    if gaps.size == 0 or gaps.min() < STRUCTURED_MIN_GAP * min(chain.lengths):
-        return None
     e = chain.bloch_values[order]
     n = len(order)
     factors = []
     for L in chain.lengths:
-        diagonal, off = _kernel_inverse(gaps, L)
-        diagonal, off, info = dpttrf(diagonal, off)
-        if info != 0:
-            raise np.linalg.LinAlgError(
-                f"inverse chain kernel at L = {L:.6g} is not positive definite")
-        factors.append((diagonal, off.astype(complex)))
+        with np.errstate(divide="ignore"):   # a zero gap: d_j = inf
+            diagonal = np.append(1.0 / -np.expm1(-2.0 * gaps / L), 1.0)
+        off = np.zeros(max(n - 1, 1), dtype=complex)   # the wrapper wants one entry at N = 1
+        off[:n - 1] = -np.exp(-gaps / L)
+        factors.append((diagonal, off))
 
     def term_sum(scales, b):
         y = np.zeros(n, dtype=complex)

@@ -522,6 +522,19 @@ def test_disorder_seed_override(capsys, tmp_path):
     assert json.loads(out_a)["xi_mc"] != json.loads(out_c)["xi_mc"]
 
 
+@pytest.mark.parametrize("argv, key", [(["--seed", "-1"], "seed"), ([], "seed")])
+def test_disorder_refuses_a_negative_seed(capsys, tmp_path, argv, key):
+    # from --seed, or from the config's top-level seed
+    doc = {"units": "si", "seed": -1 if not argv else 0,
+           "disorder": {"r": 2.0, "epsilon": 1e-3, "n_cells": 64},
+           "params": {"n_trials": 2}}
+    cfg = write_cfg(tmp_path, "seed.json", doc)
+    code, out, err = run(capsys, ["disorder", "--config", cfg, *argv])
+    assert code == 2
+    assert out == ""
+    assert f"config error: {key} must be nonnegative" in err
+
+
 def test_disorder_sweep_csv(capsys, tmp_path):
     doc = {
         "units": "si",

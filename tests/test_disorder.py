@@ -44,6 +44,22 @@ def test_stack_validation():
         DielectricStack(r=2.0, epsilon=0.2)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("seed", -1, "seed must be nonnegative"),
+    ("n_cells", 2.5, "n_cells must be an integer"),
+    ("n_cells", float("inf"), "n_cells must be an integer"),
+    ("seed", 1.0, "seed must be an integer"),
+    ("seed", True, "seed must be an integer"),
+])
+def test_stack_refuses_bad_seed_and_cell_count(key, value, message):
+    # a negative seed used to fail inside numpy's SeedSequence, and
+    # n_cells = 2.5 silently ran 2 cells
+    with pytest.raises(ValueError, match=message):
+        DielectricStack(r=2.0, **{key: value})
+    stack = DielectricStack(r=2.0, n_cells=np.int64(64), seed=np.int32(3))
+    assert type(stack.n_cells) is int and type(stack.seed) is int
+
+
 def test_localization_result_validation():
     with pytest.raises(ValueError):
         LocalizationResult(xi_mc=-1.0, xi_stderr=0.0, sigma=1e-3,

@@ -19,7 +19,6 @@ from bandqed.dynamics import (
     optimize_exchange,
 )
 from bandqed.interactions import (
-    STRUCTURED_MIN_GAP,
     AtomArray,
     CouplingMatrix,
     DriveField,
@@ -335,7 +334,7 @@ def test_structured_matches_dense_expm(case, n):
     assert np.max(np.abs(dense[-1] - psi0)) > 0.1   # the state did move
 
 
-def test_structured_path_needs_size_resolved_gaps_and_a_short_span():
+def test_structured_path_needs_chain_terms_uniform_loss_and_a_short_span():
     n = 400
     z = np.arange(n) * APCW.a
     U = apcw_chain(z)
@@ -353,14 +352,7 @@ def test_structured_path_needs_size_resolved_gaps_and_a_short_span():
     assert _structured_chain(U, np.linspace(1e7, 2e7, n), t) is None
     # a matrix given by its values has no chain structure
     assert route(CouplingMatrix(values=U.values, kind=U.kind)) is None
-    L = U._chain.lengths[0]
-    assert L == pytest.approx(29.9 * APCW.a, rel=1e-3)
-    for gap in (0.0, 0.99 * STRUCTURED_MIN_GAP * L):
-        close = z.copy()
-        close[n // 2 + 1] = close[n // 2] + gap
-        assert route(apcw_chain(close)) is None
-    close[n // 2 + 1] = close[n // 2] + 1.01 * STRUCTURED_MIN_GAP * L
-    assert route(apcw_chain(close)) is not None
+    assert U._chain.lengths[0] == pytest.approx(29.9 * APCW.a, rel=1e-3)
     # the expansion's cost grows with the span, dense expm's hardly does; one
     # dense exponential per distinct step makes a non-uniform grid cheaper
     assert route(U, 50.0 * t) is None
@@ -379,11 +371,13 @@ def test_evolve_routes_by_structure():
     out = evolve_single_excitation(U, losses, psi0, t)
     assert np.array_equal(out.amplitudes, _evolve_structured(
         *_chain_operator(U._chain), losses.gamma_eff(), psi0, t))
-    z[1] = z[0]   # coincident atoms: the inverse kernel is singular
+    z[1] = z[0]   # coincident atoms: the kernel is singular, its factors are not
     U = apcw_chain(z)
     out = evolve_single_excitation(U, losses, psi0, t)
-    assert np.array_equal(out.amplitudes,
-                          _evolve_dense(np.asarray(U.values), gamma_eff, psi0, t))
+    assert np.array_equal(out.amplitudes, _evolve_structured(
+        *_chain_operator(U._chain), losses.gamma_eff(), psi0, t))
+    dense = _evolve_dense(np.asarray(U.values), gamma_eff, psi0, t)
+    assert np.max(np.abs(out.amplitudes - dense)) <= 1e-12
 
 
 @pytest.mark.parametrize("n, span, structured", [(300, 1.0, True),
@@ -409,8 +403,8 @@ def test_span_rule_alone_routes_short_chains(n, span, structured):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("span", [1e-3, 2.0])
 def test_one_and_two_atom_chains_evolve_on_either_path(n, span):
-    # one atom has no gap to factor; two atoms take the series only while
-    # B span (~2 span here) stays below 1.5e-3 N^2
+    # the series is taken while B span (~span for one atom, ~2 span for
+    # two) stays below 1.5e-3 N^2
     U = apcw_chain(np.arange(n) * APCW.a)
     losses = LossModel(kappa_p=1e7, gamma=TWOPI * 5e6, theta=0.3)
     gamma_eff = np.full(n, losses.gamma_eff())
@@ -421,29 +415,30 @@ def test_one_and_two_atom_chains_evolve_on_either_path(n, span):
     dense = _evolve_dense(np.asarray(U.values), gamma_eff, psi0, t)
     assert np.max(np.abs(out.amplitudes - dense)) <= 1e-12
     route = _structured_chain(U, gamma_eff, t)
-    assert (route is not None) == (n == 2 and span < 1.0)
+    assert (route is not None) == (span < 1.0)
 
 
-@pytest.mark.parametrize("drives", [0, 3])
-def test_structured_evolution_factors_each_term_once(monkeypatch, drives):
-    from scipy.linalg import lapack
-    dpttrf, calls = lapack.dpttrf, []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return dpttrf(*args, **kwargs)
-
-    monkeypatch.setattr(lapack, "dpttrf", counted)
-    n = 400
-    U = apcw_chain(np.arange(n) * APCW.a, drives=drives)
-    psi0 = np.zeros(n, dtype=complex)
-    psi0[n // 2] = 1.0
-    t = np.linspace(0.0, 2.0 * hop_time(U), 21)
-    evolve_single_excitation(U, LossModel(0.0, TWOPI * 5e6), psi0, t)
-    assert len(calls) == len(U._chain.lengths) == max(drives, 1)
-    # the bound the routing and the series use holds: B >= ||U||_1
-    bound = _chain_operator(U._chain)[1]
-    assert bound >= (1.0 - 1e-12) * np.max(np.sum(np.abs(U.values), axis=0))
+@pytest.mark.parametrize("n, gap", [(1, None)] + [
+    (n, gap) for n in (2, 300, 1000) for gap in (None, 0.0, 1e-12, 1e-6, 1e-4)])
+def test_chain_operator_matches_the_dense_matvec(n, gap):
+    # gap: one adjacent pair that many min L_i apart, None for a plain chain
+    rng = np.random.default_rng(n)
+    z = (np.arange(n) + rng.uniform(-0.1, 0.1, n)) * APCW.a
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for drives in (0, 3):
+        close = z.copy()
+        if gap is not None:
+            k = (n - 1) // 2
+            close[k + 1] = close[k] + gap * min(apcw_chain(z, drives)._chain.lengths)
+        for positions in (close, rng.permutation(close)):
+            U = apcw_chain(positions, drives)
+            apply_u, bound = _chain_operator(U._chain)
+            values = np.asarray(U.values)
+            scale = np.max(np.abs(values))
+            assert np.max(np.abs(apply_u(x) - values @ x)) <= (
+                1e-14 * scale * np.sum(np.abs(x)))
+            # the bound the routing and the series use holds: B >= ||U||_1
+            assert bound >= (1.0 - 1e-12) * np.max(np.sum(np.abs(values), axis=0))
 
 
 def test_structured_evolution_memory():
@@ -537,6 +532,17 @@ def test_separation_costs_error():
     assert far.error > near.error
 
 
+@pytest.mark.parametrize("scan", [(1e-3, math.inf), (math.nan, 1.0)])
+def test_optimize_refuses_a_non_finite_scan(scan):
+    # (1e-3, inf) used to raise from interaction_length on the 400-point grid
+    band = unit_band()
+    coupling = atom_coupling(band, Delta=0.0, gamma=1e-9, beta=1e-6)
+    losses = LossModel(kappa_p=kappa_for_target_C(1e-6, 1e-9, 1e3), gamma=1e-9)
+    with pytest.raises(ValueError, match=r"^scan must be finite, got \(") as info:
+        optimize_exchange(band, coupling, losses, separation=0.0, scan=scan)
+    assert len(str(info.value)) < 80
+
+
 # ------------------------------------------------------------- figures of merit
 
 def test_cooperativity_examples():
@@ -556,6 +562,19 @@ def test_cooperativity_examples():
         cooperativity(1.0, 1.0, -1.0)
     with pytest.raises(ValueError):
         cooperativity_at_length(1e4, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call, args", [
+    (cooperativity, (1.0, 1.0, 1.0)),
+    (cooperativity_at_length, (1e4, 1.0, 1.0)),
+    (dissipator_ratio, (1.0, 1.0)),
+])
+def test_figures_of_merit_refuse_non_finite_arguments(call, args, bad):
+    # cooperativity(1, inf, 1) used to return 0.0, and NaN passed all three
+    for k in range(len(args)):
+        with pytest.raises(ValueError, match="must be finite"):
+            call(*args[:k], bad, *args[k + 1:])
 
 
 def test_dissipator_ratio_and_matrix():
