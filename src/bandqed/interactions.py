@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -100,7 +100,14 @@ class DriveField:
 
 @dataclass
 class CouplingMatrix:
-    """N x N Hermitian matrix of exchange rates U_jl [rad/s]."""
+    """N x N Hermitian matrix of exchange rates U_jl [rad/s].
+
+    Values given here are checked: finite, and Hermitian to HERMITICITY_RTOL
+    of the largest entry, tile pair by tile pair.  The builders below make
+    their values exactly Hermitian, with a real diagonal, and refuse any
+    that could overflow before computing them, so they skip that O(N^2)
+    check (`_built`).
+    """
 
     values: np.ndarray
     kind: str
@@ -130,6 +137,20 @@ class CouplingMatrix:
                       for i in blocks for j in range(i, len(v), b)])
         if dev > HERMITICITY_RTOL * scale:
             raise ValueError(f"matrix not Hermitian: max|U - U^dag| = {dev:.3e}")
+
+
+def _built(values: np.ndarray, kind: str, chain: Optional[_ChainTerms] = None,
+           **attributes) -> CouplingMatrix:
+    """A builder's CouplingMatrix, made without __post_init__'s checks.
+
+    The builders pass a square complex array that `_mirror_upper` made
+    exactly Hermitian with a real diagonal, after `_refuse_overflow`, and
+    a kind of their own, so there is nothing left to check.
+    """
+    matrix = CouplingMatrix.__new__(CouplingMatrix)
+    vars(matrix).update({f.name: f.default for f in fields(matrix)},
+                        values=values, kind=kind, _chain=chain, **attributes)
+    return matrix
 
 
 def _warn(message: str) -> None:
@@ -213,16 +234,19 @@ def _chain_values(chain: _ChainTerms) -> np.ndarray:
         exp(-|z_j - z_l|/L) = exp(-|z_j - c|/L) exp(-|z_l - c|/L).
     Rows are taken in blocks of TILE atoms in sorted order.  A block's own
     TILE x TILE part is evaluated pair by pair, as s_i exp(d/-L_i) summed
-    over terms times E_j E_l^*.  The columns before the block factor about
-    its first position and those after it about its last, so each side is
-    one outer product per term and the build evaluates O(N TILE)
-    exponentials instead of N^2.  Both factors are <= 1, so none
-    overflows, and one underflows only where the entry is below ~1e-308
-    of its scale anyway.  For unsorted positions the two sides are masks
-    over the columns, in matrix order, and the block's strip is copied to
-    its rows: no N x N temporary either way.
+    over terms times E_j E_l^*.  The columns after the block factor about
+    its last position, so they are one outer product per term and the
+    build evaluates O(N TILE) exponentials instead of N^2.  Both factors
+    are <= 1, so none overflows, and one underflows only where the entry
+    is below ~1e-308 of its scale anyway.  The columns before the block
+    are the mirror of blocks already built, and `_mirror_upper` copies
+    them.  For unsorted positions both sides are computed, as masks over
+    the columns in matrix order, the block's strip is copied to its rows,
+    and `_mirror_upper` then makes the result exact in matrix order: no
+    N x N temporary either way.
     """
     z, e = chain.positions, chain.bloch_values
+    _refuse_overflow(sum(abs(s) for s in chain.scales), float(np.max(np.abs(e))))
     ec = e.conj()
     n = len(z)
     lengths = -np.array(chain.lengths)[:, None]   # (terms, 1), negated
@@ -246,11 +270,9 @@ def _chain_values(chain: _ChainTerms) -> np.ndarray:
                        np.vstack([b0 * (rank < start), b1 * (rank >= stop)]))
         else:
             out = values[start:stop]
-            _outer_sum(out[:, :start], eb, ec[:start],
-                       *_factors(zb, z[:start], zb[0], lengths, scales))
             _outer_sum(out[:, stop:], eb, ec[stop:],
                        *_factors(zb, z[stop:], zb[-1], lengths, scales))
-        # the block's own part pair by pair, so N <= TILE keeps the pairwise bits
+        # the block's own part pair by pair: its upper triangle has the pairwise bits
         distance = np.abs(np.subtract.outer(zb, zb))
         u = np.sum(np.exp(distance / lengths[..., None]) * scales[..., None], axis=0)
         diagonal = _pair_phases(e, block, block,
@@ -259,7 +281,40 @@ def _chain_values(chain: _ChainTerms) -> np.ndarray:
         if shuffled:
             out[:, block] = diagonal
             values[block] = out
+    _mirror_upper(values)
     return values
+
+
+def _refuse_overflow(kernel_max: float, e_max: float) -> None:
+    """ValueError unless kernel_max max(e_max^2, 1) is finite.
+
+    kernel_max bounds the real kernel of the entries to be built and e_max
+    their |E_j|, so this bounds every factor the build multiplies: the
+    kernel, the phases E_j E_l^* and their product.  It runs on Python
+    floats, which overflow to inf without a warning.
+    """
+    if not math.isfinite(kernel_max * max(e_max * e_max, 1.0)):
+        raise ValueError(f"matrix entries must be finite: a kernel up to {kernel_max:.3e} "
+                         f"with |E| up to {e_max:.3e} overflows")
+
+
+def _mirror_upper(values: np.ndarray) -> None:
+    """Make values exactly Hermitian from its upper triangle, in place.
+
+    Each row block's strip right of its diagonal tile is copied, conjugated
+    and transposed, into the column block below it, and each diagonal tile
+    mirrors its own upper triangle: TILE rows at a time, no N x N
+    temporary.  The diagonal's imaginary part is set to 0, as the complex
+    product E_j E_j^* can leave a rounding residue there.
+    """
+    n = len(values)
+    for i in range(0, n, TILE):
+        rows, below = slice(i, i + TILE), slice(i + TILE, n)
+        tile = values[rows, rows]
+        lower = np.tril_indices(len(tile), -1)
+        tile[lower] = tile.T[lower].conj()
+        np.conjugate(values[rows, below].T, out=values[below, rows])
+    values.ravel()[::n + 1].imag = 0.0
 
 
 def _factors(z_rows, z_cols, c, lengths, scales):
@@ -333,17 +388,12 @@ def _chain_operator(chain: _ChainTerms):
     return apply_u, float(np.max((magnitude * y).real))
 
 
-def _with_chain(matrix: CouplingMatrix, chain: _ChainTerms) -> CouplingMatrix:
-    matrix._chain = chain
-    return matrix
-
-
 def coupling_matrix_1d(atoms: AtomArray, band: BandEdge,
                        coupling: AtomCoupling) -> CouplingMatrix:
     """Two-level exchange matrix U_jl = gbar_c^2 f(z_j, z_l)/(2 Delta) in 1D."""
     values, chain = _chain_matrix(atoms, band, coupling, [(coupling.Delta, 1.0)])
     _warn_small_detuning(coupling.Delta, coupling.beta)
-    return _with_chain(CouplingMatrix(values=values, kind="two_level_1d"), chain)
+    return _built(values, "two_level_1d", chain)
 
 
 def coupling_matrix_2d(atoms: AtomArray, band: BandEdge,
@@ -363,11 +413,10 @@ def coupling_matrix_2d(atoms: AtomArray, band: BandEdge,
     # gbar_2d^2 = 2 pi^2 g^2/L^2 with g^2 = g_cell^2 a/(2 pi)
     gbar2d_sq = math.pi * _gbar_sq(band, coupling, L) / L
     scale = gbar2d_sq / (2.0 * coupling.Delta)
-    p = atoms.positions
+    p, e = atoms.positions, atoms.bloch_values
+    e_max = float(np.max(np.abs(e)))
     values = np.empty((len(p), len(p)), dtype=complex)
-    # tile pairs (I <= J): p_j - p_l = -(p_l - p_j) exactly, so r and K0 are
-    # symmetric and each tile's kernel also fills its mirror (a diagonal
-    # tile is its own mirror and gets the same values twice)
+    # tile pairs I <= J, the upper triangle; `_mirror_upper` fills the rest
     for i in range(0, len(p), TILE):
         rows = slice(i, i + TILE)
         for j in range(i, len(p), TILE):
@@ -381,12 +430,13 @@ def coupling_matrix_2d(atoms: AtomArray, band: BandEdge,
                 np.fill_diagonal(r, 0.5 * band.a)   # short-range cutoff for the self-energy
             if np.any(coincident):
                 raise ValueError("duplicate atom positions give a divergent 2D kernel")
-            kernel = scale * (2.0 / math.pi) * bessel_k0(r / L)
-            for tr, tc, k in ((rows, cols, kernel), (cols, rows, kernel.T)):
-                tile = _pair_phases(atoms.bloch_values, tr, tc, values[tr, tc])
-                np.multiply(k, tile, out=tile)   # kernel first, as the untiled product
-    return CouplingMatrix(values=values, kind="two_level_2d",
-                          diagonal_regularized=True)
+            k = bessel_k0(r / L)
+            _refuse_overflow(abs(scale * (2.0 / math.pi)) * float(np.max(k)), e_max)
+            kernel = scale * (2.0 / math.pi) * k
+            tile = _pair_phases(e, rows, cols, values[rows, cols])
+            np.multiply(kernel, tile, out=tile)   # kernel first, as the untiled product
+    _mirror_upper(values)
+    return _built(values, "two_level_2d", diagonal_regularized=True)
 
 
 def driven_coupling_matrix(atoms: AtomArray, band: BandEdge,
@@ -440,11 +490,10 @@ def multi_drive_sum(atoms: AtomArray, band: BandEdge, coupling: AtomCoupling,
         _warn_small_detuning(d.Delta_L, coupling.beta)
     kind = "multi_drive" if len(drives) > 1 else (
         "lambda_driven" if drives[0].Omega_prime == 0.0 else "four_level")
-    return _with_chain(CouplingMatrix(
-        values=values, kind=kind,
-        gamma_narrowed=sum(r * atoms.gamma for r in ratios),
-        gamma_narrowed_prime=sum((d.Omega_prime / d.delta_L) ** 2 * atoms.gamma
-                                 for d in drives)), chain)
+    return _built(values, kind, chain,
+                  gamma_narrowed=sum(r * atoms.gamma for r in ratios),
+                  gamma_narrowed_prime=sum((d.Omega_prime / d.delta_L) ** 2 * atoms.gamma
+                                           for d in drives))
 
 
 def mechanical_potential(atoms: AtomArray, band: BandEdge,
@@ -465,4 +514,4 @@ def mechanical_potential(atoms: AtomArray, band: BandEdge,
     if abs(ratio) > DRIVE_RATIO_WARN:
         _warn("drive is not weak relative to |omega_L - omega_a|; "
               "the mechanical-potential expansion is strained")
-    return _with_chain(CouplingMatrix(values=values, kind="mechanical"), chain)
+    return _built(values, "mechanical", chain)

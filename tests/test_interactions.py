@@ -175,8 +175,7 @@ def test_hermiticity_with_complex_bloch_values():
     e = np.exp(1j * rng.uniform(0, TWOPI, size=12)) * rng.uniform(0.5, 1.0, 12)
     atoms = AtomArray(positions=z, bloch_values=e, gamma=coupling.gamma)
     U = coupling_matrix_1d(atoms, band, coupling).values
-    dev = np.max(np.abs(U - U.conj().T))
-    assert dev <= 1e-12 * np.max(np.abs(U))
+    assert np.array_equal(U, U.conj().T)
 
 
 def test_matrix_validation():
@@ -475,11 +474,15 @@ def test_coupling_matrix_2d_memory_is_the_result():
 # sha256 of .values on seeded inputs.  The sizes straddle the builders'
 # 64-atom tiles: N = 1, 2, 63, 65 and 131 in 1D, and a 15 x 15 lattice
 # (225 atoms: three full tiles and a remainder) in 2D.  A 1D block's own
-# 64 x 64 part is evaluated pair by pair, so N <= 64 has the bits of the
-# pairwise build.  Past one block the columns outside it are outer products
-# of exp(-|z - c|/L) factors (`_chain_values`), which round differently:
-# the N = 65 and 131 pins were re-recorded for that, and moved by at most
-# 2.7e-16 max|U| from the pairwise values.
+# 64 x 64 upper triangle is evaluated pair by pair, and past one block the
+# columns right of it are outer products of exp(-|z - c|/L) factors
+# (`_chain_values`).  Every builder then fills its lower triangle as the
+# conjugate transpose of the upper one and zeroes the diagonal's imaginary
+# part (`_mirror_upper`), where the lower triangle used to be computed on
+# its own and the diagonal kept a ~1e-17 max|U| imaginary part from
+# E_j E_j^*.  All 16 pins, N = 1 included, were re-recorded for that; they
+# moved by at most 2.8e-16 max|U| (mechanical_potential, N = 131), and no
+# diagonal's real part moved.
 
 PIN_DRIVES = [dict(Omega=TWOPI * 4e9 * (i + 1), Omega_prime=0.0,
                    delta_L=TWOPI * 100e9 * (i + 1),
@@ -495,22 +498,22 @@ PIN_BUILDERS = {
 }
 
 BUILDER_PINS = {
-    ("coupling_matrix_1d", 1): "3a3fee069afe134e047fd72f30dabb2b7e88482df764a603fb28936541e5c37b",
-    ("coupling_matrix_1d", 2): "e41b3099d5ba1455b824628f8871e9ee54468d08498de08cb11e82124dacaa50",
-    ("coupling_matrix_1d", 63): "c46a0d1ea50414d03ee2644d8d3e1623c4f91ad36ef71da04c1456130ae3d4a8",
-    ("coupling_matrix_1d", 65): "3825a2f3104e03869e438cd532f1112a8a9423d66b63fe2131c16aa00dee5230",
-    ("coupling_matrix_1d", 131): "12d3748f659149526dd23e35ea1a1961ca9add18c5725c72f9861aba5b797e4a",
-    ("multi_drive_sum", 1): "d2270b449a0878cdacfadd1fd7075f55e2961389f49c01edfb3f01003eb5ae15",
-    ("multi_drive_sum", 2): "8afeaf6de46c1b8c6f6d2d04e36b3e11c3f3c84920396dabeb06308e1b17bc6c",
-    ("multi_drive_sum", 63): "ce74b3d558926312fd1dab4dff07d1406f95bf31b4b5a86144a6714faafa057d",
-    ("multi_drive_sum", 65): "62411ff4fde80a9e5344279890fd4fd53e4190fa489634f9be96c899929f2f7f",
-    ("multi_drive_sum", 131): "80a4718d7659db623065ba91f2cb364df0f6e3282cbe757703222e72c4611d91",
-    ("mechanical_potential", 1): "50ad95f6f5f73466a157a6c5fcc757dd38557b072c44e2171d46b5ef74c39969",
-    ("mechanical_potential", 2): "ecfb26075851512b0a78058ec1e0958c2b475d8b2a31ae4d41328ca506d005f1",
-    ("mechanical_potential", 63): "57fd5f24322e60886d508a19a72471b8919a66dadff4ae43dd8790c003b1a435",
-    ("mechanical_potential", 65): "522ebd8964c72af283937776c91a400d2a79c8f0cbf6366f45e21331de10da65",
-    ("mechanical_potential", 131): "c0d27d61d855d9afa5cc8a987a2dde1d5d35dfa95feb8614f3b2c7d1d88df652",
-    ("coupling_matrix_2d", 225): "b455db5d44bf48e8c38b24790ae37c74440cc5a906d4ce4d258cb15b2a42cb1b",
+    ("coupling_matrix_1d", 1): "237e167faf0fa3faa137b2cc87ade464bdee3134541b51526b7870be040b0aea",
+    ("coupling_matrix_1d", 2): "9e0c69d7336cb362dec4631db4deccb27c339b39ba034aec80669bdc8974f84a",
+    ("coupling_matrix_1d", 63): "9be5608059ccec0daab5f08d09ac6ee0598babf724cf2f18846c7eab8212136c",
+    ("coupling_matrix_1d", 65): "396325300a6e52beba98d117234055a20e418c2ea228f941771cfef3478016b8",
+    ("coupling_matrix_1d", 131): "8b8256dce88ff46b187aa2d5b32df786ec353c7f1dfa68be347a8d06361e2dab",
+    ("multi_drive_sum", 1): "ad982eb149eb7ba3825678cd0e5b869028932f4582c09ca91aeb12621270478b",
+    ("multi_drive_sum", 2): "e7003940dd6ea13fd22abea2885b8137478ef23df8457fe37b05d5ac7196cdf6",
+    ("multi_drive_sum", 63): "d223a878ad8708929d5c9923c9ee73099ea0e980da865120045dfd4c6cb85751",
+    ("multi_drive_sum", 65): "5074f0aab31bb99cbbedc45e5bec5c9ce84a5841ad159e210bbbcf2dae220ae0",
+    ("multi_drive_sum", 131): "cb41e50a880b507105e71afe33845775c2cd47b421ab5821c36f473cf725988f",
+    ("mechanical_potential", 1): "ed3977a028b52a8036a9d535c8c579c83e70a4e916e348f67f70da08de296ba5",
+    ("mechanical_potential", 2): "15b67629a834a54010b069f2a694a9a30d66707aeeccbf2e771900d3c01bac13",
+    ("mechanical_potential", 63): "9c3b29d3416d6cda727ee4f407a0d0595e5e7acdb21ab8911cdbff7382776870",
+    ("mechanical_potential", 65): "bc6c965bd2da633acc9ec1f779a336cf15407959330a86797497ce83226699e5",
+    ("mechanical_potential", 131): "1184d62464d9df4f058602da4e55d01071c3a6fee643f7e2ecc522ceddf0ca6a",
+    ("coupling_matrix_2d", 225): "8d3a8607f38f7998ed08d437a4674cf66fee58caa8305a0abdc9e8ad9bf24c75",
 }
 
 
@@ -535,6 +538,93 @@ def test_builder_byte_pins(name, n):
     values = PIN_BUILDERS[name](_seeded_atoms(n, dim, coupling.gamma),
                                 band, coupling).values
     assert hashlib.sha256(values.tobytes()).hexdigest() == BUILDER_PINS[name, n]
+
+
+# ------------------------------------------------------------- Hermitian by construction
+#
+# The builders fill the lower triangle as the conjugate transpose of the
+# upper one and make the diagonal real, so U equals U^dag bit for bit, and
+# they skip the O(N^2) tile check of CouplingMatrix.__post_init__.
+
+EXACT_BUILDERS = dict(
+    PIN_BUILDERS,
+    multi_drive_sum_1=lambda atoms, band, coupling: multi_drive_sum(
+        atoms, band, coupling, [DriveField(**PIN_DRIVES[0])]))
+del EXACT_BUILDERS["coupling_matrix_2d"]
+
+
+def _assert_exactly_hermitian(U):
+    assert np.array_equal(U, U.conj().T)
+    assert np.all(U.diagonal().imag == 0)
+
+
+def _seeded_chain(n, gamma, shuffled):
+    atoms = _seeded_atoms(n, 1, gamma)
+    if not shuffled:
+        return atoms
+    p = np.random.default_rng(n).permutation(n)
+    return AtomArray(positions=atoms.positions[p],
+                     bloch_values=atoms.bloch_values[p], gamma=gamma)
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 63, 65, 131, 1000])
+def test_1d_builders_are_exactly_hermitian(n, shuffled):
+    band, coupling = apcw()
+    atoms = _seeded_chain(n, coupling.gamma, shuffled)
+    for build in EXACT_BUILDERS.values():
+        _assert_exactly_hermitian(build(atoms, band, coupling).values)
+
+
+def test_2d_builder_is_exactly_hermitian():
+    band, coupling = apcw()
+    atoms = _seeded_atoms(225, 2, coupling.gamma)
+    _assert_exactly_hermitian(coupling_matrix_2d(atoms, band, coupling).values)
+
+
+def test_builders_never_run_the_tile_check(monkeypatch):
+    # a negative tolerance fails every matrix the check sees
+    monkeypatch.setattr(interactions, "HERMITICITY_RTOL", -1.0)
+    band, coupling = apcw()
+    for shuffled in (False, True):
+        atoms = _seeded_chain(131, coupling.gamma, shuffled)
+        for build in EXACT_BUILDERS.values():
+            build(atoms, band, coupling)
+    coupling_matrix_2d(_seeded_atoms(225, 2, coupling.gamma), band, coupling)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        CouplingMatrix(values=np.eye(2), kind="two_level_1d")
+
+
+def _huge_bloch_1d():
+    band, coupling = apcw()
+    atoms = AtomArray(positions=np.arange(3) * band.a,
+                      bloch_values=np.full(3, 1e160), gamma=0.0)
+    return coupling_matrix_1d(atoms, band, coupling)
+
+
+def _huge_bloch_2d():
+    band, coupling = apcw()
+    atoms = AtomArray(positions=np.array([[0.0, 0.0], [band.a, 0.0]]),
+                      bloch_values=np.full(2, 1e160), gamma=0.0)
+    return coupling_matrix_2d(atoms, band, coupling)
+
+
+def _huge_drive_ratio():
+    band, coupling = apcw()
+    with pytest.warns(UserWarning, match="adiabatic"):
+        drive = DriveField(Omega=1e300, Omega_prime=0.0, delta_L=1e-10,
+                           Delta_L=coupling.Delta)
+    atoms = atom_array(np.arange(3) * band.a, band, 0.0)
+    return driven_coupling_matrix(atoms, band, coupling, drive)
+
+
+@pytest.mark.parametrize("build", [_huge_bloch_1d, _huge_bloch_2d, _huge_drive_ratio],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_builders_refuse_overflow_up_front(build):
+    # refused before any product overflows: pyproject.toml turns a leaked
+    # "overflow encountered" RuntimeWarning into an error
+    with pytest.raises(ValueError, match="finite"):
+        build()
 
 
 # ------------------------------------------------------------- semiseparable build
