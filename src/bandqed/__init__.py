@@ -3,12 +3,13 @@ long-range exchange, loss-limited dynamics, and disorder localization.
 
 Importing the package loads numpy and no scipy module.  Every scipy
 function used is imported inside the one function that calls it: the
-Bessel `k0` in `coupling_matrix_2d`, and for `evolve_single_excitation`
-`expm` in its dense path and, on its structured path, the Bessel `jv`
-for the Chebyshev coefficients plus the LAPACK tridiagonal solve
-`zpttrs` in the chain operator.  `power_law_designer` fits with
-numpy alone.  A one-shot CLI command therefore pays for no scipy import
-it does not run.
+Bessel `k0` in `coupling_matrix_2d`; for `evolve_single_excitation`,
+`expm` under per-atom loss and, on the Chebyshev path (a large chain over
+a short span), the Bessel `jv` for its coefficients plus the LAPACK
+tridiagonal solve `zpttrs` in the chain operator.  Its spectral path is
+numpy's `eigh`, so a CLI `evolve` loads no scipy unless the series is the
+cheaper path, and `power_law_designer` fits with numpy alone.  A one-shot
+CLI command therefore pays for no scipy import it does not run.
 """
 
 from .bound_state import (

@@ -237,7 +237,8 @@ def cmd_evolve(cfg: RunConfig) -> Output:
     if not 0 <= site < len(atoms):
         raise ConfigError("initial_site out of range")
     _check_table_size(n_times, len(atoms) + 2)
-    # MAX_ATOMS bounds the dense U build and the dense propagator: refuse first
+    # MAX_ATOMS bounds the dense U build and its eigh (~40 B N^2; expm's
+    # ~144 B N^2 is for per-atom loss, which no config asks for): refuse first
     check_atom_count(len(atoms))
 
     if cfg.drives:

@@ -7,14 +7,19 @@ norm is reported, never renormalized, so 1 - P_transfer is the physical
 error of a transfer attempt.
 
 The no-jump Hamiltonian h_eff = U - i Gamma_eff/2 is time-independent, so
-`evolve_single_excitation` propagates with the exact matrix exponential;
-for two atoms under uniform loss it reproduces the closed form of
-`exchange_simulate`.  Under uniform loss and over spans short enough for
-it to be faster, a 1D chain matrix is applied in O(N) through the
-closed-form bidiagonal factors of its exponential kernel's inverse, and
-the exponential acts on the state through a Chebyshev expansion
-(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)); otherwise the dense
-matrix is exponentiated.
+`evolve_single_excitation` propagates it exactly; for two atoms under
+uniform loss it reproduces the closed form of `exchange_simulate`.  Under
+uniform loss h_eff is the Hermitian U shifted by a scalar, so one numpy
+eigh gives every sample, on any grid (the spectral path; Moler & Van
+Loan, SIAM Rev. 45, 3 (2003)); a 1D chain's U is the real symmetric
+matrix of its kernels between its Bloch phases, whose eigh is ~6x
+cheaper.  Over spans short enough for it to be faster, a chain is instead
+applied in O(N) through the closed-form bidiagonal factors of its
+exponential kernel's inverse, and the exponential acts on the state
+through a Chebyshev expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
+3967 (1984)); one measured cost rule picks between the two.  Per-atom
+loss makes h_eff non-Hermitian: its dense matrix is exponentiated with
+scipy's expm.
 """
 
 from __future__ import annotations
@@ -27,11 +32,19 @@ import numpy as np
 
 from .bound_state import (BandEdge, AtomCoupling, _check_finite, _gbar_sq,
                           bound_state_depth, interaction_length, mixing_angles)
-from .interactions import CouplingMatrix, _chain_operator, _pair_kernel
+from .interactions import (TILE, CouplingMatrix, _chain_operator, _ChainTerms,
+                           _pair_kernel)
 
-MAX_ATOMS = 5_000       # bounds the dense U build (16 B N^2) and dense expm (~144 B N^2)
+# bounds the dense U build (16 B N^2) and its propagator: eigh ~40 B N^2 for a
+# chain, ~60 B N^2 otherwise; dense expm (per-atom loss only) ~144 B N^2
+MAX_ATOMS = 5_000
 STEP_REUSE_RTOL = 1e-12  # relative step change below which a propagator is reused
-STRUCTURED_MAX_WORK = 1.5e-3  # span x ||U||_1 bound per N^2 per run of steps it takes
+EPS = np.finfo(float).eps
+# the cost rule between the evolution paths [s], measured on a 2-core box: a
+# series matvec costs fixed + per term (fixed + per atom); the spectral path
+# fixed + per N^2 + per N^3 (eigh) + per atom per sample
+SERIES_S = (5.5e-6, 2e-6, 3e-8)
+SPECTRAL_S = (1e-4, 1.5e-7, 7e-11, 9e-8)
 SCAN_POINTS = 400       # log-scan resolution before the golden-section polish
 
 
@@ -260,13 +273,13 @@ def evolve_single_excitation(U: CouplingMatrix, losses: LossModel,
     """Propagate i dpsi/dt = (U - i Gamma_eff/2) psi exactly on the given grid.
 
     psi0 is a unit-norm complex vector of length N; Gamma_eff may be uniform
-    or per-atom (vector theta in the loss model).  h_eff is constant, so
-    each run of equal steps (equal up to rounding) reuses one propagator; a
-    uniform grid costs one matrix exponential.  Under uniform loss, a 1D
-    chain matrix whose span x ||U||_1 stays within STRUCTURED_MAX_WORK N^2
-    per run of equal steps takes the O(N) structured path instead; its
-    amplitudes differ from the dense ones only in the last bits.  The norm
-    decays from 1 and is never renormalized.
+    or per-atom (vector theta in the loss model).  Under uniform loss one
+    eigh of U gives every sample (`_evolve_spectral`), unless U is a 1D
+    chain on which the Chebyshev series costs less (`_structured_chain`);
+    their amplitudes differ from each other and from expm's only in the
+    last bits.  Per-atom loss takes expm, one per run of equal steps (equal
+    up to rounding), so a uniform grid costs one matrix exponential.  The
+    norm decays from 1 and is never renormalized.
     """
     values = np.asarray(U.values)
     n = values.shape[0]
@@ -290,37 +303,60 @@ def evolve_single_excitation(U: CouplingMatrix, losses: LossModel,
         raise ValueError("t_grid must have at least two points")
     _check_finite(t_grid=t_grid)
 
-    route = _structured_chain(U, gamma_eff, t_grid)
-    if route is None:
+    if np.ptp(gamma_eff) > 0:
         amps = _evolve_dense(values, gamma_eff, psi0, t_grid)
+    elif (operator := _structured_chain(U, t_grid)) is not None:
+        amps = _evolve_structured(*operator, gamma_eff[0], psi0, t_grid)
+        del operator   # frees the chain operator's factors before the populations
     else:
-        amps = _evolve_structured(*route, gamma_eff[0], psi0, t_grid)
-    del route   # frees the chain operator's factors before the populations
+        amps = _evolve_spectral(U, gamma_eff[0], psi0, t_grid)
     pops = np.abs(amps) ** 2
     return EvolutionResult(times=t_grid, amplitudes=amps, populations=pops,
                            norm=np.sqrt(np.sum(pops, axis=1)))
 
 
-def _structured_chain(U: CouplingMatrix, gamma_eff: np.ndarray,
+def _structured_chain(U: CouplingMatrix,
                       t_grid: np.ndarray) -> Optional[tuple[Callable, float]]:
-    """U's chain operator and norm bound (`_chain_operator`), or None for dense.
+    """U's chain operator and norm bound (`_chain_operator`) when the series is cheaper.
 
-    A matrix with no chain terms, or per-atom loss (h_eff is then not
-    Hermitian), goes dense.  The series needs matvecs in proportion to
-    span x ||U||_1, while dense expm costs ~N^3 per run of equal steps and
-    hardly depends on the span, so past STRUCTURED_MAX_WORK N^2 per run
-    dense is faster; the same rule keeps short chains, whose budget is
-    small, on dense expm.
+    None sends a uniform-loss evolution to the spectral path, which any
+    matrix without chain terms takes.  One cost rule decides: the series
+    costs its matvecs, one per Chebyshev term per step, at SERIES_S each,
+    and the spectral path one eigh and one product per sample
+    (SPECTRAL_S).  The order of a step of length dt is at least
+    `_order_floor(B dt)`, and `_bound_floor` <= B, so that numpy lower
+    bound on the series' cost decides first; the operator, which imports
+    LAPACK, is built only when the series could still win, and its B then
+    gives the orders the series will take.
     """
-    if U._chain is None or np.ptp(gamma_eff) > 0:
+    chain = U._chain
+    if chain is None:
         return None
-    operator = _chain_operator(U._chain)
-    n = len(gamma_eff)
-    work = operator[1] * np.sum(np.abs(np.diff(t_grid)))
-    runs = sum(1 for _ in _step_runs(t_grid))
-    if work > STRUCTURED_MAX_WORK * n * n * runs:
+    n = len(chain.positions)
+    matvec = SERIES_S[0] + len(chain.lengths) * (SERIES_S[1] + SERIES_S[2] * n)
+    spectral = SPECTRAL_S[0] + n * (n * (SPECTRAL_S[1] + SPECTRAL_S[2] * n)
+                                    + SPECTRAL_S[3] * len(t_grid))
+    steps = np.diff(t_grid)
+    if np.sum(_order_floor(_bound_floor(chain) * steps)) * matvec >= spectral:
         return None
-    return operator
+    operator = _chain_operator(chain)
+    orders = sum((last - first) * _series_order(operator[1] * steps[first])
+                 for first, last in _step_runs(t_grid))
+    return operator if orders * matvec < spectral else None
+
+
+def _bound_floor(chain: _ChainTerms) -> float:
+    """A lower bound on `_chain_operator`'s B, in O(N) numpy per term.
+
+    B is the largest row sum of sum_i |s_i| |E| K_i |E|; this is the
+    larger of two of them, the middle atom's (by position) and that of
+    the atom with the largest |E_j|.
+    """
+    z, magnitude = chain.positions, np.abs(chain.bloch_values)
+    rows = (np.argpartition(z, len(z) // 2)[len(z) // 2], np.argmax(magnitude))
+    return max(magnitude[j] * sum(abs(s) * (np.exp(np.abs(z - z[j]) / -L) @ magnitude)
+                                  for s, L in zip(chain.scales, chain.lengths))
+               for j in rows)
 
 
 def _step_runs(t_grid: np.ndarray):
@@ -370,10 +406,7 @@ def _evolve_structured(apply_u: Callable, bound: float, gamma_eff: float,
     for first, last in _step_runs(t_grid):
         dt = t_grid[first + 1] - t_grid[first]
         x = bound * dt
-        # past k = |x|, |J_k(x)| falls monotonically: stop below the rounding
-        m = math.floor(abs(x)) + 1
-        while abs(jv(m, x)) >= np.finfo(float).eps:
-            m += 1
+        m = _series_order(x)
         order = np.arange(m)
         c = 2.0 * (-1j) ** order * jv(order, x) * math.exp(-0.5 * gamma_eff * dt)
         c[0] *= 0.5
@@ -384,3 +417,78 @@ def _evolve_structured(apply_u: Callable, bound: float, gamma_eff: float,
                 prev, cur = cur, (2.0 - (k == 1)) / bound * apply_u(cur) - prev
                 amps[j] += c[k] * cur
     return amps
+
+
+def _series_order(x: float) -> int:
+    """Number of Chebyshev terms the series for e^{-i x y} takes.
+
+    Past k = |x|, |J_k(x)| falls monotonically: it stops at the first one
+    below the rounding.
+    """
+    from scipy.special import jv   # function scope: see the package docstring
+
+    m = math.floor(abs(x)) + 1
+    while abs(jv(m, x)) >= EPS:
+        m += 1
+    return m
+
+
+def _order_floor(x: np.ndarray) -> np.ndarray:
+    """A lower bound on `_series_order` at each x, in numpy alone.
+
+    The order exceeds |x|.  For |x| <= 1, |J_k(x)| >= (3/4) (|x|/2)^k/k!
+    (the first two terms of its alternating series), so every k where that
+    stays >= EPS is a term the series takes; J_k grows on (0, k), so past
+    |x| = 1 the floor found at 1 still holds.
+    """
+    x = np.abs(x)
+    half = np.minimum(x, 1.0)[:, None] / 2.0
+    lead = 0.75 * np.cumprod(half / np.arange(1, 16), axis=1)   # k = 1..15
+    return np.maximum(np.floor(x) + 1, 1 + np.sum(lead >= EPS, axis=1))
+
+
+def _evolve_spectral(U: CouplingMatrix, gamma_eff: float, psi0: np.ndarray,
+                     t_grid: np.ndarray) -> np.ndarray:
+    """Amplitudes D W (e^{-i lambda s} o W^dag D^* psi0) e^{-Gamma_eff s/2}, s = t - t_0.
+
+    Under uniform loss h_eff is U shifted by -i Gamma_eff/2, so one eigh
+    of the Hermitian U serves every sample, on any grid; for a normal
+    matrix the eigenvector method is the stable one (Moler & Van Loan,
+    SIAM Rev. 45, 3 (2003)).  A chain's terms share the Bloch phases, so
+    U = D M D^* with D = diag(E_j/|E_j|) (1 where E_j = 0) and M =
+    Re(D^* U D) real symmetric, whose eigh is ~6x cheaper than the complex
+    one any other U takes (D = 1 there).
+    """
+    values = np.asarray(U.values)
+    if U._chain is None:
+        phases = np.ones(len(values))
+        lam, w = np.linalg.eigh(values)
+        times, w_conj = np.matmul, w.conj()
+    else:
+        e = U._chain.bloch_values
+        magnitude = np.abs(e)
+        phases = np.divide(e, magnitude, out=np.ones_like(e), where=magnitude > 0)
+        lam, w = np.linalg.eigh(_real_form(values, phases))
+        times, w_conj = _times_real, w
+    weights = times(phases.conj() * psi0, w_conj)   # W^dag D^* psi0
+    s = t_grid - t_grid[0]
+    rotation = np.exp(np.multiply.outer(s, -0.5 * gamma_eff - 1j * lam))
+    rotation *= weights
+    amps = times(rotation, w.T)
+    amps *= phases
+    amps[0] = psi0   # exact at s = 0, as on the other paths
+    return amps
+
+
+def _real_form(values: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Re(D^* U D) for D = diag(phases), TILE rows at a time."""
+    m = np.empty(values.shape)
+    for i in range(0, len(m), TILE):
+        rows = slice(i, i + TILE)
+        m[rows] = (phases[rows, None].conj() * values[rows] * phases).real
+    return m
+
+
+def _times_real(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a @ w for a real w, as two real products: no complex copy of w."""
+    return (a.real @ w) + 1j * (a.imag @ w)

@@ -153,6 +153,19 @@ def _built(values: np.ndarray, kind: str, chain: Optional[_ChainTerms] = None,
     return matrix
 
 
+def _square(r: float) -> float:
+    """r ** 2 of a drive ratio, or inf where that overflows, for the build to refuse.
+
+    ** rounds as libm pow does, which r * r does not always match (about
+    one ratio in 1200 differs in its last bit), so it stays; on a float it
+    raises OverflowError in place of returning inf.
+    """
+    try:
+        return r ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _warn(message: str) -> None:
     """UserWarning attributed to the nearest caller outside this module."""
     frame, level = sys._getframe(1), 2
@@ -483,17 +496,18 @@ def multi_drive_sum(atoms: AtomArray, band: BandEdge, coupling: AtomCoupling,
     deltas = [d.delta_L for d in drives]
     if len(set(deltas)) != len(deltas):
         raise ValueError("drives must have pairwise distinct delta_L")
-    ratios = [(d.Omega / d.delta_L) ** 2 for d in drives]
+    ratios = [_square(d.Omega / d.delta_L) for d in drives]
     values, chain = _chain_matrix(atoms, band, coupling,
                                   [(d.Delta_L, r) for d, r in zip(drives, ratios)])
     for d in drives:
         _warn_small_detuning(d.Delta_L, coupling.beta)
     kind = "multi_drive" if len(drives) > 1 else (
         "lambda_driven" if drives[0].Omega_prime == 0.0 else "four_level")
-    return _built(values, kind, chain,
-                  gamma_narrowed=sum(r * atoms.gamma for r in ratios),
-                  gamma_narrowed_prime=sum((d.Omega_prime / d.delta_L) ** 2 * atoms.gamma
-                                           for d in drives))
+    narrowed = {"gamma_narrowed": sum(r * atoms.gamma for r in ratios),
+                "gamma_narrowed_prime": sum(_square(d.Omega_prime / d.delta_L) * atoms.gamma
+                                            for d in drives)}
+    _check_finite(**narrowed)
+    return _built(values, kind, chain, **narrowed)
 
 
 def mechanical_potential(atoms: AtomArray, band: BandEdge,
@@ -510,7 +524,7 @@ def mechanical_potential(atoms: AtomArray, band: BandEdge,
         raise ValueError("omega_L resonant with the atom")
     ratio = Omega / (omega_L - omega_a)
     values, chain = _chain_matrix(atoms, band, coupling,
-                                  [(omega_L - band.omega_b, ratio**2)])
+                                  [(omega_L - band.omega_b, _square(ratio))])
     if abs(ratio) > DRIVE_RATIO_WARN:
         _warn("drive is not weak relative to |omega_L - omega_a|; "
               "the mechanical-potential expansion is strained")

@@ -8,6 +8,7 @@ from bandqed.bound_state import BandEdge, atom_coupling
 from bandqed.dynamics import (
     LossModel,
     _evolve_dense,
+    _evolve_spectral,
     _evolve_structured,
     _structured_chain,
     collective_dissipator,
@@ -25,6 +26,7 @@ from bandqed.interactions import (
     _chain_operator,
     atom_array,
     coupling_matrix_1d,
+    coupling_matrix_2d,
     interaction_length,
     multi_drive_sum,
 )
@@ -277,11 +279,11 @@ APCW = BandEdge(omega_b=TWOPI * 333e12, alpha=10.6, k0=math.pi / 371e-9,
                 a=371e-9)
 
 
-def apcw_chain(z, drives=0):
+def apcw_chain(z, drives=0, bloch_values=None):
     """Two-level chain at Delta/2pi = 400 GHz (L ~ 30 a), or a multi-drive sum."""
     coupling = atom_coupling(APCW, Delta=TWOPI * 400e9, gamma=TWOPI * 5e6,
                              g_cell=TWOPI * 12.2e9)
-    atoms = atom_array(z, APCW, coupling.gamma)
+    atoms = atom_array(z, APCW, coupling.gamma, bloch_values)
     if not drives:
         return coupling_matrix_1d(atoms, APCW, coupling)
     fields = [DriveField(Omega=TWOPI * 1e9, Omega_prime=0.0,
@@ -334,29 +336,51 @@ def test_structured_matches_dense_expm(case, n):
     assert np.max(np.abs(dense[-1] - psi0)) > 0.1   # the state did move
 
 
-def test_structured_path_needs_chain_terms_uniform_loss_and_a_short_span():
+def route(U, losses, psi0, t):
+    """The path evolve takes, checked against that path's own amplitudes."""
+    out = evolve_single_excitation(U, losses, psi0, t).amplitudes
+    gamma_eff = np.broadcast_to(losses.gamma_eff(), (len(psi0),))
+    if np.ptp(gamma_eff) > 0:
+        assert np.array_equal(out, _evolve_dense(np.asarray(U.values), gamma_eff,
+                                                 psi0, t))
+        return "expm"
+    gamma_eff = gamma_eff[0]
+    operator = _structured_chain(U, t)
+    if operator is None:
+        assert np.array_equal(out, _evolve_spectral(U, gamma_eff, psi0, t))
+        return "spectral"
+    assert np.array_equal(out, _evolve_structured(*operator, gamma_eff, psi0, t))
+    return "series"
+
+
+def test_structured_path_needs_chain_terms_uniform_loss_and_a_short_span(monkeypatch):
     n = 400
     z = np.arange(n) * APCW.a
     U = apcw_chain(z)
-    gamma_eff = np.full(n, 1e7)
     t = np.linspace(0.0, 2.0 * hop_time(U), 21)
+    losses = LossModel(kappa_p=1e7, gamma=TWOPI * 5e6, theta=0.3)
+    psi0 = np.zeros(n, dtype=complex)
+    psi0[n // 2] = 1.0
 
-    def route(U, t=t):
-        return _structured_chain(U, gamma_eff[:len(U.values)], t)
-
-    apply_u, bound = route(U)
+    apply_u, bound = _structured_chain(U, t)
     fresh_u, fresh_bound = _chain_operator(U._chain)
     x = np.random.default_rng(0).standard_normal(n) + 0j
     assert bound == fresh_bound and np.array_equal(apply_u(x), fresh_u(x))
+    assert route(U, losses, psi0, t) == "series"
     # per-atom loss makes h_eff non-Hermitian
-    assert _structured_chain(U, np.linspace(1e7, 2e7, n), t) is None
+    per_atom = LossModel(kappa_p=1e7, gamma=TWOPI * 5e6,
+                         theta=np.linspace(0.1, 0.5, n))
+    assert route(U, per_atom, psi0, t) == "expm"
     # a matrix given by its values has no chain structure
-    assert route(CouplingMatrix(values=U.values, kind=U.kind)) is None
+    assert route(CouplingMatrix(values=U.values, kind=U.kind), losses, psi0,
+                 t) == "spectral"
     assert U._chain.lengths[0] == pytest.approx(29.9 * APCW.a, rel=1e-3)
-    # the expansion's cost grows with the span, dense expm's hardly does; one
-    # dense exponential per distinct step makes a non-uniform grid cheaper
-    assert route(U, 50.0 * t) is None
-    assert route(U, np.geomspace(1e-3, 100.0, 200) * hop_time(U)) is not None
+    # the series' cost grows with the span, one eigh's does not: past the
+    # crossover even a non-uniform grid takes the spectral path, and the
+    # numpy lower bound on the series' cost decides without the operator
+    monkeypatch.setattr("bandqed.dynamics._chain_operator", None)
+    assert _structured_chain(U, 50.0 * t) is None
+    assert _structured_chain(U, np.geomspace(1e-3, 100.0, 200) * hop_time(U)) is None
 
 
 def test_evolve_routes_by_structure():
@@ -368,54 +392,58 @@ def test_evolve_routes_by_structure():
     z = np.arange(n) * APCW.a
     U = apcw_chain(z)
     t = np.linspace(0.0, 2.0 * hop_time(U), 5)
-    out = evolve_single_excitation(U, losses, psi0, t)
-    assert np.array_equal(out.amplitudes, _evolve_structured(
-        *_chain_operator(U._chain), losses.gamma_eff(), psi0, t))
+    assert route(U, losses, psi0, t) == "series"
+    per_atom = LossModel(kappa_p=1e7, gamma=TWOPI * 5e6,
+                         theta=np.linspace(0.1, 0.5, n))
+    assert route(U, per_atom, psi0, t) == "expm"
+    assert route(U, losses, psi0, 100.0 * t) == "spectral"
     z[1] = z[0]   # coincident atoms: the kernel is singular, its factors are not
     U = apcw_chain(z)
-    out = evolve_single_excitation(U, losses, psi0, t)
-    assert np.array_equal(out.amplitudes, _evolve_structured(
-        *_chain_operator(U._chain), losses.gamma_eff(), psi0, t))
-    dense = _evolve_dense(np.asarray(U.values), gamma_eff, psi0, t)
-    assert np.max(np.abs(out.amplitudes - dense)) <= 1e-12
+    for span, path in ((1.0, "series"), (100.0, "spectral")):
+        assert route(U, losses, psi0, span * t) == path
+        out = evolve_single_excitation(U, losses, psi0, span * t)
+        dense = _evolve_dense(np.asarray(U.values), gamma_eff, psi0, span * t)
+        assert np.max(np.abs(out.amplitudes - dense)) <= 1e-12
+
+
+def test_array_benchmark_evolution_stays_on_the_series():
+    # N = 1000 over 2 hop times with 21 samples: ~0.02 s of matvecs against
+    # ~0.2 s for one eigh
+    U = apcw_chain(np.arange(1000) * APCW.a)
+    assert _structured_chain(U, np.linspace(0.0, 2.0 * hop_time(U), 21)) is not None
 
 
 @pytest.mark.parametrize("n, span, structured", [(300, 1.0, True),
                                                   (10, 2.0, False)])
 def test_span_rule_alone_routes_short_chains(n, span, structured):
-    # B span against STRUCTURED_MAX_WORK N^2: ~61 against 135 at N = 300,
-    # ~19 against 0.15 at N = 10
+    # a few matvecs per sample against one eigh: ~0.005 s of series against
+    # ~0.015 s of eigh at N = 300, while at N = 10 the eigh costs less than
+    # the floor of one step
     losses = LossModel(kappa_p=0.0, gamma=TWOPI * 5e6, theta=0.3)
     psi0 = np.zeros(n, dtype=complex)
     psi0[n // 2] = 1.0
     U = apcw_chain(np.arange(n) * APCW.a)
     t = np.linspace(0.0, span * hop_time(U), 21)
-    out = evolve_single_excitation(U, losses, psi0, t)
-    if structured:
-        expected = _evolve_structured(*_chain_operator(U._chain),
-                                      losses.gamma_eff(), psi0, t)
-    else:
-        expected = _evolve_dense(np.asarray(U.values),
-                                 np.full(n, losses.gamma_eff()), psi0, t)
-    assert np.array_equal(out.amplitudes, expected)
+    assert route(U, losses, psi0, t) == ("series" if structured else "spectral")
 
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("span", [1e-3, 2.0])
 def test_one_and_two_atom_chains_evolve_on_either_path(n, span):
-    # the series is taken while B span (~span for one atom, ~2 span for
-    # two) stays below 1.5e-3 N^2
+    # one or two atoms take the spectral path at any span, and two take expm
+    # under per-atom loss (one atom's loss is uniform); both agree with expm
     U = apcw_chain(np.arange(n) * APCW.a)
-    losses = LossModel(kappa_p=1e7, gamma=TWOPI * 5e6, theta=0.3)
-    gamma_eff = np.full(n, losses.gamma_eff())
     psi0 = np.zeros(n, dtype=complex)
     psi0[0] = 1.0
     t = np.linspace(0.0, span / np.max(np.abs(U.values)), 21)
-    out = evolve_single_excitation(U, losses, psi0, t)
-    dense = _evolve_dense(np.asarray(U.values), gamma_eff, psi0, t)
-    assert np.max(np.abs(out.amplitudes - dense)) <= 1e-12
-    route = _structured_chain(U, gamma_eff, t)
-    assert (route is not None) == (span < 1.0)
+    for theta, path in ((0.3, "spectral"),
+                        (np.linspace(0.3, 0.6, n), "expm" if n > 1 else "spectral")):
+        losses = LossModel(kappa_p=1e7, gamma=TWOPI * 5e6, theta=theta)
+        gamma_eff = np.broadcast_to(losses.gamma_eff(), (n,))
+        assert route(U, losses, psi0, t) == path
+        out = evolve_single_excitation(U, losses, psi0, t)
+        dense = _evolve_dense(np.asarray(U.values), gamma_eff, psi0, t)
+        assert np.max(np.abs(out.amplitudes - dense)) <= 1e-12
 
 
 @pytest.mark.parametrize("n, gap", [(1, None)] + [
@@ -441,8 +469,81 @@ def test_chain_operator_matches_the_dense_matvec(n, gap):
             assert bound >= (1.0 - 1e-12) * np.max(np.sum(np.abs(values), axis=0))
 
 
+# ------------------------------------------------------------- spectral path
+#
+# Under uniform loss every sample comes from one eigh: of the real
+# M = Re(D^* U D) for a chain, of U itself otherwise.  scipy's expm of the
+# dense h_eff is the oracle.  The loss is set to decay the norm by e^{-1}
+# over the span, and the phase error grows as eps ||U|| t.
+
+def spectral_gap(U, gamma, psi0, t):
+    """max |spectral - expm| over the samples."""
+    n = len(psi0)
+    spectral = _evolve_spectral(U, gamma, psi0, t)
+    dense = _evolve_dense(np.asarray(U.values), np.full(n, gamma), psi0, t)
+    assert np.max(np.abs(dense[-1] - psi0)) > 0.1   # the state did move
+    return np.max(np.abs(spectral - dense))
+
+
+@pytest.mark.parametrize("span", [2.0, 200.0, 2000.0])
+@pytest.mark.parametrize("drives", [0, 3])
+@pytest.mark.parametrize("n", [2, 50, 1000])
+def test_spectral_matches_dense_expm(n, drives, span):
+    rng = np.random.default_rng(n)
+    U = apcw_chain((np.arange(n) + rng.uniform(-0.1, 0.1, n)) * APCW.a, drives)
+    psi0 = np.zeros(n, dtype=complex)
+    psi0[n // 2] = 1.0
+    t = np.linspace(0.0, span * hop_time(U), 21)
+    bound = 5e-12 if span > 200.0 else 1e-12
+    assert spectral_gap(U, 2.0 / t[-1], psi0, t) <= bound
+
+
+@pytest.mark.parametrize("layout", ["non_uniform_grid", "unsorted", "dark_atom",
+                                    "gap_0", "gap_1e-12", "gap_1e-06", "gap_0.0001"])
+@pytest.mark.parametrize("drives", [0, 3])
+def test_spectral_edge_cases_match_dense_expm(layout, drives):
+    n = 50
+    rng = np.random.default_rng(7)
+    z = (np.arange(n) + rng.uniform(-0.1, 0.1, n)) * APCW.a
+    if layout.startswith("gap_"):
+        # one adjacent pair that many min L_i apart; gap_0 is coincident
+        z[n // 2 + 1] = z[n // 2] + float(layout[4:]) * min(
+            apcw_chain(z, drives)._chain.lengths)
+    if layout == "unsorted":
+        z = rng.permutation(z)
+    bloch_values = np.exp(1j * APCW.k0 * z)
+    if layout == "dark_atom":
+        bloch_values[3] = 0.0   # E_j = 0: a zero row, whose phase is taken as 1
+    U = apcw_chain(z, drives, bloch_values)
+    hop = hop_time(U)
+    if layout == "non_uniform_grid":
+        t = hop * np.array([0.0, 0.01, 0.02, 0.03, 0.5, 1.0, 1.5, 2.0, 1.7])
+    else:
+        t = np.linspace(0.0, 2.0 * hop, 21)
+    psi0 = np.zeros(n, dtype=complex)
+    psi0[n // 2] = 1.0
+    assert spectral_gap(U, 1e7, psi0, t) <= 1e-12
+
+
+def test_2d_lattice_takes_the_complex_spectral_path():
+    side = 6
+    coupling = atom_coupling(APCW, Delta=TWOPI * 400e9, gamma=TWOPI * 5e6,
+                             g_cell=TWOPI * 12.2e9)
+    xy = np.stack(np.meshgrid(np.arange(side), np.arange(side)), -1).reshape(-1, 2)
+    U = coupling_matrix_2d(atom_array(xy * APCW.a, APCW, coupling.gamma), APCW,
+                           coupling)
+    assert U._chain is None
+    n = side * side
+    losses = LossModel(kappa_p=1e7, gamma=TWOPI * 5e6, theta=0.3)
+    psi0 = np.zeros(n, dtype=complex)
+    psi0[n // 2] = 1.0
+    t = np.linspace(0.0, 200.0 * hop_time(U), 21)
+    assert route(U, losses, psi0, t) == "spectral"
+    assert spectral_gap(U, float(losses.gamma_eff()), psi0, t) <= 1e-12
+
+
 def test_structured_evolution_memory():
-    # the dense path would need ~144 B N^2, ~577 MB at N = 2000
+    # eigh would need ~40 B N^2 (~160 MB at N = 2000) and expm ~144 B N^2
     n = 2000
     U = apcw_chain(np.arange(n) * APCW.a)
     psi0 = np.zeros(n, dtype=complex)

@@ -1,7 +1,9 @@
-"""Cold-start guard: the package and the CLI import no scipy module, and of
-the CLI commands only `evolve` loads scipy: `scipy.linalg`, plus
-`scipy.special` on the structured path.  No path loads `scipy.sparse`, and
-the 1D matrix builders load no scipy module and start no thread."""
+"""Cold-start guard: the package and the CLI import no scipy module, and
+no CLI command loads one: `evolve` takes the numpy spectral path below the
+Chebyshev crossover.  In the library, the Chebyshev series loads
+`scipy.special` and `scipy.linalg` (its LAPACK solve), and per-atom loss,
+the one `expm` user, loads `scipy.linalg`.  No path loads `scipy.sparse`,
+and the 1D matrix builders load no scipy module and start no thread."""
 
 import json
 import math
@@ -48,11 +50,12 @@ import bandqed
 report = {"import": scipy_modules()}
 band = bandqed.BandEdge(omega_b=1.0, alpha=1.0, a=1.0, k0=np.pi)
 coupling = bandqed.atom_coupling(band, Delta=1e-3, gamma=1e-9, beta=1e-6)
-atoms = bandqed.atom_array(np.arange(400.0), band, 1e-9)
+n, theta = json.loads(sys.argv[1])
+atoms = bandqed.atom_array(np.arange(float(n)), band, 1e-9)
 u = bandqed.coupling_matrix_1d(atoms, band, coupling)
 psi0 = np.zeros(len(atoms), dtype=complex)
 psi0[0] = 1.0
-bandqed.evolve_single_excitation(u, bandqed.LossModel(0.0, 1e-9), psi0,
+bandqed.evolve_single_excitation(u, bandqed.LossModel(0.0, 1e-9, theta), psi0,
                                  np.linspace(0.0, 2e6, 5))
 report["evolve"] = scipy_modules()
 print(json.dumps(report))
@@ -121,32 +124,42 @@ def test_package_and_scipy_free_commands_load_no_scipy(tmp_path):
         assert modules == [], f"{name} loaded {modules}"
 
 
-def test_evolve_loads_linalg_but_not_optimize(tmp_path):
+def test_cli_evolve_loads_no_scipy(tmp_path):
+    dimless = {"units": "dimensionless",
+               "band": {"omega_b": 1.0, "alpha": 1.0, "a": 1.0},
+               "coupling": {"Delta": 1e-3, "gamma": 1e-9, "beta": 1e-6},
+               "atoms": {"positions": [0.0, 1.0, 2.0]}}
     evolve = write_cfg(tmp_path, "evolve.json", {
-        "units": "dimensionless",
-        "band": {"omega_b": 1.0, "alpha": 1.0, "a": 1.0},
-        "coupling": {"Delta": 1e-3, "gamma": 1e-9, "beta": 1e-6},
-        "atoms": {"positions": [0.0, 1.0, 2.0]},
-        "params": {"t_max": 2e6, "n_times": 5},
-    })
-    report = probe([["evolve", ["evolve", "--config", evolve]]])
-    code, modules = report["evolve"]
-    assert code == 0
-    assert "scipy.linalg" in modules
-    # three atoms over this span stay on dense expm: no Bessel coefficients
-    assert "scipy.special" not in modules
-    assert not any(m == "scipy.optimize" or m.startswith("scipy.optimize.")
-                   for m in modules)
-    # no path loads scipy.sparse
-    assert not any(m == "scipy.sparse" or m.startswith("scipy.sparse.")
-                   for m in modules)
+        **dimless, "params": {"t_max": 2e6, "n_times": 5}})
+    driven = write_cfg(tmp_path, "driven.json", {
+        **dimless,
+        "drives": [{"Omega": 1e-4, "delta_L": 1e-3, "Delta_L": 1e-3}],
+        "params": {"t_max": 2e8, "n_times": 5, "initial_site": 2}})
+    report = probe([["evolve", ["evolve", "--config", evolve]],
+                    ["evolve-driven", ["evolve", "--config", driven]]])
+    assert report.pop("import") == []
+    for name, (code, modules) in report.items():
+        assert code == 0, name
+        # three atoms take the spectral path: one numpy eigh, no expm and
+        # no chain operator
+        assert modules == [], f"{name} loaded {modules}"
 
 
 def test_chain_past_the_crossover_loads_no_sparse():
-    report = probe([], script=LIBRARY_PROBE)
+    report = probe([400, 0.0], script=LIBRARY_PROBE)
     assert report["import"] == []
     # the Bessel coefficients show that the structured path ran
     assert "scipy.special" in report["evolve"]
+    assert not any(m == "scipy.sparse" or m.startswith("scipy.sparse.")
+                   for m in report["evolve"])
+
+
+def test_per_atom_loss_loads_linalg():
+    # a vector theta makes h_eff non-Hermitian: expm is its only path
+    report = probe([3, [0.1, 0.2, 0.3]], script=LIBRARY_PROBE)
+    assert report["import"] == []
+    assert "scipy.linalg" in report["evolve"]
+    assert "scipy.special" not in report["evolve"]
     assert not any(m == "scipy.sparse" or m.startswith("scipy.sparse.")
                    for m in report["evolve"])
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -625,6 +626,33 @@ def test_builders_refuse_overflow_up_front(build):
     # "overflow encountered" RuntimeWarning into an error
     with pytest.raises(ValueError, match="finite"):
         build()
+
+
+def _drives(*legs):
+    """DriveFields (Omega, Omega_prime, delta_L) at Delta_L = 2 pi 400 GHz."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # |Omega/delta_L| > 0.3
+        return [DriveField(Omega=o, Omega_prime=p, delta_L=d, Delta_L=TWOPI * 400e9)
+                for o, p, d in legs]
+
+
+@pytest.mark.parametrize("build", [
+    lambda a, b, c: driven_coupling_matrix(a, b, c, *_drives((1e200, 0.0, 1e-10))),
+    lambda a, b, c: multi_drive_sum(a, b, c, _drives(
+        (TWOPI * 1e8, 0.0, TWOPI * 1e9), (1e200, 0.0, 1e-10),
+        (TWOPI * 1e8, 0.0, TWOPI * 2e9))),
+    lambda a, b, c: driven_coupling_matrix(a, b, c, *_drives(
+        (TWOPI * 1e8, 1e200, TWOPI * 1e9))),
+    lambda a, b, c: mechanical_potential(a, b, c, b.omega_b + TWOPI * 500e9, 1e200),
+], ids=["driven", "multi_drive", "four_level_prime_leg", "mechanical"])
+def test_huge_finite_drive_ratios_are_refused(build):
+    # (Omega/delta_L) ** 2 used to raise OverflowError past ~1.3e154
+    band, coupling = apcw()
+    atoms = atom_array(np.arange(3) * band.a, band, coupling.gamma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="finite"):
+            build(atoms, band, coupling)
 
 
 # ------------------------------------------------------------- semiseparable build
