@@ -109,11 +109,10 @@ def sigma_of(stack: DielectricStack) -> float:
 
 def xi_analytic(sigma: float) -> float:
     """Band-edge localization length xi/a = 3.4566 sigma^(-2/3)."""
+    _check_finite(sigma=sigma)
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    if sigma == 0.0:
-        return math.inf
-    return XI_PREFACTOR * sigma ** (-2.0 / 3.0)
+    return XI_PREFACTOR * sigma ** (-2.0 / 3.0) if sigma > 0.0 else math.inf
 
 
 def interface_matrix(n1: float, n2: float) -> np.ndarray:

@@ -13,13 +13,11 @@ uniform loss h_eff is the Hermitian U shifted by a scalar, so one numpy
 eigh gives every sample, on any grid (the spectral path; Moler & Van
 Loan, SIAM Rev. 45, 3 (2003)); a 1D chain's U is the real symmetric
 matrix of its kernels between its Bloch phases, whose eigh is ~6x
-cheaper.  Over spans short enough for it to be faster, a chain is instead
-applied in O(N) through the closed-form bidiagonal factors of its
-exponential kernel's inverse, and the exponential acts on the state
-through a Chebyshev expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
-3967 (1984)); one measured cost rule picks between the two.  Per-atom
-loss makes h_eff non-Hermitian: its dense matrix is exponentiated with
-scipy's expm.
+cheaper.  Where it costs less, by one measured rule that needs no scipy,
+a chain is instead applied in O(N) through the closed-form factors of
+its kernels' inverses, under a Chebyshev expansion of the exponential
+(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  Per-atom loss
+makes h_eff non-Hermitian: its dense matrix is exponentiated by expm.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import numpy as np
 
 from .bound_state import (BandEdge, AtomCoupling, _check_finite, _gbar_sq,
                           bound_state_depth, interaction_length, mixing_angles)
-from .interactions import (TILE, CouplingMatrix, _chain_operator, _ChainTerms,
+from .interactions import (TILE, CouplingMatrix, _chain_bound, _chain_operator,
                            _pair_kernel)
 
 # bounds the dense U build (16 B N^2) and its propagator: eigh ~40 B N^2 for a
@@ -102,14 +100,14 @@ def exchange_simulate(U12: complex, losses: LossModel) -> ExchangeTrajectory:
     tau = pi/(2 |U12|).
     """
     _check_finite(U12=U12)
-    u = abs(U12)
-    if u == 0.0:
-        raise ValueError("U12 = 0: no exchange, transfer time diverges")
     g = losses.gamma_eff()
     if np.ndim(g) != 0:
         raise ValueError("exchange_simulate needs a uniform loss model")
     gamma_eff = float(g)
-    tau = math.pi / (2.0 * u)
+    u = float(abs(U12))
+    tau = math.pi / (2.0 * u) if u > 0.0 else math.inf
+    if not math.isfinite(2.0 * tau * max(gamma_eff, 1.0)):   # the span and its decay
+        raise ValueError(f"|U12| = {u:.3g}: no exchange, transfer time diverges")
     error = -math.expm1(-gamma_eff * tau)
     t = np.linspace(0.0, 2.0 * tau, 201)
     envelope = np.exp(-gamma_eff * t)
@@ -158,8 +156,12 @@ def _exchange_error_curve(Delta: np.ndarray, band: BandEdge,
     delta = bound_state_depth(coupling.beta, Delta)
     cos_t, sin_t = mixing_angles(delta, coupling.beta)
     gamma_eff = _dressed_linewidth(gamma, kappa_p, cos_t, sin_t)
-    tau = math.pi / 2.0 / np.abs(_pair_kernel(band, coupling, Delta, separation))
-    return -np.expm1(-gamma_eff * tau), tau, gamma_eff
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # refused below
+        tau = math.pi / 2.0 / np.abs(_pair_kernel(band, coupling, Delta, separation))
+        error = -np.expm1(-gamma_eff * tau)   # 1 where the decay passes the float range
+    if not np.all(np.isfinite(tau)):
+        raise ValueError(f"no exchange at separation {separation:.4g}: U12 underflows")
+    return error, tau, gamma_eff
 
 
 def optimize_exchange(band: BandEdge, coupling: AtomCoupling, losses: LossModel,
@@ -317,17 +319,13 @@ def evolve_single_excitation(U: CouplingMatrix, losses: LossModel,
 
 def _structured_chain(U: CouplingMatrix,
                       t_grid: np.ndarray) -> Optional[tuple[Callable, float]]:
-    """U's chain operator and norm bound (`_chain_operator`) when the series is cheaper.
+    """U's chain operator and norm bound B when the Chebyshev series is cheaper.
 
-    None sends a uniform-loss evolution to the spectral path, which any
-    matrix without chain terms takes.  One cost rule decides: the series
-    costs its matvecs, one per Chebyshev term per step, at SERIES_S each,
-    and the spectral path one eigh and one product per sample
-    (SPECTRAL_S).  The order of a step of length dt is at least
-    `_order_floor(B dt)`, and `_bound_floor` <= B, so that numpy lower
-    bound on the series' cost decides first; the operator, which imports
-    LAPACK, is built only when the series could still win, and its B then
-    gives the orders the series will take.
+    None sends a uniform-loss evolution to the spectral path, as for any
+    matrix without chain terms.  One numpy cost rule decides: the series
+    costs `_series_order(B dt)` matvecs per step, B from `_chain_bound`,
+    at SERIES_S each, and the spectral path one eigh and one product per
+    sample (SPECTRAL_S).  Only a series that wins builds `_chain_operator`.
     """
     chain = U._chain
     if chain is None:
@@ -336,38 +334,21 @@ def _structured_chain(U: CouplingMatrix,
     matvec = SERIES_S[0] + len(chain.lengths) * (SERIES_S[1] + SERIES_S[2] * n)
     spectral = SPECTRAL_S[0] + n * (n * (SPECTRAL_S[1] + SPECTRAL_S[2] * n)
                                     + SPECTRAL_S[3] * len(t_grid))
-    steps = np.diff(t_grid)
-    if np.sum(_order_floor(_bound_floor(chain) * steps)) * matvec >= spectral:
-        return None
-    operator = _chain_operator(chain)
-    orders = sum((last - first) * _series_order(operator[1] * steps[first])
-                 for first, last in _step_runs(t_grid))
-    return operator if orders * matvec < spectral else None
-
-
-def _bound_floor(chain: _ChainTerms) -> float:
-    """A lower bound on `_chain_operator`'s B, in O(N) numpy per term.
-
-    B is the largest row sum of sum_i |s_i| |E| K_i |E|; this is the
-    larger of two of them, the middle atom's (by position) and that of
-    the atom with the largest |E_j|.
-    """
-    z, magnitude = chain.positions, np.abs(chain.bloch_values)
-    rows = (np.argpartition(z, len(z) // 2)[len(z) // 2], np.argmax(magnitude))
-    return max(magnitude[j] * sum(abs(s) * (np.exp(np.abs(z - z[j]) / -L) @ magnitude)
-                                  for s, L in zip(chain.scales, chain.lengths))
-               for j in rows)
+    bound = _chain_bound(chain)
+    orders = sum((last - first) * _series_order(bound * float(dt))
+                 for first, last, dt in _step_runs(t_grid))
+    return (_chain_operator(chain), bound) if orders * matvec < spectral else None
 
 
 def _step_runs(t_grid: np.ndarray):
-    """(first, last) grid indices of each run of steps equal to its first step."""
+    """(first, last, step): grid indices of each run of steps equal to its first step."""
     steps = np.diff(t_grid)
     first = 0
     for k in range(1, len(steps)):
         if abs(steps[k] - steps[first]) > STEP_REUSE_RTOL * abs(steps[first]):
-            yield first, k
+            yield first, k, steps[first]
             first = k
-    yield first, len(steps)
+    yield first, len(steps), steps[first]
 
 
 def _evolve_dense(values: np.ndarray, gamma_eff: np.ndarray, psi0: np.ndarray,
@@ -376,11 +357,9 @@ def _evolve_dense(values: np.ndarray, gamma_eff: np.ndarray, psi0: np.ndarray,
     from scipy.linalg import expm   # function scope: see the package docstring
 
     n = len(psi0)
-    steps = np.diff(t_grid)
     amps = np.empty((len(t_grid), n), dtype=complex)
     amps[0] = psi0
-    for first, last in _step_runs(t_grid):
-        dt = steps[first]
+    for first, last, dt in _step_runs(t_grid):
         arg = values * (-1j * dt)   # -i h_eff dt, h_eff = U - i Gamma_eff/2
         arg[np.diag_indices(n)] -= 0.5 * dt * gamma_eff
         prop = expm(arg)
@@ -393,22 +372,22 @@ def _evolve_structured(apply_u: Callable, bound: float, gamma_eff: float,
                        psi0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     """Amplitudes from a Chebyshev series on the O(N) chain operator.
 
-    apply_u and bound >= ||U||_1 are what `_chain_operator` returns.
+    apply_u is `_chain_operator`'s and bound >= ||U||_1 `_chain_bound`'s.
     Uniform loss splits off as e^{-Gamma_eff dt/2}.  U/bound has its
     spectrum in [-1, 1], where e^{-i x y} = sum_k c_k T_k(y) for x = bound dt
     of either sign, c_0 = J_0(x), c_k = 2 (-i)^k J_k(x) (Tal-Ezer & Kosloff,
-    J. Chem. Phys. 81, 3967 (1984)).
+    J. Chem. Phys. 81, 3967 (1984)).  Past k = |x|, |J_k(x)| falls
+    monotonically: the series stops at the first one below the rounding.
     """
     from scipy.special import jv   # function scope: see the package docstring
 
     amps = np.empty((len(t_grid), len(psi0)), dtype=complex)
     amps[0] = psi0
-    for first, last in _step_runs(t_grid):
-        dt = t_grid[first + 1] - t_grid[first]
+    for first, last, dt in _step_runs(t_grid):
         x = bound * dt
-        m = _series_order(x)
-        order = np.arange(m)
-        c = 2.0 * (-1j) ** order * jv(order, x) * math.exp(-0.5 * gamma_eff * dt)
+        bessel = jv(np.arange(_series_order(x) + 1), x)
+        m = np.flatnonzero(np.abs(bessel) >= EPS)[-1] + 1
+        c = 2.0 * (-1j) ** np.arange(m) * bessel[:m] * math.exp(-0.5 * gamma_eff * dt)
         c[0] *= 0.5
         for j in range(first + 1, last + 1):
             prev, cur = 0.0, amps[j - 1]
@@ -419,32 +398,32 @@ def _evolve_structured(apply_u: Callable, bound: float, gamma_eff: float,
     return amps
 
 
-def _series_order(x: float) -> int:
-    """Number of Chebyshev terms the series for e^{-i x y} takes.
+def _series_order(x: float) -> float:
+    """An upper bound on the number of Chebyshev terms in e^{-i x y}, in math alone.
 
-    Past k = |x|, |J_k(x)| falls monotonically: it stops at the first one
-    below the rounding.
+    The smallest m > |x| at which Kapteyn's bound (DLMF 10.14.5)
+        |J_m(m z)| <= (z e^s/(1 + s))^m,  z = |x|/m,  s = sqrt(1 - z^2),
+    falls below EPS, or inf past half the float range.  The bound falls
+    as m grows, so the step past |x| doubles, then halves back: that ends
+    even where |x|/m rounds to 1.
     """
-    from scipy.special import jv   # function scope: see the package docstring
+    x = abs(float(x))
+    if not math.isfinite(2.0 * x):
+        return math.inf
 
-    m = math.floor(abs(x)) + 1
-    while abs(jv(m, x)) >= EPS:
-        m += 1
-    return m
+    def above(m):   # Kapteyn's bound on |J_m(x)| is >= EPS
+        z = x / m
+        s = math.sqrt((1.0 - z) * (1.0 + z))
+        return z > 0.0 and m * (math.log(z) + s - math.log1p(s)) >= math.log(EPS)
 
-
-def _order_floor(x: np.ndarray) -> np.ndarray:
-    """A lower bound on `_series_order` at each x, in numpy alone.
-
-    The order exceeds |x|.  For |x| <= 1, |J_k(x)| >= (3/4) (|x|/2)^k/k!
-    (the first two terms of its alternating series), so every k where that
-    stays >= EPS is a term the series takes; J_k grows on (0, k), so past
-    |x| = 1 the floor found at 1 still holds.
-    """
-    x = np.abs(x)
-    half = np.minimum(x, 1.0)[:, None] / 2.0
-    lead = 0.75 * np.cumprod(half / np.arange(1, 16), axis=1)   # k = 1..15
-    return np.maximum(np.floor(x) + 1, 1 + np.sum(lead >= EPS, axis=1))
+    low, step = math.floor(x), 1   # no m <= low qualifies
+    while above(low + step):
+        low, step = low + step, 2 * step
+    while step > 1:   # the order lies in (low, low + step]
+        step //= 2
+        if above(low + step):
+            low += step
+    return low + 1
 
 
 def _evolve_spectral(U: CouplingMatrix, gamma_eff: float, psi0: np.ndarray,

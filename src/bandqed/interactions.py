@@ -207,9 +207,8 @@ class _ChainTerms:
     """values = sum_i s_i E_j exp(-|z_j - z_l|/L_i) E_l^*: a 1D matrix's terms.
 
     The one source of a chain's matrix: `_chain_values` expands the dense
-    values from it, and `_chain_operator` applies U, and bounds its norm,
-    in O(N) per term through the closed-form factors of each kernel's
-    inverse.
+    values from it, and `_chain_operator` applies U in O(N) per term
+    through the closed-form factors of each kernel's inverse.
     """
 
     positions: np.ndarray     # z_j in the order of the matrix rows
@@ -356,7 +355,7 @@ def _outer_sum(out, e_rows, ec_cols, a, b) -> None:
 
 
 def _chain_operator(chain: _ChainTerms):
-    """(x -> U x, B) in O(N) per term: U x = sum_i s_i E o K_i (E^* o x).
+    """x -> U x in O(N) per term: U x = sum_i s_i E o K_i (E^* o x).
 
     On sorted positions K_i = exp(-|z_j - z_l|/L_i) is the covariance of a
     first-order Markov chain, so its inverse has closed-form factors
@@ -366,39 +365,61 @@ def _chain_operator(chain: _ChainTerms):
     being formed or factored.  1 - r^2 is taken as -expm1(-2 gap/L_i),
     which keeps close pairs accurate; a zero gap gives d_j = inf, whose
     part of the solve is an exact 0.  Positions are sorted internally; x
-    and U x stay in the order of the matrix rows.  B >= ||U||_1 is the
-    largest row sum of sum_i |s_i| |E| K_i |E|, whose entries bound
-    |U_jl| and are all nonnegative: one solve per term on |E| gives it.
+    and U x stay in the order of the matrix rows.
     """
     # function scope: see the package docstring
     from scipy.linalg.lapack import zpttrs
 
     order = np.argsort(chain.positions, kind="stable")
+    rank = np.argsort(order)   # the inverse permutation
     gaps = np.diff(chain.positions[order])
     e = chain.bloch_values[order]
-    n = len(order)
     factors = []
     for L in chain.lengths:
         with np.errstate(divide="ignore"):   # a zero gap: d_j = inf
             diagonal = np.append(1.0 / -np.expm1(-2.0 * gaps / L), 1.0)
-        off = np.zeros(max(n - 1, 1), dtype=complex)   # the wrapper wants one entry at N = 1
-        off[:n - 1] = -np.exp(-gaps / L)
-        factors.append((diagonal, off))
-
-    def term_sum(scales, b):
-        y = np.zeros(n, dtype=complex)
-        for s, (diagonal, off) in zip(scales, factors):
-            y += s * zpttrs(diagonal, off, b)[0]
-        return y
+        # N - 1 entries, but one at N = 1, as the wrapper wants
+        factors.append((diagonal, np.append(-np.exp(-gaps / L), 0j)[:max(len(gaps), 1)]))
 
     def apply_u(x):
-        out = np.empty(n, dtype=complex)
-        out[order] = e * term_sum(chain.scales, e.conj() * x[order])
-        return out
+        b = e.conj() * x[order]
+        y = sum(s * zpttrs(diagonal, off, b)[0]
+                for s, (diagonal, off) in zip(chain.scales, factors))
+        return (e * y)[rank]
 
-    magnitude = np.abs(e)
-    y = term_sum([abs(s) for s in chain.scales], magnitude)
-    return apply_u, float(np.max((magnitude * y).real))
+    return apply_u
+
+
+def _chain_bound(chain: _ChainTerms) -> float:
+    """B >= ||U||_1: the largest row sum of sum_i |s_i| |E| K_i |E|, in O(N) per term.
+
+    Those entries bound |U_jl|.  On sorted positions K_i |E| = f + b - |E|
+    (see `_chain_operator`), f_j = |E_j| + r_{j-1} f_{j-1} and b_j = |E_j| +
+    r_j b_{j+1}, r_j = exp(-gap_j/L_i), summed on Python floats: a B that
+    overflows, and so a U with no finite propagator, is refused unwarned.
+    """
+    order = np.argsort(chain.positions, kind="stable")
+    gaps = np.diff(chain.positions[order])
+    magnitude = np.abs(chain.bloch_values[order]).tolist()
+    total = [0.0] * len(magnitude)
+    for s, L in zip(chain.scales, chain.lengths):
+        r = np.exp(gaps / -L).tolist()
+        forward, backward = _discounted(magnitude, r), _discounted(magnitude[::-1], r[::-1])
+        total = [t + abs(s) * (f + b - m)
+                 for t, f, b, m in zip(total, forward, backward[::-1], magnitude)]
+    rows = [m * t for m, t in zip(magnitude, total)]
+    if not all(map(math.isfinite, rows)):   # inf, or NaN from inf - inf or 0 * inf
+        raise ValueError("the exchange matrix has no finite norm bound: its row sums overflow")
+    return max(rows)
+
+
+def _discounted(weights: list, r: list) -> list:
+    """s_j = w_j + r_{j-1} s_{j-1}, s_0 = w_0: the sums of w discounted along r."""
+    sums, acc = [], 0.0
+    for r_before, w in zip([0.0] + r, weights):
+        acc = w + r_before * acc
+        sums.append(acc)
+    return sums
 
 
 def coupling_matrix_1d(atoms: AtomArray, band: BandEdge,

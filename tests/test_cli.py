@@ -371,6 +371,17 @@ def test_exchange_refuses_a_negative_separation(capsys, tmp_path, optimize):
     assert "separation must be nonnegative" in err
 
 
+def test_exchange_refuses_a_separation_without_exchange(capsys, tmp_path):
+    # |U12| ~ 1e-312: pi/(2 |U12|) overflows, and tau used to come out Infinity
+    cfg = write_cfg(tmp_path, "far.json", {
+        "coupling": {"Delta": 400e9},
+        "params": {"separation": 22000, "optimize": False}})
+    code, out, err = run(capsys, ["exchange", "--preset", "apcw", "--config", cfg])
+    assert code == 3
+    assert out == ""
+    assert "transfer time diverges" in err
+
+
 # ------------------------------------------------------------- evolve
 
 def test_evolve_csv_layout(capsys, tmp_path):

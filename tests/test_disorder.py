@@ -109,6 +109,13 @@ def test_xi_analytic_scaling():
         xi_analytic(-1e-3)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+def test_xi_analytic_refuses_non_finite_sigma(sigma):
+    # NaN used to return NaN and inf a localization length of 0
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        xi_analytic(sigma)
+
+
 # ------------------------------------------------------------- matrices
 
 def test_transfer_matrices_are_unimodular():

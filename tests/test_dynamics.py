@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from bandqed.dynamics import (
     _evolve_dense,
     _evolve_spectral,
     _evolve_structured,
+    _series_order,
     _structured_chain,
     collective_dissipator,
     cooperativity,
@@ -23,6 +25,7 @@ from bandqed.interactions import (
     AtomArray,
     CouplingMatrix,
     DriveField,
+    _chain_bound,
     _chain_operator,
     atom_array,
     coupling_matrix_1d,
@@ -68,6 +71,16 @@ def test_exchange_guards():
     mixed = LossModel(kappa_p=1.0, gamma=2.0, theta=np.array([0.1, 0.2]))
     with pytest.raises(ValueError):
         exchange_simulate(1.0, mixed)
+
+
+@pytest.mark.parametrize("u, gamma", [(1e-320, 0.0), (1e-320, 1.0), (1e-306, 1e7)])
+def test_exchange_refuses_a_coupling_whose_transfer_time_overflows(u, gamma):
+    # pi/(2 |U12|), or the decay over it, overflows although U12 != 0; the
+    # trajectory used to come out NaN
+    with pytest.raises(ValueError, match="transfer time diverges"):
+        exchange_simulate(u, LossModel(kappa_p=0.0, gamma=gamma))
+    # a decay that stays in range is an error of 1, and no failure
+    assert exchange_simulate(1e-300, LossModel(kappa_p=0.0, gamma=1e7)).result.error == 1.0
 
 
 def test_exchange_refuses_non_finite_coupling():
@@ -330,7 +343,8 @@ def test_structured_matches_dense_expm(case, n):
         out = evolve_single_excitation(U, losses, psi0, t)
         assert np.array_equal(out.amplitudes, dense)
     else:
-        structured = _evolve_structured(*_chain_operator(U._chain),
+        structured = _evolve_structured(_chain_operator(U._chain),
+                                        _chain_bound(U._chain),
                                         float(losses.gamma_eff()), psi0, t)
         assert np.max(np.abs(structured - dense)) <= 1e-12
     assert np.max(np.abs(dense[-1] - psi0)) > 0.1   # the state did move
@@ -363,10 +377,12 @@ def test_structured_path_needs_chain_terms_uniform_loss_and_a_short_span(monkeyp
     psi0[n // 2] = 1.0
 
     apply_u, bound = _structured_chain(U, t)
-    fresh_u, fresh_bound = _chain_operator(U._chain)
     x = np.random.default_rng(0).standard_normal(n) + 0j
-    assert bound == fresh_bound and np.array_equal(apply_u(x), fresh_u(x))
+    assert bound == _chain_bound(U._chain)
+    assert np.array_equal(apply_u(x), _chain_operator(U._chain)(x))
     assert route(U, losses, psi0, t) == "series"
+    # every other decision is made without the chain operator
+    monkeypatch.setattr("bandqed.dynamics._chain_operator", None)
     # per-atom loss makes h_eff non-Hermitian
     per_atom = LossModel(kappa_p=1e7, gamma=TWOPI * 5e6,
                          theta=np.linspace(0.1, 0.5, n))
@@ -376,9 +392,7 @@ def test_structured_path_needs_chain_terms_uniform_loss_and_a_short_span(monkeyp
                  t) == "spectral"
     assert U._chain.lengths[0] == pytest.approx(29.9 * APCW.a, rel=1e-3)
     # the series' cost grows with the span, one eigh's does not: past the
-    # crossover even a non-uniform grid takes the spectral path, and the
-    # numpy lower bound on the series' cost decides without the operator
-    monkeypatch.setattr("bandqed.dynamics._chain_operator", None)
+    # crossover even a non-uniform grid takes the spectral path
     assert _structured_chain(U, 50.0 * t) is None
     assert _structured_chain(U, np.geomspace(1e-3, 100.0, 200) * hop_time(U)) is None
 
@@ -460,13 +474,81 @@ def test_chain_operator_matches_the_dense_matvec(n, gap):
             close[k + 1] = close[k] + gap * min(apcw_chain(z, drives)._chain.lengths)
         for positions in (close, rng.permutation(close)):
             U = apcw_chain(positions, drives)
-            apply_u, bound = _chain_operator(U._chain)
             values = np.asarray(U.values)
             scale = np.max(np.abs(values))
-            assert np.max(np.abs(apply_u(x) - values @ x)) <= (
+            assert np.max(np.abs(_chain_operator(U._chain)(x) - values @ x)) <= (
                 1e-14 * scale * np.sum(np.abs(x)))
-            # the bound the routing and the series use holds: B >= ||U||_1
-            assert bound >= (1.0 - 1e-12) * np.max(np.sum(np.abs(values), axis=0))
+
+
+@pytest.mark.parametrize("layout", ["sorted", "shuffled", "coincident"])
+@pytest.mark.parametrize("drives", [0, 3])
+@pytest.mark.parametrize("n", [1, 2, 300, 1000])
+def test_chain_bound_is_the_largest_row_sum_of_its_magnitudes(n, drives, layout):
+    rng = np.random.default_rng(n)
+    z = (np.arange(n) + rng.uniform(-0.1, 0.1, n)) * APCW.a
+    if layout == "coincident" and n > 1:
+        z[n // 2] = z[n // 2 - 1]
+    if layout == "shuffled":
+        z = rng.permutation(z)
+    U = apcw_chain(z, drives)
+    chain = U._chain
+    bound = _chain_bound(chain)
+    magnitude = np.abs(chain.bloch_values)
+    distance = np.abs(np.subtract.outer(z, z))
+    dense = sum(abs(s) * np.exp(distance / -L) for s, L in zip(chain.scales, chain.lengths))
+    assert bound == pytest.approx(np.max(magnitude * (dense @ magnitude)), rel=1e-13)
+    # the bound the routing and the series use holds: B >= ||U||_1
+    values = np.asarray(U.values)
+    assert bound >= (1.0 - 1e-12) * np.max(np.sum(np.abs(values), axis=0))
+
+
+def test_an_unbounded_chain_is_refused_without_a_warning():
+    # every entry is finite (max |U| ~ 3.5e306), but the row sums overflow,
+    # so no propagator is finite
+    n = 200
+    U = apcw_chain(np.arange(n) * APCW.a, bloch_values=np.full(n, 3e149))
+    psi0 = np.zeros(n, dtype=complex)
+    psi0[n // 2] = 1.0
+    t = np.linspace(0.0, 1e-9, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no finite norm bound"):
+            evolve_single_excitation(U, LossModel(0.0, TWOPI * 5e6), psi0, t)
+
+
+def exact_series_order(x):
+    """The first k past |x| with |J_k(x)| below the rounding: the series' length."""
+    from scipy.special import jv
+
+    k = math.floor(abs(x)) + 1
+    while abs(jv(k, x)) >= np.finfo(float).eps:
+        k += 1
+    return k
+
+
+def test_kapteyn_order_never_cuts_the_series_short():
+    for x in [0.0] + [sign * v for v in np.geomspace(1e-12, 1e4, 120) for sign in (1, -1)]:
+        order, exact = _series_order(x), exact_series_order(x)
+        assert order >= exact, x
+        if abs(x) <= 10.0:
+            assert order <= exact + 2, x
+
+
+def test_a_span_past_any_series_order_takes_the_spectral_path():
+    # B dt overflows: no order is finite
+    U = apcw_chain(np.arange(400) * APCW.a)
+    assert _series_order(math.inf) == math.inf
+    assert _structured_chain(U, np.array([0.0, 1e300])) is None
+    # B ~ 1e-6 in these units, so B dt is finite but |x|/m rounds to 1
+    band = BandEdge(omega_b=1.0, alpha=1.0, k0=math.pi, a=1.0)
+    coupling = atom_coupling(band, Delta=1e-3, gamma=1e-9, beta=1e-6)
+    n = 400
+    U = coupling_matrix_1d(atom_array(np.arange(float(n)), band, 1e-9), band, coupling)
+    assert 1e300 < _series_order(1e300) < 1.01e300
+    psi0 = np.zeros(n, dtype=complex)
+    psi0[0] = 1.0
+    losses = LossModel(kappa_p=0.0, gamma=1e-9, theta=0.3)
+    assert route(U, losses, psi0, np.array([0.0, 1e300])) == "spectral"
 
 
 # ------------------------------------------------------------- spectral path
@@ -620,6 +702,15 @@ def test_optimize_refuses_non_finite_separation(separation):
     losses = LossModel(kappa_p=kappa_for_target_C(1e-6, 1e-9, 1e3), gamma=1e-9)
     with pytest.raises(ValueError, match="separation must be finite"):
         optimize_exchange(band, coupling, losses, separation=separation)
+
+
+def test_optimize_refuses_a_separation_without_exchange():
+    # U12 underflows over the scan: the transfer time would divide by zero
+    coupling = atom_coupling(APCW, Delta=TWOPI * 400e9, gamma=TWOPI * 5e6,
+                             g_cell=TWOPI * 12.2e9)
+    losses = LossModel(kappa_p=TWOPI * 1e9, gamma=TWOPI * 5e6)
+    with pytest.raises(ValueError, match="separation 0.0371"):
+        optimize_exchange(APCW, coupling, losses, separation=1e5 * APCW.a)
 
 
 def test_separation_costs_error():

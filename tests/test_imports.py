@@ -135,13 +135,29 @@ def test_cli_evolve_loads_no_scipy(tmp_path):
         **dimless,
         "drives": [{"Omega": 1e-4, "delta_L": 1e-3, "Delta_L": 1e-3}],
         "params": {"t_max": 2e8, "n_times": 5, "initial_site": 2}})
+    # the benchmark's cold `evolve`: 10 apcw lattice atoms over 20 hop times
+    # (1/|U_12| at one lattice constant), 201 samples
+    import bandqed
+    twopi, a = 2.0 * math.pi, 371e-9
+    band = bandqed.BandEdge(omega_b=twopi * 333e12, alpha=10.6, k0=math.pi / a, a=a)
+    coupling = bandqed.atom_coupling(band, Delta=twopi * 400e9, gamma=twopi * 5e6,
+                                     g_cell=twopi * 12.2e9)
+    pair = bandqed.coupling_matrix_1d(bandqed.atom_array([0.0, a], band, coupling.gamma),
+                                      band, coupling)
+    lattice = write_cfg(tmp_path, "lattice.json", {
+        "coupling": {"Delta": 400e9},
+        "atoms": {"positions": [j * a for j in range(10)]},
+        "params": {"t_max": 20.0 / abs(pair.values[0, 1]), "n_times": 201,
+                   "initial_site": 5}})
     report = probe([["evolve", ["evolve", "--config", evolve]],
-                    ["evolve-driven", ["evolve", "--config", driven]]])
+                    ["evolve-driven", ["evolve", "--config", driven]],
+                    ["evolve-lattice", ["evolve", "--preset", "apcw",
+                                        "--config", lattice]]])
     assert report.pop("import") == []
     for name, (code, modules) in report.items():
         assert code == 0, name
-        # three atoms take the spectral path: one numpy eigh, no expm and
-        # no chain operator
+        # three or ten atoms take the spectral path: one numpy eigh, no expm
+        # and no chain operator, and the route needs no scipy either
         assert modules == [], f"{name} loaded {modules}"
 
 
