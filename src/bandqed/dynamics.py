@@ -11,11 +11,11 @@ The no-jump Hamiltonian h_eff = U - i Gamma_eff/2 is time-independent, so
 uniform loss it reproduces the closed form of `exchange_simulate`.  Under
 uniform loss h_eff is the Hermitian U shifted by a scalar, so one numpy
 eigh gives every sample, on any grid (the spectral path; Moler & Van
-Loan, SIAM Rev. 45, 3 (2003)); a 1D chain's U is the real symmetric
-matrix of its kernels between its Bloch phases, whose eigh is ~6x
-cheaper.  Where it costs less, by one measured rule that needs no scipy,
-a chain is instead applied in O(N) through the closed-form factors of
-its kernels' inverses, under a Chebyshev expansion of the exponential
+Loan, SIAM Rev. 45, 3 (2003)); a 1D chain's U is D M D^*, its Bloch
+phases around a real symmetric M built from its terms with |E_j|, whose
+eigh is ~6x cheaper.  Where it costs less, by one measured rule that
+needs no scipy, a chain is instead applied in O(N) through the
+closed-form factors of its kernels' inverses, under a Chebyshev series
 (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  Per-atom loss
 makes h_eff non-Hermitian: its dense matrix is exponentiated by expm.
 """
@@ -30,8 +30,8 @@ import numpy as np
 
 from .bound_state import (BandEdge, AtomCoupling, _check_finite, _gbar_sq,
                           bound_state_depth, interaction_length, mixing_angles)
-from .interactions import (TILE, CouplingMatrix, _chain_bound, _chain_operator,
-                           _pair_kernel)
+from .interactions import (CouplingMatrix, _chain_bound, _chain_operator,
+                           _chain_values, _pair_kernel)
 
 # bounds the dense U build (16 B N^2) and its propagator: eigh ~40 B N^2 for a
 # chain, ~60 B N^2 otherwise; dense expm (per-atom loss only) ~144 B N^2
@@ -276,15 +276,18 @@ def evolve_single_excitation(U: CouplingMatrix, losses: LossModel,
 
     psi0 is a unit-norm complex vector of length N; Gamma_eff may be uniform
     or per-atom (vector theta in the loss model).  Under uniform loss one
-    eigh of U gives every sample (`_evolve_spectral`), unless U is a 1D
-    chain on which the Chebyshev series costs less (`_structured_chain`);
-    their amplitudes differ from each other and from expm's only in the
+    eigh gives every sample (`_evolve_spectral`), unless U is a 1D chain
+    on which the Chebyshev series costs less (`_structured_chain`); both
+    read a chain's terms, not U.values, and agree with expm in all but the
     last bits.  Per-atom loss takes expm, one per run of equal steps (equal
     up to rounding), so a uniform grid costs one matrix exponential.  The
-    norm decays from 1 and is never renormalized.
+    norm decays from 1, is never renormalized, and must stay finite and
+    <= e^{-Gamma_min (t - t_0)/2} (Gamma_max back in time), as d|psi|^2/dt
+    = -sum_j Gamma_j |psi_j|^2: a span past the float range fails that and
+    raises ValueError.  A lossless atom (Gamma_min = 0) makes the bound 1,
+    which cannot see an undecayed result.
     """
-    values = np.asarray(U.values)
-    n = values.shape[0]
+    n = len(U._chain.positions) if U._chain is not None else len(U.values)
     check_atom_count(n)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (n,):
@@ -305,16 +308,21 @@ def evolve_single_excitation(U: CouplingMatrix, losses: LossModel,
         raise ValueError("t_grid must have at least two points")
     _check_finite(t_grid=t_grid)
 
-    if np.ptp(gamma_eff) > 0:
-        amps = _evolve_dense(values, gamma_eff, psi0, t_grid)
-    elif (operator := _structured_chain(U, t_grid)) is not None:
-        amps = _evolve_structured(*operator, gamma_eff[0], psi0, t_grid)
-        del operator   # frees the chain operator's factors before the populations
-    else:
-        amps = _evolve_spectral(U, gamma_eff[0], psi0, t_grid)
-    pops = np.abs(amps) ** 2
-    return EvolutionResult(times=t_grid, amplitudes=amps, populations=pops,
-                           norm=np.sqrt(np.sum(pops, axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        if np.ptp(gamma_eff) > 0:
+            amps = _evolve_dense(np.asarray(U.values), gamma_eff, psi0, t_grid)
+        elif (operator := _structured_chain(U, t_grid)) is not None:
+            amps = _evolve_structured(*operator, gamma_eff[0], psi0, t_grid)
+            del operator   # frees the chain operator's factors before the populations
+        else:
+            amps = _evolve_spectral(U, gamma_eff[0], psi0, t_grid)
+        pops = np.abs(amps) ** 2
+        norm = np.sqrt(np.sum(pops, axis=1))
+        s = t_grid - t_grid[0]
+        ceiling = np.exp(-0.5 * np.minimum(gamma_eff.min() * s, gamma_eff.max() * s))
+    if not (np.all(np.isfinite(amps)) and np.all(norm <= ceiling * (1.0 + 1e-8))):
+        raise ValueError(f"a span of {np.ptp(t_grid):.3g} s is past the float range of U")
+    return EvolutionResult(times=t_grid, amplitudes=amps, populations=pops, norm=norm)
 
 
 def _structured_chain(U: CouplingMatrix,
@@ -435,19 +443,18 @@ def _evolve_spectral(U: CouplingMatrix, gamma_eff: float, psi0: np.ndarray,
     matrix the eigenvector method is the stable one (Moler & Van Loan,
     SIAM Rev. 45, 3 (2003)).  A chain's terms share the Bloch phases, so
     U = D M D^* with D = diag(E_j/|E_j|) (1 where E_j = 0) and M =
-    Re(D^* U D) real symmetric, whose eigh is ~6x cheaper than the complex
-    one any other U takes (D = 1 there).
+    sum_i s_i |E| K_i |E| real symmetric, built from the terms, whose eigh
+    is ~6x cheaper than the complex one any other U takes (D = 1 there).
     """
-    values = np.asarray(U.values)
     if U._chain is None:
-        phases = np.ones(len(values))
-        lam, w = np.linalg.eigh(values)
+        lam, w = np.linalg.eigh(np.asarray(U.values))
+        phases = np.ones(len(lam))
         times, w_conj = np.matmul, w.conj()
     else:
         e = U._chain.bloch_values
         magnitude = np.abs(e)
         phases = np.divide(e, magnitude, out=np.ones_like(e), where=magnitude > 0)
-        lam, w = np.linalg.eigh(_real_form(values, phases))
+        lam, w = np.linalg.eigh(_chain_values(U._chain, magnitude))
         times, w_conj = _times_real, w
     weights = times(phases.conj() * psi0, w_conj)   # W^dag D^* psi0
     s = t_grid - t_grid[0]
@@ -457,15 +464,6 @@ def _evolve_spectral(U: CouplingMatrix, gamma_eff: float, psi0: np.ndarray,
     amps *= phases
     amps[0] = psi0   # exact at s = 0, as on the other paths
     return amps
-
-
-def _real_form(values: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Re(D^* U D) for D = diag(phases), TILE rows at a time."""
-    m = np.empty(values.shape)
-    for i in range(0, len(m), TILE):
-        rows = slice(i, i + TILE)
-        m[rows] = (phases[rows, None].conj() * values[rows] * phases).real
-    return m
 
 
 def _times_real(a: np.ndarray, w: np.ndarray) -> np.ndarray:

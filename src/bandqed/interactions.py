@@ -206,15 +206,27 @@ def _pair_kernel(band: BandEdge, coupling: AtomCoupling, detuning,
 class _ChainTerms:
     """values = sum_i s_i E_j exp(-|z_j - z_l|/L_i) E_l^*: a 1D matrix's terms.
 
-    The one source of a chain's matrix: `_chain_values` expands the dense
-    values from it, and `_chain_operator` applies U in O(N) per term
-    through the closed-form factors of each kernel's inverse.
+    The one source of a chain's matrix (`_chain_values`), operator
+    (`_chain_operator`) and norm bound (`_chain_bound`), sorted once for
+    all three: `order` is the stable argsort of the positions, `rank` its
+    inverse, `gaps` the adjacent gaps in sorted order and `ratios` the
+    r_i = exp(-gaps/L_i), one array per term.
     """
 
     positions: np.ndarray     # z_j in the order of the matrix rows
     bloch_values: np.ndarray  # E_j
     lengths: tuple            # L_i
     scales: tuple             # s_i, the term's kernel at distance 0
+    order: np.ndarray = field(init=False)
+    rank: np.ndarray = field(init=False)
+    gaps: np.ndarray = field(init=False)
+    ratios: tuple = field(init=False)
+
+    def __post_init__(self):
+        order = np.argsort(self.positions, kind="stable")
+        gaps = np.diff(self.positions[order])
+        vars(self).update(order=order, rank=np.argsort(order), gaps=gaps,
+                          ratios=tuple(np.exp(gaps / -L) for L in self.lengths))
 
 
 def _chain_matrix(atoms: AtomArray, band: BandEdge, coupling: AtomCoupling,
@@ -225,8 +237,7 @@ def _chain_matrix(atoms: AtomArray, band: BandEdge, coupling: AtomCoupling,
     Every 1D matrix here is this sum over (Delta_i, w_i) terms: one term
     for the two-level and mechanical matrices, one per drive otherwise.
     The terms become a _ChainTerms, and `_chain_values` expands the dense
-    values from it; the same _ChainTerms comes back for the structured
-    propagator.
+    values from it; the same _ChainTerms comes back for evolution.
     """
     z = atoms.positions
     if z.ndim != 1:
@@ -236,40 +247,36 @@ def _chain_matrix(atoms: AtomArray, band: BandEdge, coupling: AtomCoupling,
         lengths=tuple(float(interaction_length(band, d)) for d, _ in terms),
         scales=tuple(float(_pair_kernel(band, coupling, d, 0.0, w))
                      for d, w in terms))
-    return _chain_values(chain), chain
+    return _chain_values(chain, chain.bloch_values), chain
 
 
-def _chain_values(chain: _ChainTerms) -> np.ndarray:
-    """The dense values of a chain, TILE rows at a time in position order.
+def _chain_values(chain: _ChainTerms, e: np.ndarray) -> np.ndarray:
+    """sum_i s_i e_j exp(-|z_j - z_l|/L_i) e_l^*, TILE rows at a time in sorted order.
 
-    For any c between z_j and z_l,
-        exp(-|z_j - z_l|/L) = exp(-|z_j - c|/L) exp(-|z_l - c|/L).
-    Rows are taken in blocks of TILE atoms in sorted order.  A block's own
-    TILE x TILE part is evaluated pair by pair, as s_i exp(d/-L_i) summed
-    over terms times E_j E_l^*.  The columns after the block factor about
-    its last position, so they are one outer product per term and the
-    build evaluates O(N TILE) exponentials instead of N^2.  Both factors
-    are <= 1, so none overflows, and one underflows only where the entry
-    is below ~1e-308 of its scale anyway.  The columns before the block
-    are the mirror of blocks already built, and `_mirror_upper` copies
-    them.  For unsorted positions both sides are computed, as masks over
-    the columns in matrix order, the block's strip is copied to its rows,
-    and `_mirror_upper` then makes the result exact in matrix order: no
-    N x N temporary either way.
+    e = E gives the complex values, and e = |E| the real symmetric M with
+    U = D M D^*, D = diag(E_j/|E_j|), that the spectral path diagonalizes.
+    A block's own TILE x TILE part is evaluated pair by pair, as
+    s_i exp(d/-L_i) summed over terms times e_j e_l^*.  As
+    exp(-|z_j - z_l|/L) = exp(-|z_j - c|/L) exp(-|z_l - c|/L) for any c
+    between z_j and z_l, the columns after the block factor about its last
+    position: one outer product per term, O(N TILE) exponentials in all.
+    Both factors are <= 1, so none overflows, and one underflows only where
+    the entry is below ~1e-308 of its scale anyway.  `_mirror_upper` copies
+    the columns before the block from blocks already built.  Where `order`
+    is not the identity both sides are computed, as masks over the columns
+    in matrix order, and the block's strip is copied to its rows: no N x N
+    temporary either way.
     """
-    z, e = chain.positions, chain.bloch_values
+    z, order, rank = chain.positions, chain.order, chain.rank
     _refuse_overflow(sum(abs(s) for s in chain.scales), float(np.max(np.abs(e))))
     ec = e.conj()
     n = len(z)
     lengths = -np.array(chain.lengths)[:, None]   # (terms, 1), negated
     scales = np.array(chain.scales)[:, None]
-    order = np.arange(n)
-    shuffled = bool(np.any(z[1:] < z[:-1]))
+    shuffled = bool(np.any(rank != np.arange(n)))
     if shuffled:
-        order = np.argsort(z, kind="stable")
-        rank = np.argsort(order)                    # position of each atom in order
-        strip = np.empty((TILE, n), dtype=complex)
-    values = np.empty((n, n), dtype=complex)
+        strip = np.empty((TILE, n), dtype=e.dtype)
+    values = np.empty((n, n), dtype=e.dtype)
     for start in range(0, n, TILE):
         block = order[start:start + TILE]
         stop = start + len(block)
@@ -316,7 +323,7 @@ def _mirror_upper(values: np.ndarray) -> None:
     Each row block's strip right of its diagonal tile is copied, conjugated
     and transposed, into the column block below it, and each diagonal tile
     mirrors its own upper triangle: TILE rows at a time, no N x N
-    temporary.  The diagonal's imaginary part is set to 0, as the complex
+    temporary.  The diagonal keeps only its real part, as the complex
     product E_j E_j^* can leave a rounding residue there.
     """
     n = len(values)
@@ -326,7 +333,7 @@ def _mirror_upper(values: np.ndarray) -> None:
         lower = np.tril_indices(len(tile), -1)
         tile[lower] = tile.T[lower].conj()
         np.conjugate(values[rows, below].T, out=values[below, rows])
-    values.ravel()[::n + 1].imag = 0.0
+    np.fill_diagonal(values, values.diagonal().real)
 
 
 def _factors(z_rows, z_cols, c, lengths, scales):
@@ -364,22 +371,18 @@ def _chain_operator(chain: _ChainTerms):
     solves with them on the complex vector, so K_i is applied without
     being formed or factored.  1 - r^2 is taken as -expm1(-2 gap/L_i),
     which keeps close pairs accurate; a zero gap gives d_j = inf, whose
-    part of the solve is an exact 0.  Positions are sorted internally; x
-    and U x stay in the order of the matrix rows.
+    part of the solve is an exact 0.  The solves run in the chain's sorted
+    order; x and U x stay in the order of the matrix rows.
     """
     # function scope: see the package docstring
     from scipy.linalg.lapack import zpttrs
 
-    order = np.argsort(chain.positions, kind="stable")
-    rank = np.argsort(order)   # the inverse permutation
-    gaps = np.diff(chain.positions[order])
-    e = chain.bloch_values[order]
-    factors = []
-    for L in chain.lengths:
-        with np.errstate(divide="ignore"):   # a zero gap: d_j = inf
-            diagonal = np.append(1.0 / -np.expm1(-2.0 * gaps / L), 1.0)
-        # N - 1 entries, but one at N = 1, as the wrapper wants
-        factors.append((diagonal, np.append(-np.exp(-gaps / L), 0j)[:max(len(gaps), 1)]))
+    order, rank, e = chain.order, chain.rank, chain.bloch_values[chain.order]
+    with np.errstate(divide="ignore"):   # a zero gap: d_j = inf
+        # d_j and the N - 1 off-diagonal -r_j, but one at N = 1, as the wrapper wants
+        factors = [(np.append(1.0 / -np.expm1(-2.0 * chain.gaps / L), 1.0),
+                    np.append(-r, 0j)[:max(len(r), 1)])
+                   for L, r in zip(chain.lengths, chain.ratios)]
 
     def apply_u(x):
         b = e.conj() * x[order]
@@ -398,12 +401,10 @@ def _chain_bound(chain: _ChainTerms) -> float:
     r_j b_{j+1}, r_j = exp(-gap_j/L_i), summed on Python floats: a B that
     overflows, and so a U with no finite propagator, is refused unwarned.
     """
-    order = np.argsort(chain.positions, kind="stable")
-    gaps = np.diff(chain.positions[order])
-    magnitude = np.abs(chain.bloch_values[order]).tolist()
+    magnitude = np.abs(chain.bloch_values[chain.order]).tolist()
     total = [0.0] * len(magnitude)
-    for s, L in zip(chain.scales, chain.lengths):
-        r = np.exp(gaps / -L).tolist()
+    for s, r in zip(chain.scales, chain.ratios):
+        r = r.tolist()
         forward, backward = _discounted(magnitude, r), _discounted(magnitude[::-1], r[::-1])
         total = [t + abs(s) * (f + b - m)
                  for t, f, b, m in zip(total, forward, backward[::-1], magnitude)]

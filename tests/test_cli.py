@@ -452,6 +452,19 @@ def test_evolve_long_chain_takes_the_structured_path(capsys, tmp_path,
     assert rows[-1, n // 2 + 1] < 0.9   # the excitation moved
 
 
+def test_evolve_span_past_the_float_range_is_a_numerical_failure(capsys, tmp_path):
+    # lambda t overflows: the phases, and so the populations, would be NaN
+    cfg = write_cfg(tmp_path, "span.json", {
+        "coupling": {"Delta": 400e9},
+        "atoms": {"positions": [i * 371e-9 for i in range(50)]},
+        "params": {"t_max": 1e300, "n_times": 2},
+    })
+    code, out, err = run(capsys, ["evolve", "--preset", "apcw", "--config", cfg])
+    assert code == 3
+    assert out == ""
+    assert "past the float range" in err
+
+
 def test_evolve_resonant_drive_is_a_config_error(capsys, tmp_path):
     cfg = write_cfg(tmp_path, "resonant.json", {
         "units": "dimensionless",

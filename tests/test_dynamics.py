@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -502,6 +504,46 @@ def test_chain_bound_is_the_largest_row_sum_of_its_magnitudes(n, drives, layout)
     assert bound >= (1.0 - 1e-12) * np.max(np.sum(np.abs(values), axis=0))
 
 
+# Bits of the series operator and of the route's B on a seeded shuffled
+# 3-term chain with one coincident pair, recorded before the chain readers
+# shared one sorted form (`_ChainTerms.order`, `rank`, `gaps`, `ratios`).
+SORTED_FORM_PINS = ("20ec7dc8345b97b53192443cb332226d9e8dd47bd3d0f161d91d296effd56bdb",
+                    19244600.442374285)
+
+
+def test_chain_operator_and_bound_keep_their_bits():
+    n = 131
+    rng = np.random.default_rng(2024)
+    z = (np.arange(n) + rng.uniform(-0.1, 0.1, n)) * APCW.a
+    z[n // 2] = z[n // 2 - 1]
+    z = rng.permutation(z)
+    e = np.exp(1j * rng.uniform(0, TWOPI, n)) * rng.uniform(0.5, 1.0, n)
+    chain = apcw_chain(z, drives=3, bloch_values=e)._chain
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    digest = hashlib.sha256(_chain_operator(chain)(x).tobytes()).hexdigest()
+    assert (digest, _chain_bound(chain)) == SORTED_FORM_PINS
+
+
+@pytest.mark.parametrize("span, path", [(1.0, "series"), (100.0, "spectral")])
+def test_chain_evolution_reads_only_its_terms(span, path):
+    n = 400
+    rng = np.random.default_rng(n)
+    U = apcw_chain(rng.permutation((np.arange(n) + rng.uniform(-0.1, 0.1, n)) * APCW.a))
+    losses = LossModel(kappa_p=1e7, gamma=TWOPI * 5e6, theta=0.3)
+    psi0 = np.zeros(n, dtype=complex)
+    psi0[n // 2] = 1.0
+    t = np.linspace(0.0, span * hop_time(U), 21)
+    assert route(U, losses, psi0, t) == path
+    blind = copy.copy(U)
+    blind.values = None
+    out = evolve_single_excitation(blind, losses, psi0, t).amplitudes
+    reference = evolve_single_excitation(U, losses, psi0, t).amplitudes
+    if path == "series":
+        assert np.array_equal(out, reference)
+    else:
+        assert np.max(np.abs(out - reference)) <= 1e-15
+
+
 def test_an_unbounded_chain_is_refused_without_a_warning():
     # every entry is finite (max |U| ~ 3.5e306), but the row sums overflow,
     # so no propagator is finite
@@ -551,10 +593,44 @@ def test_a_span_past_any_series_order_takes_the_spectral_path():
     assert route(U, losses, psi0, np.array([0.0, 1e300])) == "spectral"
 
 
+# A span past the float range: lambda (t - t_0) overflows on the spectral
+# path, and expm of the per-atom h_eff dt turns NaN (||U||_1 dt ~ 1e41 to
+# 1e77) or returns an undecayed norm of ~1 (from ~1e80).  Every path ends
+# in one check: finite amplitudes, norm <= e^{-Gamma_min (t - t_0)/2}.
+
+@pytest.mark.parametrize("per_atom, span", [(False, None), (True, 1e50), (True, 1e90)])
+def test_a_span_past_the_float_range_is_refused(per_atom, span):
+    n = 50
+    U = apcw_chain(np.arange(n) * APCW.a)
+    theta = np.linspace(0.1, 0.5, n) if per_atom else 0.3
+    losses = LossModel(kappa_p=1e7, gamma=TWOPI * 5e6, theta=theta)
+    psi0 = np.zeros(n, dtype=complex)
+    psi0[n // 2] = 1.0
+    t_end = 1e300 if span is None else span / np.max(np.sum(np.abs(U.values), axis=0))
+    t = np.array([0.0, t_end])
+    assert per_atom or _structured_chain(U, t) is None   # the spectral path
+    with pytest.raises(ValueError, match="past the float range"):
+        evolve_single_excitation(U, losses, psi0, t)
+
+
+def test_a_step_back_in_time_may_grow_the_norm_at_the_largest_rate():
+    # d|psi|^2/dt = -sum_j Gamma_j |psi_j|^2: backwards the norm grows, at
+    # most at Gamma_max, and the check allows that
+    U = apcw_chain(np.array([0.0, 200.0]) * APCW.a)   # ~7 L apart: barely coupled
+    losses = LossModel(kappa_p=1e7, gamma=TWOPI * 5e6, theta=np.array([0.1, 1.2]))
+    gamma_eff = losses.gamma_eff()
+    psi0 = np.array([1.0, 0.0], dtype=complex)   # on the faster-decaying atom
+    t = np.array([0.0, -1.0 / gamma_eff.max()])
+    out = evolve_single_excitation(U, losses, psi0, t)
+    assert out.norm[-1] > math.exp(0.5 * gamma_eff.min() / gamma_eff.max()) * (1.0 + 1e-8)
+    assert out.norm[-1] == pytest.approx(math.exp(0.5), rel=1e-6)
+
+
 # ------------------------------------------------------------- spectral path
 #
 # Under uniform loss every sample comes from one eigh: of the real
-# M = Re(D^* U D) for a chain, of U itself otherwise.  scipy's expm of the
+# M = sum_i s_i |E| K_i |E|, built from a chain's terms, or of U itself
+# for any other matrix.  scipy's expm of the
 # dense h_eff is the oracle.  The loss is set to decay the norm by e^{-1}
 # over the span, and the phase error grows as eps ||U|| t.
 

@@ -596,6 +596,32 @@ def test_builders_never_run_the_tile_check(monkeypatch):
         CouplingMatrix(values=np.eye(2), kind="two_level_1d")
 
 
+# ------------------------------------------------------------- the real M
+#
+# The spectral path diagonalizes M = sum_i s_i |E| K_i |E|, built from the
+# chain's terms with |E_j| in place of E_j.  It is Re(D^* U D) for
+# D = diag(E_j/|E_j|) (1 where E_j = 0), up to the rounding of the phases.
+
+@pytest.mark.parametrize("layout", ["sorted", "shuffled", "coincident", "dark"])
+@pytest.mark.parametrize("builder", ["coupling_matrix_1d", "multi_drive_sum"])
+@pytest.mark.parametrize("n", [1, 2, 300])
+def test_real_build_is_the_phase_free_matrix(n, builder, layout):
+    band, coupling = apcw()
+    atoms = _seeded_chain(n, coupling.gamma, layout == "shuffled")
+    if layout == "coincident" and n > 1:
+        atoms.positions[n // 2] = atoms.positions[n // 2 - 1]
+    if layout == "dark":
+        atoms.bloch_values[n // 2] = 0.0
+    U = PIN_BUILDERS[builder](atoms, band, coupling)
+    e = U._chain.bloch_values
+    magnitude = np.abs(e)
+    m = interactions._chain_values(U._chain, magnitude)
+    assert m.dtype == float and np.array_equal(m, m.T)
+    phases = np.divide(e, magnitude, out=np.ones_like(e), where=magnitude > 0)
+    expected = (phases.conj()[:, None] * U.values * phases).real
+    assert np.max(np.abs(m - expected)) <= 2e-15 * np.max(np.abs(m))
+
+
 def _huge_bloch_1d():
     band, coupling = apcw()
     atoms = AtomArray(positions=np.arange(3) * band.a,
