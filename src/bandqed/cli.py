@@ -170,8 +170,13 @@ def cmd_design_powerlaw(cfg: RunConfig) -> Output:
     eta, n_drives, tol = p["eta"], p["n_drives"], p.get("tolerance")
     _check_table_size(math.floor(p["z_max"]) - math.ceil(p["z_min"]) + 1, 4)
     beta = cfg.coupling.beta if cfg.coupling is not None else None
-    design = power_law_designer(eta, (p["z_min"], p["z_max"]), n_drives, band,
-                                beta=beta)
+    try:
+        design = power_law_designer(eta, (p["z_min"], p["z_max"]), n_drives, band,
+                                    beta=beta)
+    except np.linalg.LinAlgError:   # a ValueError, but numerical: exit 3
+        raise
+    except ValueError as exc:       # eta, z range or drive count refused before the fit
+        raise ConfigError(str(exc)) from exc
     summary = (f"design-powerlaw: eta={eta:g}, {n_drives} drives, "
                f"max|resid|={design.max_error:.4g}, rms={design.rms_error:.4g}")
     missed = tol is not None and design.max_error > tol
@@ -236,6 +241,8 @@ def cmd_evolve(cfg: RunConfig) -> Output:
         raise ConfigError("t_max > 0 and n_times >= 2 required")
     if not 0 <= site < len(atoms):
         raise ConfigError("initial_site out of range")
+    if any(d.Omega_prime != 0.0 for d in cfg.drives):
+        raise ConfigError("evolve models the Lambda scheme only: drives need Omega_prime = 0")
     _check_table_size(n_times, len(atoms) + 2)
     # MAX_ATOMS bounds the dense U build and its eigh (~40 B N^2; expm's
     # ~144 B N^2 is for per-atom loss, which no config asks for): refuse first

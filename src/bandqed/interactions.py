@@ -31,7 +31,7 @@ from .bound_state import (AtomCoupling, BandEdge, _check_finite, _gbar_sq,
                           interaction_length)
 
 HERMITICITY_RTOL = 1e-12
-TILE = 64                   # atoms per 1D build block, side of a 2D or check tile; bounds temporaries
+TILE = 64                   # rows per build strip, side of a check tile; bounds temporaries
 DRIVE_RATIO_WARN = 0.3      # |Omega/delta_L| above this is outside the adiabatic regime
 DETUNING_BETA_WARN = 10.0   # Delta/beta below this strains the photon elimination
 
@@ -132,7 +132,8 @@ class CouplingMatrix:
         if not np.isfinite(scale):
             raise ValueError("matrix entries must be finite")
         # tile pairs (I <= J) cover every (j, l) and its mirror: |v_lj - v_jl^*|
-        # equals |v_jl - v_lj^*| exactly, so this is max|U - U^dag|
+        # equals |v_jl - v_lj^*| exactly, so this is max|U - U^dag|.  Pairs, not
+        # strips: a pair's transposed read stays in cache (N = 3000: 0.040 s, 0.050 s)
         dev = np.max([np.max(np.abs(v[i:i + b, j:j + b] - v[j:j + b, i:i + b].conj().T))
                       for i in blocks for j in range(i, len(v), b)])
         if dev > HERMITICITY_RTOL * scale:
@@ -451,25 +452,22 @@ def coupling_matrix_2d(atoms: AtomArray, band: BandEdge,
     p, e = atoms.positions, atoms.bloch_values
     e_max = float(np.max(np.abs(e)))
     values = np.empty((len(p), len(p)), dtype=complex)
-    # tile pairs I <= J, the upper triangle; `_mirror_upper` fills the rest
+    # TILE-row strips of the upper triangle, `_mirror_upper` fills the rest; on a
+    # wide strip fill_diagonal sets (k, k), k < its rows: the matrix diagonal
     for i in range(0, len(p), TILE):
-        rows = slice(i, i + TILE)
-        for j in range(i, len(p), TILE):
-            cols = slice(j, j + TILE)
-            dx = p[rows, None, 0] - p[None, cols, 0]
-            dy = p[rows, None, 1] - p[None, cols, 1]
-            r = np.sqrt(dx * dx + dy * dy)
-            coincident = r == 0.0
-            if i == j:
-                np.fill_diagonal(coincident, False)
-                np.fill_diagonal(r, 0.5 * band.a)   # short-range cutoff for the self-energy
-            if np.any(coincident):
-                raise ValueError("duplicate atom positions give a divergent 2D kernel")
-            k = bessel_k0(r / L)
-            _refuse_overflow(abs(scale * (2.0 / math.pi)) * float(np.max(k)), e_max)
-            kernel = scale * (2.0 / math.pi) * k
-            tile = _pair_phases(e, rows, cols, values[rows, cols])
-            np.multiply(kernel, tile, out=tile)   # kernel first, as the untiled product
+        rows, cols = slice(i, i + TILE), slice(i, len(p))
+        dx = p[rows, None, 0] - p[None, cols, 0]
+        dy = p[rows, None, 1] - p[None, cols, 1]
+        r = np.sqrt(dx * dx + dy * dy)
+        coincident = r == 0.0
+        np.fill_diagonal(coincident, False)
+        if np.any(coincident):
+            raise ValueError("duplicate atom positions give a divergent 2D kernel")
+        np.fill_diagonal(r, 0.5 * band.a)   # short-range cutoff for the self-energy
+        k = bessel_k0(r / L)
+        _refuse_overflow(abs(scale * (2.0 / math.pi)) * float(np.max(k)), e_max)
+        strip = _pair_phases(e, rows, cols, values[rows, cols])
+        np.multiply(scale * (2.0 / math.pi) * k, strip, out=strip)   # kernel first
     _mirror_upper(values)
     return _built(values, "two_level_2d", diagonal_regularized=True)
 

@@ -315,6 +315,38 @@ def test_design_payload_and_tolerance_gate(capsys, tmp_path):
     assert "exceeds" in err
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"z_min": 10, "z_max": 5}, "z_range must satisfy"),
+    ({"n_drives": 0}, "at least one drive"),
+    ({"eta": -1}, "eta must be nonnegative"),
+    ({"z_min": 1, "z_max": 3, "n_drives": 2}, "too few lattice sites"),
+], ids=["z-range", "no-drive", "negative-eta", "few-sites"])
+def test_design_input_refusals_are_config_errors(capsys, tmp_path, params, message):
+    cfg = write_cfg(tmp_path, "design.json", {
+        "units": "dimensionless",
+        "band": {"omega_b": 1.0, "alpha": 0.2, "a": 1.0},
+        "params": {"eta": 0.5, **params},
+    })
+    code, out, err = run(capsys, ["design-powerlaw", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ") and message in err
+
+
+def test_design_singular_solve_stays_a_numerical_failure(capsys, tmp_path,
+                                                         monkeypatch):
+    # LinAlgError is a ValueError too: it must not be read as a config error
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "power_law_designer", singular)
+    cfg = write_cfg(tmp_path, "d.json", {"params": {"eta": 0.5}})
+    code, out, err = run(capsys, ["design-powerlaw", "--preset", "apcw", "--config", cfg])
+    assert code == 3
+    assert out == ""
+    assert err == "numerical failure: Singular matrix\n"
+
+
 def test_design_csv_residuals(capsys, tmp_path):
     cfg = write_cfg(tmp_path, "design.json", {
         "units": "dimensionless",
@@ -420,6 +452,27 @@ def test_evolve_with_drive(capsys, tmp_path):
     narrowed = (1e-4 / 1e-3) ** 2 * 1e-9
     assert rows[-1, 4] == pytest.approx(math.exp(-0.5 * narrowed * 2e8),
                                         abs=1e-6)
+
+
+def test_evolve_refuses_a_four_level_drive(capsys, tmp_path):
+    # the single-excitation evolution models the Lambda scheme alone: a second
+    # leg would be left out of U, so it is refused, not answered as Lambda
+    doc = {
+        "units": "dimensionless",
+        "band": {"omega_b": 1.0, "alpha": 1.0, "a": 1.0},
+        "coupling": {"Delta": 1e-3, "gamma": 1e-9, "beta": 1e-6},
+        "atoms": {"positions": [0.0, 1.0, 2.0]},
+        "drives": [{"Omega": 1e-4, "delta_L": 1e-3, "Delta_L": 1e-3,
+                    "Omega_prime": 1e-4, "phi": 0.7}],
+        "params": {"t_max": 2e8, "n_times": 11},
+    }
+    code, out, err = run(capsys, ["evolve", "--config", write_cfg(tmp_path, "4l.json", doc)])
+    assert code == 2
+    assert out == ""
+    assert "Omega_prime = 0" in err
+    doc["drives"][0]["Omega_prime"] = 0.0          # an explicit Lambda drive is fine
+    code, out, err = run(capsys, ["evolve", "--config", write_cfg(tmp_path, "l.json", doc)])
+    assert code == 0
 
 
 def test_evolve_long_chain_takes_the_structured_path(capsys, tmp_path,

@@ -9,6 +9,7 @@ import pytest
 
 from bandqed.bound_state import BandEdge, atom_coupling
 from bandqed.dynamics import (
+    SCAN_POINTS,
     LossModel,
     _evolve_dense,
     _evolve_spectral,
@@ -769,6 +770,21 @@ def test_optimize_boundary_and_guard_paths():
     with pytest.raises(ValueError):
         optimize_exchange(band, coupling, losses, separation=0.0,
                           scan=(1e-2, 1e-3))
+
+
+def test_optimize_without_losses_takes_the_middle_of_a_flat_scan():
+    # no loss at all: every detuning transfers perfectly, so the error curve
+    # is flat and the scan's middle point is returned without a polish
+    band = unit_band()
+    beta = 1e-6
+    coupling = atom_coupling(band, Delta=0.0, gamma=0.0, beta=beta)
+    res = optimize_exchange(band, coupling, LossModel(kappa_p=0.0, gamma=0.0),
+                            separation=1.0)
+    assert res.error == 0.0
+    assert res.cooperativity is None
+    # default scan for zero loss: 10 beta to 300 x 1e3 beta, log-spaced
+    grid = np.geomspace(10.0 * beta, 300.0 * (1e3 * beta), SCAN_POINTS)
+    assert res.optimal_Delta == grid[SCAN_POINTS // 2]
 
 
 @pytest.mark.parametrize("separation", [math.nan, math.inf])

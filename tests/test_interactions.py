@@ -144,11 +144,16 @@ def test_2d_diagonal_regularization_and_duplicates():
         coupling_matrix_2d(dup, band, coupling)
 
 
-def test_2d_duplicates_in_different_tiles():
+@pytest.mark.parametrize("j, l", [
+    (2 * interactions.TILE + 4, 1),      # last tile coincides with the first
+    (9, 5),                              # inside the first strip's diagonal tile
+    (interactions.TILE + 7, 3),          # first strip, past its diagonal tile
+], ids=["last-tile", "diagonal-tile", "past-diagonal-tile"])
+def test_2d_duplicates_in_different_tiles(j, l):
     band, coupling = apcw()
     n = 2 * interactions.TILE + 5
     pos = np.stack([np.arange(n) * band.a, np.zeros(n)], axis=-1)
-    pos[n - 1] = pos[1]                  # last tile coincides with the first
+    pos[j] = pos[l]
     atoms = AtomArray(positions=pos, bloch_values=np.ones(n), gamma=0.0)
     with pytest.raises(ValueError, match="duplicate atom positions"):
         coupling_matrix_2d(atoms, band, coupling)
