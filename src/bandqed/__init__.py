@@ -3,9 +3,11 @@ long-range exchange, loss-limited dynamics, and disorder localization.
 
 Importing the package loads numpy and no scipy module.  Every scipy
 function used is imported inside the one function that calls it: the
-Bessel `k0` in `coupling_matrix_2d`; for `evolve_single_excitation`,
-`expm` under per-atom loss and, on the Chebyshev path (a large chain over
-a short span), the Bessel `jv` for its coefficients plus the LAPACK
+Bessel `k0` in `coupling_matrix_2d`, only for pairs farther apart than
+2L (closer ones take K0's power series in numpy, so a 40 x 40 lattice at
+the apcw point loads no scipy); for `evolve_single_excitation`, `expm`
+under per-atom loss and, on the Chebyshev path (a large chain over a
+short span), the Bessel `jv` for its coefficients plus the LAPACK
 tridiagonal solve `zpttrs` in the chain operator.  Its spectral path is
 numpy's `eigh`, so a CLI `evolve` loads no scipy unless the series is the
 cheaper path, and `power_law_designer` fits with numpy alone.  A one-shot

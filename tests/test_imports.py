@@ -3,7 +3,8 @@ no CLI command loads one: `evolve` takes the numpy spectral path below the
 Chebyshev crossover.  In the library, the Chebyshev series loads
 `scipy.special` and `scipy.linalg` (its LAPACK solve), and per-atom loss,
 the one `expm` user, loads `scipy.linalg`.  No path loads `scipy.sparse`,
-and the 1D matrix builders load no scipy module and start no thread."""
+and the 1D matrix builders load no scipy module and start no thread.  The
+2D builder loads `scipy.special` only for a pair farther apart than 2L."""
 
 import json
 import math
@@ -82,6 +83,24 @@ for z in (np.arange(1000.0), np.arange(1000.0)[::-1]):     # sorted and unsorted
     bandqed.multi_drive_sum(atoms, band, coupling, drives)
 print(json.dumps({"scipy": scipy_modules(),
                   "threads": [threads, threading.active_count()]}))
+"""
+
+
+LATTICE_PROBE = r"""
+import json, math, sys
+import numpy as np
+
+import bandqed
+twopi, a = 2.0 * math.pi, 371e-9
+band = bandqed.BandEdge(omega_b=twopi * 333e12, alpha=10.6, k0=math.pi / a, a=a)
+coupling = bandqed.atom_coupling(band, Delta=twopi * 400e9, gamma=twopi * 5e6,
+                                 g_cell=twopi * 12.2e9)
+positions = np.array(json.loads(sys.argv[1])) * a
+bandqed.coupling_matrix_2d(bandqed.atom_array(positions, band, coupling.gamma),
+                           band, coupling)
+print(json.dumps({"L": bandqed.interaction_length(band, coupling.Delta) / a,
+                  "scipy": sorted(m for m in sys.modules
+                                  if m == "scipy" or m.startswith("scipy."))}))
 """
 
 
@@ -187,6 +206,21 @@ def test_chain_builders_are_numpy_only_and_single_threaded():
     assert report["scipy"] == []
     before, after = report["threads"]
     assert after == before
+
+
+def test_2d_lattice_within_two_lengths_loads_no_scipy():
+    # the apcw L is ~30 a: every pair of a 5 x 5 lattice is within 0.2 L,
+    # where K0 comes from its power series
+    lattice = [[x, y] for x in range(5) for y in range(5)]
+    report = probe(lattice, script=LATTICE_PROBE)
+    assert math.hypot(4, 4) < 2.0 * report["L"]
+    assert report["scipy"] == []
+
+
+def test_2d_pair_past_two_lengths_loads_special():
+    report = probe([[0, 0], [70, 0]], script=LATTICE_PROBE)
+    assert 70 > 2.0 * report["L"]
+    assert "scipy.special" in report["scipy"]
 
 
 PUBLIC_API = [

@@ -172,6 +172,41 @@ def test_2d_needs_planar_positions():
             band, coupling)
 
 
+# ------------------------------------------------------------- 2D kernel
+#
+# coupling_matrix_2d evaluates K0 by its power series for x <= 2 and takes
+# scipy's k0 past it (`interactions._bessel_k0`).
+
+def _mp_k0(x):
+    with mp.workdps(30):
+        return np.array([float(mp.besselk(0, mp.mpf(float(v)))) for v in x])
+
+
+def test_bessel_k0_series_matches_mpmath():
+    x = np.concatenate([np.geomspace(1e-8, 2.0, 500), np.linspace(1.5, 2.0, 1500)])
+    want = _mp_k0(x)
+    assert np.max(np.abs(interactions._bessel_k0(x) - want) / want) <= 4e-15
+
+
+def test_bessel_k0_past_two_is_scipys():
+    above = 2.0 * np.array([1.0 + 2.0 ** -52, 1.0 + 1e-12, 1.001, 1.5, 20.0, 300.0])
+    x = np.concatenate([above, [0.5, 2.0]])
+    got = interactions._bessel_k0(x)
+    np.testing.assert_array_equal(got[:len(above)], bessel_k0(above))
+    assert np.max(np.abs(got[len(above):] / _mp_k0(x[len(above):]) - 1.0)) <= 4e-15
+
+
+def test_bessel_k0_subnormal_arguments_raise_no_warning():
+    # ln(x/2) must not become ln 0: a subnormal x halves to 0 or loses bits
+    x = np.array([5e-324, 1e-315, 2.0 ** -1022, 1e-300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = interactions._bessel_k0(x)
+        zero = interactions._bessel_k0(np.zeros(1))
+    assert np.max(np.abs(got / _mp_k0(x) - 1.0)) <= 4e-15
+    assert zero[0] == np.inf
+
+
 # ------------------------------------------------------------- structure
 
 def test_hermiticity_with_complex_bloch_values():
@@ -470,7 +505,7 @@ def test_coupling_matrix_2d_memory_is_the_result():
     xy = np.stack(np.meshgrid(np.arange(side), np.arange(side)), -1).reshape(-1, 2)
     atoms = atom_array(xy * band.a, band, coupling.gamma)
     n = side * side
-    coupling_matrix_2d(atoms, band, coupling)     # import scipy.special outside the trace
+    coupling_matrix_2d(atoms, band, coupling)     # first-call costs outside the trace
     assert _peak(lambda: coupling_matrix_2d(atoms, band, coupling)) \
         <= 2.2 * n * n * 16
 
@@ -488,7 +523,9 @@ def test_coupling_matrix_2d_memory_is_the_result():
 # its own and the diagonal kept a ~1e-17 max|U| imaginary part from
 # E_j E_j^*.  All 16 pins, N = 1 included, were re-recorded for that; they
 # moved by at most 2.8e-16 max|U| (mechanical_potential, N = 131), and no
-# diagonal's real part moved.
+# diagonal's real part moved.  The 2D pin was re-recorded again when K0 came
+# from its power series in place of scipy's k0 (`_bessel_k0`): it moved by
+# 5.3e-16 max|U|, and by at most 1.5e-15 of any entry.
 
 PIN_DRIVES = [dict(Omega=TWOPI * 4e9 * (i + 1), Omega_prime=0.0,
                    delta_L=TWOPI * 100e9 * (i + 1),
@@ -519,7 +556,7 @@ BUILDER_PINS = {
     ("mechanical_potential", 63): "9c3b29d3416d6cda727ee4f407a0d0595e5e7acdb21ab8911cdbff7382776870",
     ("mechanical_potential", 65): "bc6c965bd2da633acc9ec1f779a336cf15407959330a86797497ce83226699e5",
     ("mechanical_potential", 131): "1184d62464d9df4f058602da4e55d01071c3a6fee643f7e2ecc522ceddf0ca6a",
-    ("coupling_matrix_2d", 225): "8d3a8607f38f7998ed08d437a4674cf66fee58caa8305a0abdc9e8ad9bf24c75",
+    ("coupling_matrix_2d", 225): "fff81fc60ca461319b77a18b3571f6cf7ce340aa95f8e79a18e69f58f51ac927",
 }
 
 
