@@ -213,11 +213,11 @@ def _pair_kernel(band: BandEdge, coupling: AtomCoupling, detuning,
 class _ChainTerms:
     """values = sum_i s_i E_j exp(-|z_j - z_l|/L_i) E_l^*: a 1D matrix's terms.
 
-    The one source of a chain's matrix (`_chain_values`), operator
-    (`_chain_operator`) and norm bound (`_chain_bound`), sorted once for
-    all three: `order` is the stable argsort of the positions, `rank` its
-    inverse, `gaps` the adjacent gaps in sorted order and `ratios` the
-    r_i = exp(-gaps/L_i), one array per term.
+    The one source of a chain's matrix (`_chain_values`, in matrix order),
+    operator (`_chain_operator`) and norm bound (`_chain_bound`).  The last
+    two run on the sorted form, made once here: `order` is the stable
+    argsort of the positions, `rank` its inverse, `gaps` the adjacent gaps
+    in sorted order and `ratios` the r_i = exp(-gaps/L_i), one array per term.
     """
 
     positions: np.ndarray     # z_j in the order of the matrix rows
@@ -258,55 +258,45 @@ def _chain_matrix(atoms: AtomArray, band: BandEdge, coupling: AtomCoupling,
 
 
 def _chain_values(chain: _ChainTerms, e: np.ndarray) -> np.ndarray:
-    """sum_i s_i e_j exp(-|z_j - z_l|/L_i) e_l^*, TILE rows at a time in sorted order.
+    """sum_i s_i e_j exp(-|z_j - z_l|/L_i) e_l^*, TILE rows at a time in matrix order.
 
     e = E gives the complex values, and e = |E| the real symmetric M with
     U = D M D^*, D = diag(E_j/|E_j|), that the spectral path diagonalizes.
-    A block's own TILE x TILE part is evaluated pair by pair, as
-    s_i exp(d/-L_i) summed over terms times e_j e_l^*.  As
-    exp(-|z_j - z_l|/L) = exp(-|z_j - c|/L) exp(-|z_l - c|/L) for any c
-    between z_j and z_l, the columns after the block factor about its last
-    position: one outer product per term, O(N TILE) exponentials in all.
-    Both factors are <= 1, so none overflows, and one underflows only where
-    the entry is below ~1e-308 of its scale anyway.  `_mirror_upper` copies
-    the columns before the block from blocks already built.  Where `order`
-    is not the identity both sides are computed, as masks over the columns
-    in matrix order, and the block's strip is copied to its rows: no N x N
-    temporary either way.
+    Each strip of rows [start, stop) runs from its diagonal to column N, and
+    `_mirror_upper` copies the lower triangle: no N x N temporary.  Columns
+    before `far` are evaluated pair by pair, as s_i exp(d/-L_i) added in
+    term order, times e_j e_l^*.  On positions that do not decrease
+    far = stop, and as exp(-|z_j - z_l|/L) = exp(-|z_j - c|/L)
+    exp(-|z_l - c|/L) for any c between z_j and z_l, the columns after it
+    factor about the strip's last position: one outer product per term,
+    O(N TILE) exponentials in all.  Both factors are <= 1, so none
+    overflows, and one underflows only where the entry is below ~1e-308 of
+    its scale anyway.  On any other order far = N.
     """
-    z, order, rank = chain.positions, chain.order, chain.rank
+    z = chain.positions
     _refuse_overflow(sum(abs(s) for s in chain.scales), float(np.max(np.abs(e))))
-    ec = e.conj()
     n = len(z)
     lengths = -np.array(chain.lengths)[:, None]   # (terms, 1), negated
     scales = np.array(chain.scales)[:, None]
-    shuffled = bool(np.any(rank != np.arange(n)))
-    if shuffled:
-        strip = np.empty((TILE, n), dtype=e.dtype)
+    ascending = bool(np.all(z[1:] >= z[:-1]))
     values = np.empty((n, n), dtype=e.dtype)
     for start in range(0, n, TILE):
-        block = order[start:start + TILE]
-        stop = start + len(block)
-        zb, eb = z[block], e[block]
-        if shuffled:
-            out = strip[:len(block)]
-            (a0, b0), (a1, b1) = (_factors(zb, z, zb[0], lengths, scales),
-                                  _factors(zb, z, zb[-1], lengths, scales))
-            _outer_sum(out, eb, ec, np.vstack([a0, a1]),
-                       np.vstack([b0 * (rank < start), b1 * (rank >= stop)]))
-        else:
-            out = values[start:stop]
-            _outer_sum(out[:, stop:], eb, ec[stop:],
-                       *_factors(zb, z[stop:], zb[-1], lengths, scales))
-        # the block's own part pair by pair: its upper triangle has the pairwise bits
-        distance = np.abs(np.subtract.outer(zb, zb))
-        u = np.sum(np.exp(distance / lengths[..., None]) * scales[..., None], axis=0)
-        diagonal = _pair_phases(e, block, block,
-                                None if shuffled else out[:, start:stop])
-        diagonal *= u
-        if shuffled:
-            out[:, block] = diagonal
-            values[block] = out
+        stop = min(start + TILE, n)
+        far = stop if ascending else n
+        rows, near = slice(start, stop), slice(start, far)
+        distance = np.subtract.outer(z[rows], z[near])
+        np.abs(distance, out=distance)
+        u, k = 0.0, np.empty_like(distance)
+        for L, s in zip(chain.lengths, chain.scales):
+            np.divide(distance, -L, out=k)
+            np.exp(k, out=k)
+            k *= s
+            u += k   # the first term makes u a new array, 0.0 + k
+        strip = _pair_phases(e, rows, near, values[rows, near])
+        strip *= u
+        if far < n:
+            _outer_sum(values[rows, far:], e[rows], e[far:].conj(),
+                       *_factors(z[rows], z[far:], z[stop - 1], lengths, scales))
     _mirror_upper(values)
     return values
 

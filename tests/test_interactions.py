@@ -489,8 +489,8 @@ def test_coupling_matrix_1d_memory_is_the_result():
 
 
 def test_shuffled_chain_memory_is_the_result():
-    # unsorted positions are built in sorted row blocks, each copied to its
-    # rows through one TILE x N strip
+    # unsorted positions are built pair by pair in TILE-row strips of the
+    # upper triangle: a few real TILE x N temporaries beside the result
     band, coupling = apcw()
     n = 2000
     z = np.random.default_rng(7).permutation(n) * band.a
@@ -601,20 +601,33 @@ def _assert_exactly_hermitian(U):
     assert np.all(U.diagonal().imag == 0)
 
 
-def _seeded_chain(n, gamma, shuffled):
+def _row_order(n, layout, rng):
+    """The matrix rows of a chain whose sites are sorted, for each layout."""
+    if layout in ("shuffled", "underflow"):
+        return rng.permutation(n)
+    if layout == "reversed":
+        return np.arange(n)[::-1]
+    p = np.arange(n)
+    if layout == "one_swap":   # one adjacent pair out of order (none at N = 1)
+        i = n // 2
+        p[[i - 1, i]] = p[[i, i - 1]]
+    return p
+
+
+def _seeded_chain(n, gamma, layout):
     atoms = _seeded_atoms(n, 1, gamma)
-    if not shuffled:
-        return atoms
-    p = np.random.default_rng(n).permutation(n)
+    p = _row_order(n, layout, np.random.default_rng(n))
     return AtomArray(positions=atoms.positions[p],
                      bloch_values=atoms.bloch_values[p], gamma=gamma)
 
 
-@pytest.mark.parametrize("shuffled", [False, True])
+# ids False and True are the sorted and shuffled layouts
+@pytest.mark.parametrize("layout", ["sorted", "shuffled", "reversed", "one_swap"],
+                         ids=["False", "True", "reversed", "one_swap"])
 @pytest.mark.parametrize("n", [1, 2, 63, 65, 131, 1000])
-def test_1d_builders_are_exactly_hermitian(n, shuffled):
+def test_1d_builders_are_exactly_hermitian(n, layout):
     band, coupling = apcw()
-    atoms = _seeded_chain(n, coupling.gamma, shuffled)
+    atoms = _seeded_chain(n, coupling.gamma, layout)
     for build in EXACT_BUILDERS.values():
         _assert_exactly_hermitian(build(atoms, band, coupling).values)
 
@@ -629,8 +642,8 @@ def test_builders_never_run_the_tile_check(monkeypatch):
     # a negative tolerance fails every matrix the check sees
     monkeypatch.setattr(interactions, "HERMITICITY_RTOL", -1.0)
     band, coupling = apcw()
-    for shuffled in (False, True):
-        atoms = _seeded_chain(131, coupling.gamma, shuffled)
+    for layout in ("sorted", "shuffled"):
+        atoms = _seeded_chain(131, coupling.gamma, layout)
         for build in EXACT_BUILDERS.values():
             build(atoms, band, coupling)
     coupling_matrix_2d(_seeded_atoms(225, 2, coupling.gamma), band, coupling)
@@ -644,12 +657,13 @@ def test_builders_never_run_the_tile_check(monkeypatch):
 # chain's terms with |E_j| in place of E_j.  It is Re(D^* U D) for
 # D = diag(E_j/|E_j|) (1 where E_j = 0), up to the rounding of the phases.
 
-@pytest.mark.parametrize("layout", ["sorted", "shuffled", "coincident", "dark"])
+@pytest.mark.parametrize("layout", ["sorted", "shuffled", "reversed", "one_swap",
+                                    "coincident", "dark"])
 @pytest.mark.parametrize("builder", ["coupling_matrix_1d", "multi_drive_sum"])
 @pytest.mark.parametrize("n", [1, 2, 300])
 def test_real_build_is_the_phase_free_matrix(n, builder, layout):
     band, coupling = apcw()
-    atoms = _seeded_chain(n, coupling.gamma, layout == "shuffled")
+    atoms = _seeded_chain(n, coupling.gamma, layout)
     if layout == "coincident" and n > 1:
         atoms.positions[n // 2] = atoms.positions[n // 2 - 1]
     if layout == "dark":
@@ -725,9 +739,10 @@ def test_huge_finite_drive_ratios_are_refused(build):
 
 # ------------------------------------------------------------- semiseparable build
 #
-# Past one 64-atom block the 1D builders factor exp(-|z_j - z_l|/L) about
-# the block's ends.  The reference here is the pairwise sum, one entry at a
-# time: sum_i s_i exp(-|z_j - z_l|/L_i) E_j E_l^*.
+# On sorted positions, past one 64-atom block the 1D builders factor
+# exp(-|z_j - z_l|/L) about the block's last position; unsorted positions
+# are evaluated pair by pair.  The reference here is the pairwise sum, one
+# entry at a time: sum_i s_i exp(-|z_j - z_l|/L_i) E_j E_l^*.
 
 def _chain_case(n, layout, n_terms):
     """(atoms, band, coupling, drives) for the agreement and permutation tests."""
@@ -745,10 +760,8 @@ def _chain_case(n, layout, n_terms):
     if layout == "coincident":
         z[interactions.TILE] = z[interactions.TILE - 1]   # one pair across the first boundary
     e = np.exp(1j * rng.uniform(0, TWOPI, n)) * rng.uniform(0.5, 1.0, n)
-    if layout in ("shuffled", "underflow"):
-        p = rng.permutation(n)
-        z, e = z[p], e[p]
-    atoms = AtomArray(positions=z, bloch_values=e, gamma=coupling.gamma)
+    p = _row_order(n, layout, rng)
+    atoms = AtomArray(positions=z[p], bloch_values=e[p], gamma=coupling.gamma)
     drives = [DriveField(Omega=0.04 * scale * (i + 1), Omega_prime=0.0,
                          delta_L=scale * (i + 1), Delta_L=Delta * (1.0 + 0.7 * i))
               for i in range(n_terms)]
@@ -780,13 +793,38 @@ def _assert_close(got, want):
 
 
 @pytest.mark.parametrize("n_terms", [1, 3])
-@pytest.mark.parametrize("layout", ["sorted", "shuffled", "coincident", "underflow"])
+@pytest.mark.parametrize("layout", ["sorted", "shuffled", "reversed", "one_swap",
+                                    "coincident", "underflow"])
 @pytest.mark.parametrize("n", [65, 131, 1000])
 def test_chain_build_matches_pairwise(n, layout, n_terms):
     case = _chain_case(n, layout, n_terms)
     got = _chain_build(*case)
     assert np.all(np.isfinite(got))
     _assert_close(got, _pairwise(*case))
+
+
+@pytest.mark.parametrize("n_terms", [1, 3])
+@pytest.mark.parametrize("layout", ["shuffled", "reversed", "one_swap"])
+def test_unsorted_chain_is_its_pairwise_sum(layout, n_terms):
+    # unsorted rows take no factors: each upper entry is s_i exp(d/-L_i),
+    # added in term order, times e_j e_l^*, bit for bit, for e = E and |E|
+    atoms, band, coupling, drives = _chain_case(131, "coincident", n_terms)
+    p = _row_order(131, layout, np.random.default_rng(131))
+    atoms = AtomArray(positions=atoms.positions[p],
+                      bloch_values=atoms.bloch_values[p], gamma=atoms.gamma)
+    chain = (coupling_matrix_1d(atoms, band, coupling) if n_terms == 1 else
+             multi_drive_sum(atoms, band, coupling, drives))._chain
+    z = chain.positions
+    distance = np.abs(z[:, None] - z[None, :])
+    kernel = np.zeros_like(distance)
+    for L, s in zip(chain.lengths, chain.scales):
+        kernel += np.exp(np.divide(distance, -L)) * s
+    upper = np.triu_indices(131, 1)
+    for e in (chain.bloch_values, np.abs(chain.bloch_values)):
+        want = e[:, None] * e.conj()[None, :] * kernel
+        got = interactions._chain_values(chain, e)
+        assert np.array_equal(got[upper], want[upper])
+        assert np.array_equal(got.diagonal(), want.diagonal().real)
 
 
 @pytest.mark.parametrize("n_terms", [1, 3])
