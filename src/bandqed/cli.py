@@ -3,14 +3,17 @@
 Every command reads one JSON config (optionally layered over a named
 preset) and only computes: it returns an `Output` holding a table, a JSON
 payload or both, a short human summary and an exit code.  `main` writes
-the machine output to stdout or --out and the summary to stderr.  One
-format rule: a payload is the default output and --format csv selects the
-table; a table alone is CSV unless --format json asks for its columns.
-CSV is comma-separated, LF-terminated, with a header row and
-17-significant-digit floats; JSON is canonical (sorted keys, minimal
-separators).  Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 fit
-failure or tolerance not met (on a fit failure only {"error": ...} is
-written; a missed tolerance still writes the result).
+the machine output to stdout or --out and the summary to stderr, and
+returns the exit code; `run`, the console entry, ends the process with it
+as soon as both streams are flushed.  One format rule: a payload is the
+default output and --format csv selects the table; a table alone is CSV
+unless --format json asks for its columns.  CSV is comma-separated,
+LF-terminated, with a header row and 17-significant-digit floats (inf for
+an unbounded value); JSON is canonical (sorted keys, minimal separators)
+and strict, so an unbounded value is null.  Exit codes: 0 ok, 2 config
+error or output that cannot be written, 3 numerical failure, 4 fit failure
+or tolerance not met (on a fit failure only {"error": ...} is written; a
+missed tolerance still writes the result).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -348,18 +352,40 @@ def main(argv=None) -> int:
         _say(f"numerical failure: {exc}")
         return 3
     text = _render(out, args.format)
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", newline="") as fh:
                 fh.write(text)
-        except OSError as exc:
-            _say(f"config error: cannot write output: {exc}")
-            return 2
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        return _cannot_write(exc)
     _say(out.summary)
     return out.code
 
 
+def _cannot_write(exc: OSError) -> int:
+    _say(f"config error: cannot write output: {exc}")
+    return 2
+
+
+def run() -> None:
+    """Console entry: `main`, then flush and end the process at once.
+
+    `os._exit` skips interpreter finalization and the join of the BLAS
+    worker threads, which would otherwise follow every command's output.
+    An exception or argparse's SystemExit leaves `main` the usual way.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if code != 2:       # else main has reported this failed write already
+            code = _cannot_write(exc)
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

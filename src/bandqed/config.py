@@ -239,6 +239,20 @@ def load_config(raw: dict, command: str,
 
 
 def canonical_dumps(obj: Any) -> str:
-    """Byte-stable JSON: sorted keys, minimal separators, trailing newline."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      allow_nan=True) + "\n"
+    """Byte-stable JSON: sorted keys, minimal separators, trailing newline.
+
+    Strict RFC 8259 output: a non-finite float is written as null, since
+    JSON has no token for it (and the config reader refuses one on input).
+    """
+    return json.dumps(_finite_or_null(obj), sort_keys=True,
+                      separators=(",", ":"), allow_nan=False) + "\n"
+
+
+def _finite_or_null(obj: Any) -> Any:
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj

@@ -169,6 +169,9 @@ def lyapunov_mc(stack: DielectricStack, n_trials: int = 200) -> LocalizationResu
     are reproducible per (seed, trial) independent of n_trials.  Phases are
     drawn MC_BLOCK_CELLS cells at a time, so memory does not grow with
     n_cells; it grows with n_trials, which is refused past MAX_TRIALS.
+    All products are real: each layer's (e^{i phi}, e^{-i phi}) is written
+    from cos and sin, and each interface acts on the (Re, Im) pairs of the
+    amplitudes as one float product into a preallocated buffer.
 
     When the fitted length is too large to resolve on n_cells (including
     the clean case, whose growth is algebraic, not exponential), the result
@@ -182,10 +185,10 @@ def lyapunov_mc(stack: DielectricStack, n_trials: int = 200) -> LocalizationResu
     burn = n_cells // 10
     phi_edge = band_edge_phase(stack.r)
 
-    i_hl = interface_matrix(stack.r, 1.0)
-    i_lh = interface_matrix(1.0, stack.r)
-    i_hl_t = i_hl.T.astype(complex)
-    i_lh_t = i_lh.T.astype(complex)
+    # v @ i.T for complex rows v is v.view(float) @ kron(i.T, 1_2): the real
+    # interface acts on (Re, Im) alike, and a real product allocates nothing
+    k_hl = np.kron(interface_matrix(stack.r, 1.0).T, np.eye(2))
+    k_lh = np.kron(interface_matrix(1.0, stack.r).T, np.eye(2))
 
     # trial t draws from its own stream, a block of cells at a time; the
     # streams stay alive across blocks, so the draws match one-shot sampling
@@ -201,6 +204,8 @@ def lyapunov_mc(stack: DielectricStack, n_trials: int = 200) -> LocalizationResu
 
     v = np.zeros((n_trials, 2), dtype=complex)
     v[:, 0] = 1.0
+    w = np.empty_like(v)    # v after the first interface of a cell
+    v_re, w_re = v.view(float), w.view(float)
     log_accum = np.zeros(n_trials)
     log_burn = np.zeros(n_trials)
 
@@ -216,13 +221,13 @@ def lyapunov_mc(stack: DielectricStack, n_trials: int = 200) -> LocalizationResu
             phases = rot[:m, ..., 1].real
             np.multiply(block.transpose(1, 2, 0), scale, out=phases)
             phases += phi_edge
-            np.multiply(phases, 1j, out=rot[:m, ..., 0])
-            np.exp(rot[:m, ..., 0], out=rot[:m, ..., 0])
+            np.cos(phases, out=rot[:m, ..., 0].real)
+            np.sin(phases, out=rot[:m, ..., 0].imag)
             np.conjugate(rot[:m, ..., 0], out=rot[:m, ..., 1])
             for j in range(m):
-                v = v @ i_hl_t
-                v *= rot[j, 1]
-                v = v @ i_lh_t
+                np.dot(v_re, k_hl, out=w_re)
+                w *= rot[j, 1]
+                np.dot(w_re, k_lh, out=v_re)
                 v *= rot[j, 0]
                 done = start + j + 1    # cells propagated so far
                 if done == burn:

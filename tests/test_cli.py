@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -627,7 +630,135 @@ def test_disorder_sweep_csv(capsys, tmp_path):
     assert np.all(np.diff(rows[:, 2]) < 0)         # analytic strictly falls
 
 
+def strict_json(text):
+    """Parse as RFC 8259 JSON, which has no NaN or Infinity token."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_unbounded_disorder_point_writes_null(capsys, tmp_path):
+    code, out, err = run(capsys, ["disorder", "--config",
+                                  disorder_cfg(tmp_path, epsilon=0.0)])
+    assert code == 0
+    payload = strict_json(out)
+    assert payload["unbounded"] is True
+    assert payload["xi_mc"] is None and payload["xi_stderr"] is None
+    assert payload["xi_analytic"] is None and payload["sigma"] == 0.0
+
+
+def test_unbounded_disorder_sweep_writes_null_in_json_and_inf_in_csv(capsys, tmp_path):
+    doc = {"units": "si", "disorder": {"r": 2.0, "n_cells": 4000},
+           "params": {"n_trials": 8, "epsilon_values": [0.0, 1e-3]}}
+    argv = ["disorder", "--config", write_cfg(tmp_path, "sweep.json", doc)]
+    code, out, err = run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    columns = strict_json(out)["columns"]
+    for name in ("xi_analytic", "xi_mc", "stderr"):
+        assert columns[name][0] is None
+        assert math.isfinite(columns[name][1])
+    code, out, err = run(capsys, argv)
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert np.all(np.isinf(rows[0, 2:])) and np.all(np.isfinite(rows[1]))
+
+
 # ------------------------------------------------------------- plumbing
+
+class FullStream:
+    """A stdout on a full device: every write and flush fails."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    flush = write
+
+
+def test_failed_stdout_write_is_a_config_error(capsys, monkeypatch):
+    # it used to leave main as an OSError traceback
+    monkeypatch.setattr(sys, "stdout", FullStream())
+    code = main(["preset", "list"])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "config error: cannot write output: [Errno 28] No space left on device\n"
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def cold_cli(argv, stdout=subprocess.PIPE, unbuffered=False):
+    """Run `python -m bandqed.cli` on this source tree in a fresh process."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "bandqed.cli", *argv], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=120)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_cold_write_to_a_full_device_is_a_config_error(unbuffered):
+    # the write fails in main (unbuffered) or at its flush (buffered); either
+    # way one message, where there used to be a traceback and exit 1
+    with open("/dev/full", "w") as full:
+        proc = cold_cli(["preset", "list"], stdout=full, unbuffered=unbuffered)
+    assert proc.returncode == 2
+    assert proc.stderr == \
+        "config error: cannot write output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("case", ["preset-list", "disorder-unbounded", "missing-config",
+                                  "too-many-trials"])
+def test_cold_process_matches_main_byte_for_byte(capsys, tmp_path, case):
+    argv = {
+        "preset-list": ["preset", "list"],
+        "disorder-unbounded": ["disorder", "--config",
+                               disorder_cfg(tmp_path, epsilon=0.0)],
+        "missing-config": ["evolve", "--config", str(tmp_path / "missing.json")],
+        "too-many-trials": ["disorder", "--config", write_cfg(
+            tmp_path, "trials.json", {"disorder": {"r": 2.0},
+                                      "params": {"n_trials": MAX_TRIALS + 1}})],
+    }[case]
+    code, out, err = run(capsys, argv)
+    assert code == {"preset-list": 0, "disorder-unbounded": 0,
+                    "missing-config": 2, "too-many-trials": 3}[case]
+    proc = cold_cli(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_cold_output_is_complete_on_a_pipe_and_in_an_out_file(capsys, tmp_path):
+    # ~2.8 MB, many times any stream buffer, written before the process ends
+    cfg = write_cfg(tmp_path, "grid.json", {"params": {"grid_points": 20_000}})
+    argv = ["bound-state", "--preset", "apcw", "--config", cfg]
+    code, out, err = run(capsys, argv)
+    assert code == 0
+    proc = cold_cli(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, err)
+    target = tmp_path / "table.csv"
+    proc = cold_cli(argv + ["--out", str(target)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", err)
+    assert target.read_text() == out
+
+
+def test_main_returns_and_run_exits_with_its_code(capsys, monkeypatch, tmp_path):
+    class Exit(Exception):
+        pass
+
+    def fake_exit(code):
+        raise Exit(code)
+
+    monkeypatch.setattr(os, "_exit", fake_exit)
+    for argv, want in ((["preset", "list"], 0),
+                       (["evolve", "--config", str(tmp_path / "missing.json")], 2)):
+        assert main(argv) == want            # main never ends the interpreter
+        monkeypatch.setattr(sys, "argv", ["bandqed", *argv])
+        with pytest.raises(Exit) as exc:
+            cli.run()
+        assert exc.value.args == (want,)
+    capsys.readouterr()
+
 
 def test_out_writes_identical_bytes(capsys, tmp_path):
     code, out, err = run(capsys, ["bound-state", "--preset", "apcw"])

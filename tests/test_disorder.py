@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from bandqed.disorder import (
+    CLIP_SIGMA,
     MAX_TRIALS,
     MC_BLOCK_CELLS,
+    RENORM_CELLS,
     XI_PREFACTOR,
     DielectricStack,
     LocalizationResult,
@@ -161,6 +163,86 @@ def test_mc_values_are_pinned(epsilon, n_cells, xi_mc, xi_stderr):
     res = lyapunov_mc(stack, n_trials=200)
     assert res.xi_mc == xi_mc
     assert res.xi_stderr == xi_stderr
+
+
+def complex_loop_mc(stack, n_trials):
+    """(xi_mc, xi_stderr) from the earlier Monte Carlo loop, kept as an oracle.
+
+    It applies each interface as a complex 2x2 product `v @ i.T` and each
+    layer phase as np.exp(1j phi); lyapunov_mc must give the same bits.
+    """
+    n_cells = stack.n_cells
+    burn = n_cells // 10
+    phi_edge = band_edge_phase(stack.r)
+    i_hl_t = interface_matrix(stack.r, 1.0).T.astype(complex)
+    i_lh_t = interface_matrix(1.0, stack.r).T.astype(complex)
+    rngs = [np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence((stack.seed, t)))) for t in range(n_trials)]
+    draws = np.empty((n_trials, MC_BLOCK_CELLS, 2))
+    scale = stack.phi_b * stack.epsilon
+    rot = np.empty((MC_BLOCK_CELLS, 2, n_trials, 2), dtype=complex)
+    v = np.zeros((n_trials, 2), dtype=complex)
+    v[:, 0] = 1.0
+    log_accum = np.zeros(n_trials)
+    log_burn = np.zeros(n_trials)
+    for start in range(0, n_cells, MC_BLOCK_CELLS):
+        m = min(MC_BLOCK_CELLS, n_cells - start)
+        block = draws[:, :m]
+        for t, rng in enumerate(rngs):
+            rng.standard_normal((m, 2), out=block[t])
+        np.clip(block, -CLIP_SIGMA, CLIP_SIGMA, out=block)
+        phases = rot[:m, ..., 1].real
+        np.multiply(block.transpose(1, 2, 0), scale, out=phases)
+        phases += phi_edge
+        np.multiply(phases, 1j, out=rot[:m, ..., 0])
+        np.exp(rot[:m, ..., 0], out=rot[:m, ..., 0])
+        np.conjugate(rot[:m, ..., 0], out=rot[:m, ..., 1])
+        for j in range(m):
+            v = v @ i_hl_t
+            v *= rot[j, 1]
+            v = v @ i_lh_t
+            v *= rot[j, 0]
+            done = start + j + 1
+            if done == burn:
+                log_burn = log_accum + 0.5 * np.log(np.sum(np.abs(v) ** 2, axis=1))
+            if done % RENORM_CELLS == 0:
+                nrm = np.sqrt(np.sum(np.abs(v) ** 2, axis=1))
+                log_accum += np.log(nrm)
+                v /= nrm[:, None]
+    log_total = log_accum + 0.5 * np.log(np.sum(np.abs(v) ** 2, axis=1))
+    slopes = (log_total - log_burn) / (n_cells - burn)
+    gamma_mean = float(np.mean(slopes))
+    gamma_err = float(np.std(slopes, ddof=1) / math.sqrt(n_trials))
+    if gamma_mean <= 0 or 1.0 / gamma_mean >= n_cells / (2.0 * math.log(max(n_cells, 2))):
+        return math.inf, math.inf
+    xi = 1.0 / gamma_mean
+    return xi, gamma_err * xi * xi
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1e-3, 0.01])
+@pytest.mark.parametrize("r", [1.5, 3.0])
+@pytest.mark.parametrize("n_cells", [16, 300, 1000])
+def test_mc_matches_the_complex_loop_bit_for_bit(n_cells, r, epsilon):
+    # 300 cells: not a whole block count, and a burn-in of 30 is not a
+    # whole number of renormalizations
+    stack = DielectricStack(r=r, epsilon=epsilon, n_cells=n_cells, seed=5)
+    res = lyapunov_mc(stack, n_trials=200)
+    assert (res.xi_mc, res.xi_stderr) == complex_loop_mc(stack, 200)
+
+
+def test_mc_peak_memory_stays_at_the_complex_loop():
+    stack = reference_stack(n_cells=2 * MC_BLOCK_CELLS, seed=1)
+
+    def peak(mc):
+        mc(stack, 200)         # the first call pays one-off allocations
+        tracemalloc.start()
+        try:
+            mc(stack, 200)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lyapunov_mc) <= 1.01 * peak(complex_loop_mc)
 
 
 def test_mc_memory_does_not_grow_with_n_cells():
