@@ -62,9 +62,8 @@ def _render(out: Output, fmt: Optional[str]) -> str:
         return canonical_dumps(out.payload)
     header, rows = out.table
     if fmt == "json":
-        return canonical_dumps({"columns": {
-            name: [float(row[i]) for row in rows]
-            for i, name in enumerate(header)}})
+        columns = np.asarray(rows, dtype=float).T   # one float64 array each
+        return canonical_dumps({"columns": dict(zip(header, columns))})
     lines = [",".join(header)]
     lines += [",".join(format(float(v), ".17g") for v in row) for row in rows]
     return "\n".join(lines) + "\n"

@@ -243,12 +243,17 @@ def canonical_dumps(obj: Any) -> str:
 
     Strict RFC 8259 output: a non-finite float is written as null, since
     JSON has no token for it (and the config reader refuses one on input).
+    A float array is written as a list; only one that holds a non-finite
+    value is walked element by element.
     """
     return json.dumps(_finite_or_null(obj), sort_keys=True,
                       separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def _finite_or_null(obj: Any) -> Any:
+    if isinstance(obj, np.ndarray):
+        values = obj.tolist()
+        return values if np.isfinite(obj).all() else _finite_or_null(values)
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):

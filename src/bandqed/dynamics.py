@@ -281,11 +281,16 @@ def evolve_single_excitation(U: CouplingMatrix, losses: LossModel,
     read a chain's terms, not U.values, and agree with expm in all but the
     last bits.  Per-atom loss takes expm, one per run of equal steps (equal
     up to rounding), so a uniform grid costs one matrix exponential.  The
-    norm decays from 1, is never renormalized, and must stay finite and
-    <= e^{-Gamma_min (t - t_0)/2} (Gamma_max back in time), as d|psi|^2/dt
-    = -sum_j Gamma_j |psi_j|^2: a span past the float range fails that and
-    raises ValueError.  A lossless atom (Gamma_min = 0) makes the bound 1,
-    which cannot see an undecayed result.
+    norm decays from 1 and is never renormalized.  The amplitudes must be
+    finite: a span past the float range raises ValueError.  Under uniform
+    loss any Hermitian U gives norm(t) = |psi0| e^{-Gamma (t - t_0)/2}
+    exactly, and a norm^2 = sum_j |psi_j|^2 off by more than 2e-8 relative
+    (1e-8 in the norm) raises ValueError too.  The absolute floor is the
+    smallest normal float, where norm^2 and the exponential both underflow.
+    Per-atom loss bounds the norm by e^{-Gamma_min (t - t_0)/2} (Gamma_max
+    back in time), as d|psi|^2/dt = -sum_j Gamma_j |psi_j|^2; a lossless
+    atom (Gamma_min = 0) makes that bound 1, which cannot see an undecayed
+    result.
     """
     n = len(U._chain.positions) if U._chain is not None else len(U.values)
     check_atom_count(n)
@@ -308,7 +313,7 @@ def evolve_single_excitation(U: CouplingMatrix, losses: LossModel,
         raise ValueError("t_grid must have at least two points")
     _check_finite(t_grid=t_grid)
 
-    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+    with np.errstate(all="ignore"):   # checked below
         if np.ptp(gamma_eff) > 0:
             amps = _evolve_dense(np.asarray(U.values), gamma_eff, psi0, t_grid)
         elif (operator := _structured_chain(U, t_grid)) is not None:
@@ -317,11 +322,24 @@ def evolve_single_excitation(U: CouplingMatrix, losses: LossModel,
         else:
             amps = _evolve_spectral(U, gamma_eff[0], psi0, t_grid)
         pops = np.abs(amps) ** 2
-        norm = np.sqrt(np.sum(pops, axis=1))
+        total = np.sum(pops, axis=1)
+        norm = np.sqrt(total)
         s = t_grid - t_grid[0]
-        ceiling = np.exp(-0.5 * np.minimum(gamma_eff.min() * s, gamma_eff.max() * s))
-    if not (np.all(np.isfinite(amps)) and np.all(norm <= ceiling * (1.0 + 1e-8))):
+        if np.ptp(gamma_eff) > 0:   # per-atom loss bounds the norm from above
+            ceiling = np.exp(-0.5 * np.minimum(gamma_eff.min() * s, gamma_eff.max() * s))
+            in_range = np.all(norm <= ceiling * (1.0 + 1e-8))
+            worst = 0.0
+        else:   # uniform loss fixes it: compared as norm^2, which underflows with pops
+            exact = nrm**2 * np.exp(-gamma_eff[0] * s)
+            in_range = np.all(np.isfinite(exact))
+            departure = np.abs(total - exact)
+            worst = np.max(departure / exact, initial=0.0,
+                           where=departure > 2e-8 * exact + np.finfo(float).tiny)
+    if not (np.all(np.isfinite(amps)) and in_range):
         raise ValueError(f"a span of {np.ptp(t_grid):.3g} s is past the float range of U")
+    if worst > 0.0:
+        raise ValueError(f"the norm^2 departs from |psi0|^2 e^{{-Gamma (t - t_0)}} "
+                         f"by up to {worst:.3g} relative")
     return EvolutionResult(times=t_grid, amplitudes=amps, populations=pops, norm=norm)
 
 

@@ -16,7 +16,7 @@ from bandqed.cli import MAX_TABLE_CELLS, main
 from bandqed.config import PARAMS, SCHEMA, canonical_dumps, load_config
 from bandqed.disorder import MAX_TRIALS
 from bandqed.dynamics import MAX_ATOMS
-from bandqed.interactions import atom_array, coupling_matrix_1d
+from bandqed.interactions import AtomArray, atom_array, coupling_matrix_1d
 from bandqed.presets import get_preset
 
 TWOPI = 2.0 * math.pi
@@ -254,6 +254,100 @@ def test_integer_setting_must_be_a_json_integer(capsys, tmp_path, command,
     assert code == 2
     assert out == ""
     assert f"params.{key} must be an integer" in err
+
+
+DIMLESS = {"units": "dimensionless",
+           "band": {"omega_b": 1.0, "alpha": 1.0, "a": 1.0},
+           "coupling": {"Delta": 1e-3, "gamma": 1e-9, "beta": 1e-6}}
+TWO_ATOMS = {"positions": [0.0, 3.71e-7]}
+
+
+# (command, layered over the apcw preset, config document, message)
+@pytest.mark.parametrize("command, preset, doc, message", [
+    ("bound-state", True, [1, 2], "config root must be a JSON object"),
+    ("bound-state", True, {"units": "imperial"},
+     'units must be "si" or "dimensionless"'),
+    ("evolve", True, {"drives": {"Omega": 1e9}}, "drives must be a list"),
+    ("bound-state", True, {"losses": [1.0]}, "losses must be a JSON object"),
+    ("bound-state", True, {"coupling": {"bogus": 1}},
+     "unknown keys in coupling: ['bogus']"),
+    ("bound-state", False, {"band": {"omega_b": 1.0, "alpha": 1.0}},
+     "missing required key band.a"),
+    ("bound-state", True, {"params": {"grid_min": True}},
+     "params.grid_min must be a number"),
+    ("exchange", True, {"params": {"optimize": 1}},
+     "params.optimize must be a boolean"),
+    ("interactions", True, {"params": {"Delta_values": []}},
+     "params.Delta_values must be a non-empty list of numbers"),
+    ("evolve", True, {"atoms": {**TWO_ATOMS, "bloch_values": [[1, 0, 0], [1, 0, 0]]},
+                      "params": {"t_max": 1e-9}},
+     "atoms.bloch_values must be a non-empty list of [re, im] pairs"),
+    ("bound-state", False, {"coupling": {"gamma": 5e6, "g_cell": 12.2e9}},
+     "coupling section needs a band section"),
+    ("evolve", False, {"atoms": {**TWO_ATOMS, "gamma": 5e6}, "params": {"t_max": 1e-9}},
+     "atoms section needs a band section"),
+    ("evolve", False, {"band": DIMLESS["band"], "atoms": {"positions": [0.0, 1.0]},
+                       "params": {"t_max": 1.0}},
+     "atoms.gamma required without a coupling section"),
+    ("evolve", True, {"params": {"t_max": 1e-9}}, "this command needs a 'atoms' section"),
+    ("bound-state", True, {"params": {"grid_min": 1.0, "grid_max": 1.0}},
+     "grid_min < grid_max and grid_points >= 2 required"),
+    ("interactions", True, {"coupling": {"gamma": 0.0}}, "interactions needs gamma > 0"),
+    ("interactions", True, {"params": {"sep_max": 0.0}},
+     "sep_max > 0 and sep_points >= 2 required"),
+    ("interactions", False, DIMLESS,
+     "params.Delta_values required in dimensionless mode"),
+    ("evolve", True, {"atoms": TWO_ATOMS, "params": {"t_max": 0.0}},
+     "t_max > 0 and n_times >= 2 required"),
+    ("evolve", True, {"atoms": TWO_ATOMS, "params": {"t_max": 1e-9, "initial_site": 2}},
+     "initial_site out of range"),
+], ids=["root-not-object", "units", "drives-not-list", "section-not-object",
+        "unknown-section-key", "missing-required-key", "true-for-number",
+        "one-for-boolean", "empty-Delta_values", "bloch_values-not-pairs",
+        "coupling-without-band", "atoms-without-band", "atoms-without-gamma",
+        "evolve-without-atoms", "grid_min-not-below-grid_max",
+        "interactions-gamma-0", "interactions-sep_max-0",
+        "dimensionless-interactions-without-Delta_values", "evolve-t_max-0",
+        "evolve-initial_site-out-of-range"])
+def test_config_refusals_are_config_errors(capsys, tmp_path, command, preset, doc,
+                                           message):
+    argv = [command, "--config", write_cfg(tmp_path, "refused.json", doc)]
+    code, out, err = run(capsys, argv + (["--preset", "apcw"] if preset else []))
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: {message}\n"
+
+
+def test_evolve_with_bloch_value_pairs_matches_the_library(capsys, tmp_path):
+    pairs = [[1.0, 0.0], [0.0, 0.5], [-0.6, 0.6], [0.3, -0.8]]
+    e = np.array([complex(re, im) for re, im in pairs])
+    doc = {**DIMLESS, "atoms": {"positions": [0.0, 1.0, 2.0, 3.0], "bloch_values": pairs},
+           "params": {"t_max": 2e7, "n_times": 11, "initial_site": 1}}
+    code, out, err = run(capsys, ["evolve", "--config", write_cfg(tmp_path, "e.json", doc)])
+    assert code == 0
+    header, rows = parse_csv(out)
+
+    cfg = load_config(doc, "evolve")
+    assert np.array_equal(cfg.atoms.bloch_values, e)
+    atoms = AtomArray(positions=np.arange(4.0), bloch_values=e, gamma=1e-9)
+    psi0 = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+    want = dynamics.evolve_single_excitation(
+        coupling_matrix_1d(atoms, cfg.band, cfg.coupling), cfg.loss_model(), psi0,
+        np.linspace(0.0, 2e7, 11))
+    assert np.array_equal(rows[:, 1:-1], want.populations)
+    assert np.array_equal(rows[:, -1], want.norm)
+    assert np.max(rows[:, 1:-1] - rows[0, 1:-1]) > 0.01   # the excitation moved
+
+
+def test_dimensionless_interactions_headers(capsys, tmp_path):
+    doc = {**DIMLESS, "params": {"Delta_values": [1e-3, 2.5e-3], "sep_points": 3}}
+    code, out, err = run(capsys, ["interactions", "--config",
+                                  write_cfg(tmp_path, "i.json", doc)])
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header == ["separation_over_a", "U_over_gamma_Delta0.001",
+                      "U_over_gamma_Delta0.0025"]
+    assert rows.shape == (3, 3)
 
 
 def test_allocation_failure_is_a_numerical_failure(capsys, monkeypatch):

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bandqed import dynamics
 from bandqed.bound_state import BandEdge, atom_coupling
 from bandqed.dynamics import (
     SCAN_POINTS,
@@ -625,6 +626,49 @@ def test_a_step_back_in_time_may_grow_the_norm_at_the_largest_rate():
     out = evolve_single_excitation(U, losses, psi0, t)
     assert out.norm[-1] > math.exp(0.5 * gamma_eff.min() / gamma_eff.max()) * (1.0 + 1e-8)
     assert out.norm[-1] == pytest.approx(math.exp(0.5), rel=1e-6)
+
+
+# Under uniform loss norm(t) = |psi0| e^{-Gamma (t - t_0)/2} for any Hermitian
+# U, so the check is two-sided there: a path that loses amplitude is refused,
+# where the ceiling alone would pass it.
+
+def uniform_loss_chain(n=400):
+    U = apcw_chain(np.arange(n) * APCW.a)
+    psi0 = np.zeros(n, dtype=complex)
+    psi0[n // 2] = 1.0
+    return U, psi0, 2.0 * hop_time(U)
+
+
+@pytest.mark.parametrize("path, name, span", [("_evolve_spectral", "spectral", 100.0),
+                                              ("_evolve_structured", "series", 1.0)])
+def test_a_path_that_loses_amplitude_under_uniform_loss_is_refused(
+        monkeypatch, path, name, span):
+    U, psi0, hop = uniform_loss_chain()
+    losses = LossModel(kappa_p=1e7, gamma=TWOPI * 5e6, theta=0.3)
+    t = np.linspace(0.0, span * hop, 5)
+    assert route(U, losses, psi0, t) == name
+    out = evolve_single_excitation(U, losses, psi0, t)
+    exact = np.exp(-0.5 * losses.gamma_eff() * t)
+    assert np.max(np.abs(out.norm / exact - 1.0)) <= 1e-8
+
+    full = getattr(dynamics, path)
+    monkeypatch.setattr(dynamics, path, lambda *args: 0.5 * full(*args))
+    with pytest.raises(ValueError, match=r"norm\^2 departs .* by up to 0.75 relative"):
+        evolve_single_excitation(U, losses, psi0, t)
+
+
+@pytest.mark.parametrize("decades", [200, 400, 750])
+def test_an_exact_norm_past_the_normal_floats_is_met(decades):
+    # norm^2 = sum |psi_j|^2 loses its last bits from 1e-308 and is 0 from
+    # ~1e-324, as e^{-Gamma t} does: at 1e-200 both are normal, at 1e-400
+    # and 1e-750 both reach 0 by the last samples
+    U, psi0, hop = uniform_loss_chain()
+    t = np.linspace(0.0, hop, 9)
+    gamma = decades * math.log(10.0) / t[-1]   # norm^2 = 10^-decades at the end
+    losses = LossModel(kappa_p=0.0, gamma=gamma, theta=0.0)
+    assert route(U, losses, psi0, t) == "series"
+    out = evolve_single_excitation(U, losses, psi0, t)
+    assert out.norm[-1] ** 2 == pytest.approx(10.0 ** -decades, rel=1e-8, abs=1e-308)
 
 
 # ------------------------------------------------------------- spectral path

@@ -37,35 +37,10 @@ def apcw():
 
 # ------------------------------------------------------------- oracles
 #
-# Independent route to the same matrix elements: the photon-eliminated pair
-# energy as a mode-sum over the quadratic band, evaluated by direct numeric
-# quadrature of the oscillatory k-integral (no exponential/Bessel shortcut).
+# The k-space mode sums of `exp_mode_integral` and `k0_mode_integral`
+# (conftest.py) against the built matrices.
 
-def kernel_1d_by_quadrature(gbar_sq, Delta, w):
-    """U(z) = (gbar^2/(pi Delta)) * Int_0^inf cos(w u)/(1 + u^2) du, w = z/L."""
-    mp.mp.dps = 30
-    if w == 0.0:
-        integral = mp.quad(lambda u: 1.0 / (1.0 + u * u), [0, mp.inf])
-    else:
-        integral = mp.quadosc(lambda u: mp.cos(w * u) / (1.0 + u * u),
-                              [0, mp.inf], omega=w)
-    return float(gbar_sq / (math.pi * Delta) * integral)
-
-
-def kernel_2d_by_quadrature(g_cell, a, Delta, L, w):
-    """U(r) = g_cell^2 a * Int_0^inf q J0(q r)/(Delta + c q^2) dq, w = r/L.
-
-    In the scaled variable u = q L the integral is
-    Int u J0(w u)/(1 + u^2) du / (Delta L^2).
-    """
-    mp.mp.dps = 30
-    integral = mp.quadosc(
-        lambda u: u * mp.besselj(0, w * u) / (1.0 + u * u),
-        [0, mp.inf], zeros=lambda n: mp.besseljzero(0, n) / w)
-    return float(g_cell**2 * a * integral / (Delta * L**2))
-
-
-def test_1d_matrix_against_quadrature_oracle():
+def test_1d_matrix_against_quadrature_oracle(exp_mode_integral):
     band, coupling = apcw()
     L = interaction_length(band, coupling.Delta)
     gbar_sq = coupling.g_cell**2 * band.a / L
@@ -76,7 +51,7 @@ def test_1d_matrix_against_quadrature_oracle():
     U = coupling_matrix_1d(atoms, band, coupling).values.real
 
     for j, zj in enumerate(z):
-        want = kernel_1d_by_quadrature(gbar_sq, coupling.Delta, zj / L)
+        want = gbar_sq / (math.pi * coupling.Delta) * exp_mode_integral(zj / L)
         assert U[0, j] == pytest.approx(want, rel=1e-6)
 
 
@@ -90,7 +65,7 @@ def test_1d_sign_pattern_with_edge_bloch_wave():
     assert np.all(np.sign(U.real) == expected_sign)
 
 
-def test_2d_matrix_against_quadrature_oracle():
+def test_2d_matrix_against_quadrature_oracle(k0_mode_integral):
     band, coupling = apcw()
     L = interaction_length(band, coupling.Delta)
     for w in (0.1, 0.25, 0.6, 1.0, 1.8, 3.0, 5.0):
@@ -98,8 +73,8 @@ def test_2d_matrix_against_quadrature_oracle():
         atoms = AtomArray(positions=pos, bloch_values=np.ones(2),
                           gamma=coupling.gamma)
         U = coupling_matrix_2d(atoms, band, coupling).values.real
-        want = kernel_2d_by_quadrature(coupling.g_cell, band.a,
-                                       coupling.Delta, L, w)
+        want = (coupling.g_cell**2 * band.a * k0_mode_integral(w)
+                / (coupling.Delta * L**2))
         assert U[0, 1] == pytest.approx(want, rel=1e-4)
 
 
