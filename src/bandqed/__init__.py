@@ -7,12 +7,30 @@ Bessel `k0` in `coupling_matrix_2d`, only for pairs farther apart than
 2L (closer ones take K0's power series in numpy, so a 40 x 40 lattice at
 the apcw point loads no scipy); for `evolve_single_excitation`, `expm`
 under per-atom loss and, on the Chebyshev path (a large chain over a
-short span), the Bessel `jv` for its coefficients plus the LAPACK
-tridiagonal solve `zpttrs` in the chain operator.  Its spectral path is
-numpy's `eigh`, so a CLI `evolve` loads no scipy unless the series is the
-cheaper path, and `power_law_designer` fits with numpy alone.  A one-shot
-CLI command therefore pays for no scipy import it does not run.
+short span), the LAPACK tridiagonal solve `zpttrs` in the chain operator
+(its Bessel coefficients come from a recurrence in numpy).  Its spectral
+path is numpy's `eigh`, so a CLI `evolve` loads no scipy unless the
+series is the cheaper path, and `power_law_designer` fits with numpy
+alone.  A one-shot CLI command therefore pays for no scipy import it
+does not run.
+
+The package sets one environment variable, before numpy loads and only
+where it is unset: OPENBLAS_THREAD_TIMEOUT=24, so an idle OpenBLAS worker
+thread sleeps after ~4 ms instead of spinning ~60 ms.  A cold command
+otherwise spent ~30 % of its CPU time in that spin.
 """
+
+import os as _os
+
+# Before numpy loads: an idle OpenBLAS worker spins for 2^OPENBLAS_THREAD_TIMEOUT
+# cycles before it sleeps, 2^28 by default (~60 ms, 6 clock ticks after a bare
+# import, per pool: numpy's and scipy's bundled OpenBLAS each start one).  A
+# cold command paid that in CPU, and on 2 cores its main thread shared them
+# with the spin.  2^24 (~4 ms) sleeps soon after the last call and still spins
+# within a busy one: eigh at N = 500-2000 times the same as with the default,
+# where a timeout of 4 made it 10-15 % slower and one thread 1.2-1.4x slower.
+# A value set by the user wins; a BLAS other than OpenBLAS ignores it.
+_os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "24")
 
 from .bound_state import (
     AtomCoupling,

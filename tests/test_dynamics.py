@@ -12,6 +12,7 @@ from bandqed.bound_state import BandEdge, atom_coupling
 from bandqed.dynamics import (
     SCAN_POINTS,
     LossModel,
+    _bessel_j,
     _evolve_dense,
     _evolve_spectral,
     _evolve_structured,
@@ -578,6 +579,22 @@ def test_kapteyn_order_never_cuts_the_series_short():
             assert order <= exact + 2, x
 
 
+@pytest.mark.parametrize("x", [0.5, -0.5, 300.0, 2000.0, -2000.0,
+                               1e-4, 3e-5, -1e-300, 5e-324])
+def test_bessel_coefficients_match_mpmath(x):
+    # every order near |x|, where the recurrence turns, and 20 more across
+    # the series; below |x| = 1e-4 the power series answers
+    mp = pytest.importorskip("mpmath")
+    m = _series_order(x)
+    orders = sorted({*range(0, m + 1, max(1, m // 20)), m,
+                     *range(max(0, int(abs(x)) - 3), min(m, int(abs(x)) + 3) + 1)})
+    with mp.workdps(30):
+        want = np.array([float(mp.besselj(k, mp.mpf(x))) for k in orders])
+    got = _bessel_j(m, x)
+    assert len(got) == m + 1
+    assert np.max(np.abs(got[orders] - want)) <= 5e-16
+
+
 def test_a_span_past_any_series_order_takes_the_spectral_path():
     # B dt overflows: no order is finite
     U = apcw_chain(np.arange(400) * APCW.a)
@@ -626,6 +643,23 @@ def test_a_step_back_in_time_may_grow_the_norm_at_the_largest_rate():
     out = evolve_single_excitation(U, losses, psi0, t)
     assert out.norm[-1] > math.exp(0.5 * gamma_eff.min() / gamma_eff.max()) * (1.0 + 1e-8)
     assert out.norm[-1] == pytest.approx(math.exp(0.5), rel=1e-6)
+
+
+def test_a_path_that_loses_amplitude_under_per_atom_loss_is_refused(monkeypatch):
+    # norm^2 >= |psi0|^2 e^{-Gamma_max (t - t_0)}: halved amplitudes fall
+    # below that floor, which the ceiling alone would pass
+    U = apcw_chain(np.arange(50) * APCW.a)
+    losses = LossModel(kappa_p=1e7, gamma=TWOPI * 5e6, theta=np.linspace(0.1, 0.5, 50))
+    psi0 = np.zeros(50, dtype=complex)
+    psi0[25] = 1.0
+    t = np.linspace(0.0, 2.0 * hop_time(U), 5)
+    out = evolve_single_excitation(U, losses, psi0, t)
+    assert np.all(out.norm**2 >= np.exp(-losses.gamma_eff().max() * t))
+
+    full = dynamics._evolve_dense
+    monkeypatch.setattr(dynamics, "_evolve_dense", lambda *args: 0.5 * full(*args))
+    with pytest.raises(ValueError, match=r"norm\^2 falls below .*Gamma_max .* by up to 0.75"):
+        evolve_single_excitation(U, losses, psi0, t)
 
 
 # Under uniform loss norm(t) = |psi0| e^{-Gamma (t - t_0)/2} for any Hermitian
@@ -752,7 +786,7 @@ def test_structured_evolution_memory():
     psi0 = np.zeros(n, dtype=complex)
     psi0[n // 2] = 1.0
     t = np.linspace(0.0, 2.0 * hop_time(U), 21)
-    import scipy.linalg.lapack, scipy.special   # imports are not the evolution's
+    import scipy.linalg.lapack   # the import is not the evolution's
     tracemalloc.start()
     try:
         out = evolve_single_excitation(U, LossModel(0.0, TWOPI * 5e6), psi0, t)

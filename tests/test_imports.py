@@ -1,10 +1,11 @@
 """Cold-start guard: the package and the CLI import no scipy module, and
 no CLI command loads one: `evolve` takes the numpy spectral path below the
 Chebyshev crossover.  In the library, the Chebyshev series loads
-`scipy.special` and `scipy.linalg` (its LAPACK solve), and per-atom loss,
-the one `expm` user, loads `scipy.linalg`.  No path loads `scipy.sparse`,
-and the 1D matrix builders load no scipy module and start no thread.  The
-2D builder loads `scipy.special` only for a pair farther apart than 2L."""
+`scipy.linalg` (its LAPACK solve) and no `scipy.special`, and per-atom
+loss, the one `expm` user, loads `scipy.linalg`.  No path loads
+`scipy.sparse`, and the 1D matrix builders load no scipy module and start
+no thread.  The 2D builder loads `scipy.special` only for a pair farther
+apart than 2L.  Idle OpenBLAS workers sleep instead of spinning on CPU."""
 
 import json
 import math
@@ -183,8 +184,10 @@ def test_cli_evolve_loads_no_scipy(tmp_path):
 def test_chain_past_the_crossover_loads_no_sparse():
     report = probe([400, 0.0], script=LIBRARY_PROBE)
     assert report["import"] == []
-    # the Bessel coefficients show that the structured path ran
-    assert "scipy.special" in report["evolve"]
+    # the chain operator's LAPACK solve shows that the structured path ran;
+    # its Bessel coefficients come from numpy
+    assert "scipy.linalg" in report["evolve"]
+    assert "scipy.special" not in report["evolve"]
     assert not any(m == "scipy.sparse" or m.startswith("scipy.sparse.")
                    for m in report["evolve"])
 
@@ -221,6 +224,43 @@ def test_2d_pair_past_two_lengths_loads_special():
     report = probe([[0, 0], [70, 0]], script=LATTICE_PROBE)
     assert 70 > 2.0 * report["L"]
     assert "scipy.special" in report["scipy"]
+
+
+IDLE_PROBE = r"""
+import json, os, sys, time
+import bandqed
+import numpy as np
+import scipy.linalg
+
+scipy.linalg.expm(np.eye(3) * 0.1)   # loads scipy's own OpenBLAS and its pool
+time.sleep(0.3)
+ticks = {}
+for tid in os.listdir("/proc/self/task"):
+    with open(f"/proc/self/task/{tid}/stat") as f:
+        fields = f.read().rsplit(")", 1)[1].split()
+    ticks[tid] = int(fields[11]) + int(fields[12])   # utime + stime
+print(json.dumps({"main": str(os.getpid()), "ticks": ticks,
+                  "timeout": os.environ.get("OPENBLAS_THREAD_TIMEOUT")}))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs per-thread CPU times from /proc")
+def test_idle_blas_workers_sleep_instead_of_spinning(monkeypatch):
+    # with OpenBLAS's own default an idle worker spins ~60 ms before it
+    # sleeps: 6 clock ticks per pool, numpy's and scipy's, for no work
+    monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+    report = probe([], script=IDLE_PROBE)
+    workers = {tid: t for tid, t in report["ticks"].items() if tid != report["main"]}
+    assert all(t <= 1 for t in workers.values()), workers
+    assert report["timeout"] == "24"
+
+
+def test_a_preset_blas_thread_timeout_is_kept(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_THREAD_TIMEOUT", "28")
+    report = probe([], script="import os, json, bandqed; "
+                              "print(json.dumps(os.environ['OPENBLAS_THREAD_TIMEOUT']))")
+    assert report == "28"
 
 
 PUBLIC_API = [
