@@ -34,7 +34,6 @@ ArrayLike = Union[float, Sequence[float], np.ndarray]
 
 # relative mismatch allowed when beta and g_cell are both supplied
 BETA_GCELL_RTOL = 1e-6
-BISECT_ITERATIONS = 200   # halvings in bound_state_depth_bisect; far past float precision
 
 
 def _check_finite(**values) -> None:
@@ -160,13 +159,7 @@ def bound_state_depth(beta: ArrayLike, Delta: ArrayLike) -> np.ndarray:
     step polishes away the cancellation that creeps in for Delta >> beta.
     Vectorized over both arguments.
     """
-    beta = np.asarray(beta, dtype=float)
-    Delta = np.asarray(Delta, dtype=float)
-    _check_finite(beta=beta, Delta=Delta)
-    if np.any(beta <= 0):
-        raise ValueError("beta must be positive")
-    beta, Delta = np.broadcast_arrays(beta, Delta)
-
+    beta, Delta = _depth_inputs(beta, Delta)
     q_half = beta**1.5                      # -q/2 of the depressed cubic
     disc = beta**3 - Delta**3 / 27.0
     x = np.empty_like(q_half)
@@ -192,24 +185,41 @@ def bound_state_depth_bisect(beta: ArrayLike, Delta: ArrayLike) -> np.ndarray:
 
     Bracket: f(0) < 0 and f(cbrt(2) sqrt(beta) + sqrt(max(Delta, 0))) >= 0
     (expand the cube to see the upper end is always on the positive side).
+    It is halved until it closes, where the midpoint rounds to an end for
+    every entry: the root to the last bit however small, in at most ~1250
+    halvings (from the widest bracket, ~2^172, to the smallest subnormal).
+    """
+    beta, Delta = _depth_inputs(beta, Delta)
+    q2 = 2.0 * beta**1.5
+    lo = np.zeros_like(q2)
+    hi = np.cbrt(q2) + np.sqrt(np.maximum(Delta, 0.0))
+    mid = 0.5 * (lo + hi)
+    while np.any((lo < mid) & (mid < hi)):
+        below = mid**3 - Delta * mid - q2 < 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        mid = 0.5 * (lo + hi)
+    return mid * mid
+
+
+def _depth_inputs(beta: ArrayLike, Delta: ArrayLike):
+    """beta and Delta as broadcast float arrays, both depth solvers' contract.
+
+    Both must be finite, beta > 0, and beta^3 + |Delta|^3 within the float
+    range, which bounds every cube the closed form takes: it holds for both
+    up to ~4.4e102, and fails for either past ~5.6e102.
     """
     beta = np.asarray(beta, dtype=float)
     Delta = np.asarray(Delta, dtype=float)
     _check_finite(beta=beta, Delta=Delta)
     if np.any(beta <= 0):
         raise ValueError("beta must be positive")
-    beta, Delta = np.broadcast_arrays(beta, Delta)
-
-    q2 = 2.0 * beta**1.5
-    lo = np.zeros_like(q2)
-    hi = np.cbrt(q2) + np.sqrt(np.maximum(Delta, 0.0))
-    for _ in range(BISECT_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        below = mid**3 - Delta * mid - q2 < 0.0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    x = 0.5 * (lo + hi)
-    return x * x
+    with np.errstate(over="ignore"):   # refused here
+        cubes = beta**3 + np.abs(Delta) ** 3
+    if not np.all(np.isfinite(cubes)):
+        raise ValueError("beta^3 + |Delta|^3 passes the float range "
+                         "(beta or |Delta| near or past ~5.6e102)")
+    return np.broadcast_arrays(beta, Delta)
 
 
 def mixing_angles(delta: ArrayLike, beta: ArrayLike):
@@ -233,8 +243,9 @@ def interaction_length(band: BandEdge, detuning: ArrayLike) -> ArrayLike:
     """L = sqrt(alpha omega_b/detuning)/k0 for an in-gap detuning.
 
     The gap side is set by the curvature sign, so alpha*detuning > 0 is
-    required; anything else is a detuning inside the band.  Vectorized;
-    a scalar detuning gives a float.
+    required; anything else is a detuning inside the band.  So is a
+    detuning so small that L passes the float range.  Vectorized; a scalar
+    detuning gives a float.
     """
     detuning = np.asarray(detuning, dtype=float)
     _check_finite(detuning=detuning)
@@ -243,7 +254,12 @@ def interaction_length(band: BandEdge, detuning: ArrayLike) -> ArrayLike:
         raise ValueError(
             f"detuning {detuning[inside].flat[0]:.4g} lies inside the band for "
             f"curvature alpha = {band.alpha:.4g}; no exponentially bound interaction")
-    L = np.sqrt(band.alpha * band.omega_b / detuning) / band.k0
+    with np.errstate(over="ignore"):   # refused below
+        L = np.sqrt(band.alpha * band.omega_b / detuning) / band.k0
+    unbounded = ~np.isfinite(L)
+    if np.any(unbounded):
+        raise ValueError(f"detuning {detuning[unbounded].flat[0]:.4g} gives an "
+                         "interaction length past the float range")
     return float(L) if L.ndim == 0 else L
 
 

@@ -121,9 +121,11 @@ def cmd_bound_state(cfg: RunConfig) -> Output:
         raise ConfigError("grid_min < grid_max and grid_points >= 2 required")
     _check_table_size(n, 7)
     beta = coupling.beta
-    x = np.linspace(lo, hi, n)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused as not finite
+        x = np.linspace(lo, hi, n)
+        Delta = x * beta
     try:
-        state = effective_cavity(band, replace(coupling, Delta=x * beta))
+        state = effective_cavity(band, replace(coupling, Delta=Delta))
     except ValueError as exc:   # e.g. an upper band edge: no in-gap bound state
         raise ConfigError(str(exc)) from exc
     cos_t, sin_t = mixing_angles(state.delta, beta)

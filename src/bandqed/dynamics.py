@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .bound_state import (BandEdge, AtomCoupling, _check_finite, _gbar_sq,
                           bound_state_depth, interaction_length, mixing_angles)
-from .interactions import (CouplingMatrix, _chain_bound, _chain_operator,
-                           _chain_values, _pair_kernel)
+from .interactions import (CouplingMatrix, _ChainTerms, _chain_bound,
+                           _chain_operator, _chain_values, _pair_kernel)
 
 # bounds the dense U build (16 B N^2) and its propagator: eigh ~40 B N^2 for a
 # chain, ~60 B N^2 otherwise; dense expm (per-atom loss only) ~144 B N^2
@@ -280,7 +280,7 @@ def evolve_single_excitation(U: CouplingMatrix, losses: LossModel,
     psi0 is a unit-norm complex vector of length N; Gamma_eff may be uniform
     or per-atom (vector theta in the loss model).  Under uniform loss one
     eigh gives every sample (`_evolve_spectral`), unless U is a 1D chain
-    on which the Chebyshev series costs less (`_structured_chain`); both
+    whose B makes the Chebyshev series cheaper (`_structured_chain`); both
     read a chain's terms, not U.values, and agree with expm in all but the
     last bits.  Per-atom loss takes expm, one per run of equal steps (equal
     up to rounding), so a uniform grid costs one matrix exponential.  The
@@ -323,9 +323,8 @@ def evolve_single_excitation(U: CouplingMatrix, losses: LossModel,
     with np.errstate(all="ignore"):   # checked below
         if np.ptp(gamma_eff) > 0:
             amps = _evolve_dense(np.asarray(U.values), gamma_eff, psi0, t_grid)
-        elif (operator := _structured_chain(U, t_grid)) is not None:
-            amps = _evolve_structured(*operator, gamma_eff[0], psi0, t_grid)
-            del operator   # frees the chain operator's factors before the populations
+        elif (bound := _structured_chain(U, t_grid)) is not None:
+            amps = _evolve_structured(U._chain, bound, gamma_eff[0], psi0, t_grid)
         else:
             amps = _evolve_spectral(U, gamma_eff[0], psi0, t_grid)
         pops = np.abs(amps) ** 2
@@ -353,15 +352,14 @@ def evolve_single_excitation(U: CouplingMatrix, losses: LossModel,
     return EvolutionResult(times=t_grid, amplitudes=amps, populations=pops, norm=norm)
 
 
-def _structured_chain(U: CouplingMatrix,
-                      t_grid: np.ndarray) -> Optional[tuple[Callable, float]]:
-    """U's chain operator and norm bound B when the Chebyshev series is cheaper.
+def _structured_chain(U: CouplingMatrix, t_grid: np.ndarray) -> Optional[float]:
+    """The norm bound B of U's chain when the Chebyshev series is cheaper.
 
     None sends a uniform-loss evolution to the spectral path, as for any
     matrix without chain terms.  One numpy cost rule decides: the series
     costs `_series_order(B dt)` matvecs per step, B from `_chain_bound`,
     at SERIES_S each, and the spectral path one eigh and one product per
-    sample (SPECTRAL_S).  Only a series that wins builds `_chain_operator`.
+    sample (SPECTRAL_S).  No chain operator is built here.
     """
     chain = U._chain
     if chain is None:
@@ -373,7 +371,7 @@ def _structured_chain(U: CouplingMatrix,
     bound = _chain_bound(chain)
     orders = sum((last - first) * _series_order(bound * float(dt))
                  for first, last, dt in _step_runs(t_grid))
-    return (_chain_operator(chain), bound) if orders * matvec < spectral else None
+    return bound if orders * matvec < spectral else None
 
 
 def _step_runs(t_grid: np.ndarray):
@@ -404,17 +402,19 @@ def _evolve_dense(values: np.ndarray, gamma_eff: np.ndarray, psi0: np.ndarray,
     return amps
 
 
-def _evolve_structured(apply_u: Callable, bound: float, gamma_eff: float,
+def _evolve_structured(chain: _ChainTerms, bound: float, gamma_eff: float,
                        psi0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
-    """Amplitudes from a Chebyshev series on the O(N) chain operator.
+    """Amplitudes from a Chebyshev series on the chain's O(N) operator.
 
-    apply_u is `_chain_operator`'s and bound >= ||U||_1 `_chain_bound`'s.
-    Uniform loss splits off as e^{-Gamma_eff dt/2}.  U/bound has its
-    spectrum in [-1, 1], where e^{-i x y} = sum_k c_k T_k(y) for x = bound dt
-    of either sign, c_0 = J_0(x), c_k = 2 (-i)^k J_k(x) (Tal-Ezer & Kosloff,
-    J. Chem. Phys. 81, 3967 (1984)).  Past k = |x|, |J_k(x)| falls
-    monotonically: the series stops at the first one below the rounding.
+    The operator comes from `_chain_operator` and lives only in this call;
+    bound >= ||U||_1 is `_chain_bound`'s.  Uniform loss splits off as
+    e^{-Gamma_eff dt/2}.  U/bound has its spectrum in [-1, 1], where
+    e^{-i x y} = sum_k c_k T_k(y) for x = bound dt of either sign, c_0 =
+    J_0(x), c_k = 2 (-i)^k J_k(x) (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
+    3967 (1984)).  Past k = |x|, |J_k(x)| falls monotonically: the series
+    stops at the first one below the rounding.
     """
+    apply_u = _chain_operator(chain)
     amps = np.empty((len(t_grid), len(psi0)), dtype=complex)
     amps[0] = psi0
     for first, last, dt in _step_runs(t_grid):

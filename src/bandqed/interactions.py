@@ -216,8 +216,8 @@ class _ChainTerms:
     The one source of a chain's matrix (`_chain_values`, in matrix order),
     operator (`_chain_operator`) and norm bound (`_chain_bound`).  The last
     two run on the sorted form, made once here: `order` is the stable
-    argsort of the positions, `rank` its inverse, `gaps` the adjacent gaps
-    in sorted order and `ratios` the r_i = exp(-gaps/L_i), one array per term.
+    argsort of the positions, `gaps` the adjacent gaps in sorted order and
+    `ratios` the r_i = exp(-gaps/L_i), one array per term.
     """
 
     positions: np.ndarray     # z_j in the order of the matrix rows
@@ -225,14 +225,13 @@ class _ChainTerms:
     lengths: tuple            # L_i
     scales: tuple             # s_i, the term's kernel at distance 0
     order: np.ndarray = field(init=False)
-    rank: np.ndarray = field(init=False)
     gaps: np.ndarray = field(init=False)
     ratios: tuple = field(init=False)
 
     def __post_init__(self):
         order = np.argsort(self.positions, kind="stable")
         gaps = np.diff(self.positions[order])
-        vars(self).update(order=order, rank=np.argsort(order), gaps=gaps,
+        vars(self).update(order=order, gaps=gaps,
                           ratios=tuple(np.exp(gaps / -L) for L in self.lengths))
 
 
@@ -369,12 +368,12 @@ def _chain_operator(chain: _ChainTerms):
     being formed or factored.  1 - r^2 is taken as -expm1(-2 gap/L_i),
     which keeps close pairs accurate; a zero gap gives d_j = inf, whose
     part of the solve is an exact 0.  The solves run in the chain's sorted
-    order; x and U x stay in the order of the matrix rows.
+    order, and U x is scattered back: x and U x stay in row order.
     """
     # function scope: see the package docstring
     from scipy.linalg.lapack import zpttrs
 
-    order, rank, e = chain.order, chain.rank, chain.bloch_values[chain.order]
+    order, e = chain.order, chain.bloch_values[chain.order]
     with np.errstate(divide="ignore"):   # a zero gap: d_j = inf
         # d_j and the N - 1 off-diagonal -r_j, but one at N = 1, as the wrapper wants
         factors = [(np.append(1.0 / -np.expm1(-2.0 * chain.gaps / L), 1.0),
@@ -383,9 +382,10 @@ def _chain_operator(chain: _ChainTerms):
 
     def apply_u(x):
         b = e.conj() * x[order]
-        y = sum(s * zpttrs(diagonal, off, b)[0]
-                for s, (diagonal, off) in zip(chain.scales, factors))
-        return (e * y)[rank]
+        out = np.empty_like(b)
+        out[order] = e * sum(s * zpttrs(diagonal, off, b)[0]
+                             for s, (diagonal, off) in zip(chain.scales, factors))
+        return out
 
     return apply_u
 

@@ -98,6 +98,10 @@ def test_explicit_vs_bisected_root():
     sign = rng.choice([-1.0, 1.0], size=2000)
     beta = 10.0 ** rng.uniform(-9, -3, size=2000)
     Delta = sign * mag * beta
+    # deep below the edge, beta = 1: the root ~4/Delta^2 lies far under the
+    # bracket's upper end, which 200 fixed halvings took only to 2^-200 of
+    # itself (3.8e38 relative off at Delta = -1e80)
+    beta, Delta = np.r_[beta, 1.0, 1.0, 1.0], np.r_[Delta, -1e50, -1e60, -1e80]
     closed = bound_state_depth(beta, Delta)
     num = bound_state_depth_bisect(beta, Delta)
     assert np.max(np.abs(num - closed) / closed) <= 1e-10
@@ -109,6 +113,15 @@ def test_explicit_vs_bisected_root():
                                          (np.inf, 1e-6)])
 def test_depth_paths_refuse_non_finite_input(depth, beta, Delta):
     with pytest.raises(ValueError, match="must be finite"):
+        depth(beta, Delta)
+
+
+@pytest.mark.parametrize("depth", [bound_state_depth, bound_state_depth_bisect])
+@pytest.mark.parametrize("beta, Delta", [(1.0, -1e103), (1.0, 1e103),
+                                         (1e103, 1.0), (6e102, [0.0, 1.0])])
+def test_depth_paths_refuse_cubes_past_the_float_range(depth, beta, Delta):
+    # the closed form returned nan with two RuntimeWarnings at Delta = -1e103
+    with pytest.raises(ValueError, match="passes the float range"):
         depth(beta, Delta)
 
 

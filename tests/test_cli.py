@@ -115,6 +115,18 @@ def test_bound_state_rejects_upper_edge(capsys, tmp_path):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("params", [{"grid_min": -1e100, "grid_max": 1e100},
+                                    {"grid_max": 1.7e308}], ids=["cubes", "product"])
+def test_bound_state_refuses_a_grid_past_the_float_range_unwarned(tmp_path, params):
+    # Delta = x beta: its cube, or the product itself, passes the float range.
+    # Warnings used to reach stderr ahead of the refusal: a fresh process shows them
+    cfg = write_cfg(tmp_path, "huge.json", {"params": params})
+    proc = cold_cli(["bound-state", "--preset", "apcw", "--config", cfg])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("config error:")
+    assert "RuntimeWarning" not in proc.stderr
+
+
 def test_unwritable_out_is_a_config_error(capsys, tmp_path):
     # a missing parent directory, and a directory in place of a file
     for target in (tmp_path / "missing" / "x.json", tmp_path):
@@ -187,6 +199,21 @@ def test_interactions_rejects_in_band_detuning(capsys, tmp_path):
     code, out, err = run(capsys, ["interactions", "--config", cfg])
     assert code == 3
     assert "inside the band" in err
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("interactions", {"params": {"Delta_values": [1e-300]}}),
+    ("evolve", {"coupling": {"Delta": 1e-300},
+                "atoms": {"positions": [0.0, 371e-9, 742e-9]},
+                "params": {"t_max": 1e-9}}),
+], ids=["interactions", "evolve"])
+def test_a_detuning_whose_length_overflows_is_a_numerical_failure(
+        capsys, tmp_path, command, doc):
+    # L = inf made every U_jl 0: a column of zeros, or frozen populations, and exit 0
+    cfg = write_cfg(tmp_path, "tiny.json", doc)
+    code, out, err = run(capsys, [command, "--preset", "apcw", "--config", cfg])
+    assert (code, out) == (3, "")
+    assert "detuning 6.283e-300 gives an interaction length past the float range" in err
 
 
 @pytest.mark.parametrize("command, params", [

@@ -2,6 +2,7 @@ import hashlib
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -252,6 +253,12 @@ def test_in_band_detuning_rejected():
         interaction_length(band, -coupling.Delta)
     with pytest.raises(ValueError):
         interaction_length(band, 0.0)
+    # L = inf: the kernel and the whole matrix were silently 0
+    with pytest.raises(ValueError, match="1e-300 gives an interaction length past"):
+        interaction_length(band, [coupling.Delta, 1e-300])
+    atoms = atom_array([0.0, band.a], band, coupling.gamma)
+    with pytest.raises(ValueError, match="past the float range"):
+        coupling_matrix_1d(atoms, band, replace(coupling, Delta=1e-300))
 
 
 def test_small_detuning_warns():
