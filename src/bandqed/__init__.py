@@ -4,8 +4,9 @@ long-range exchange, loss-limited dynamics, and disorder localization.
 Importing the package loads numpy and no scipy module.  Every scipy
 function used is imported inside the one function that calls it: the
 Bessel `k0` in `coupling_matrix_2d`, only for pairs farther apart than
-2L (closer ones take K0's power series in numpy, so a 40 x 40 lattice at
-the apcw point loads no scipy); for `evolve_single_excitation`, `expm`
+2L (closer ones take K0's power series in numpy: a 40 x 40 lattice at the
+apcw point loads no scipy while its widest pair is within 2L, which fails
+near Delta/2pi = 475 GHz); for `evolve_single_excitation`, `expm`
 under per-atom loss and, on the Chebyshev path (a large chain over a
 short span), the LAPACK tridiagonal solve `zpttrs` in the chain operator
 (its Bessel coefficients come from a recurrence in numpy).  Its spectral

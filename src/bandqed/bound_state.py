@@ -37,9 +37,17 @@ BETA_GCELL_RTOL = 1e-6
 
 
 def _check_finite(**values) -> None:
+    """Refuse a non-finite value; an array is named by its first bad entry."""
     for name, value in values.items():
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+        finite = np.isfinite(value)
+        if not finite.all():
+            value, first = np.asarray(value), int(np.argmin(finite))
+            got = repr(value.flat[first].item())
+            if value.ndim:
+                where = list(map(int, np.unravel_index(first, value.shape)))
+                bad = value.size - np.count_nonzero(finite)
+                got = f"({got} at {where}, {bad} of {value.size} entries not finite)"
+            raise ValueError(f"{name} must be finite, got {got}")
 
 
 @dataclass

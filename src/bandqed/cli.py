@@ -64,8 +64,9 @@ def _render(out: Output, fmt: Optional[str]) -> str:
     if fmt == "json":
         columns = np.asarray(rows, dtype=float).T   # one float64 array each
         return canonical_dumps({"columns": dict(zip(header, columns))})
+    template = ",".join(["%.17g"] * len(header))   # one row, bytes as format(v, ".17g")
     lines = [",".join(header)]
-    lines += [",".join(format(float(v), ".17g") for v in row) for row in rows]
+    lines += [template % tuple(row.tolist()) for row in np.asarray(rows, dtype=float)]
     return "\n".join(lines) + "\n"
 
 
@@ -246,8 +247,6 @@ def cmd_evolve(cfg: RunConfig) -> Output:
         raise ConfigError("t_max > 0 and n_times >= 2 required")
     if not 0 <= site < len(atoms):
         raise ConfigError("initial_site out of range")
-    if any(d.Omega_prime != 0.0 for d in cfg.drives):
-        raise ConfigError("evolve models the Lambda scheme only: drives need Omega_prime = 0")
     _check_table_size(n_times, len(atoms) + 2)
     # MAX_ATOMS bounds the dense U build and its eigh (~40 B N^2; expm's
     # ~144 B N^2 is for per-atom loss, which no config asks for): refuse first
@@ -325,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--preset", choices=sorted(PRESETS),
                         help="layer the config over a named preset")
     common.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
+                        help="override disorder.seed")
     common.add_argument("--format", choices=("csv", "json"), default=None,
                         help="machine output format")
 

@@ -43,21 +43,18 @@ REQUIRED = "required"
 
 # section -> key -> (kind, default).  A REQUIRED key must be given; an
 # optional key whose default is None is left out when absent, so the record
-# built from the section applies its own default.  Four defaults depend on
-# other values and are filled in by load_config: band.k0 = pi/a, atoms.gamma
-# and losses.theta from the coupling, disorder.seed from the top-level seed
-# or --seed.  "drives" is a list of such sections.
+# built from the section applies its own default.  load_config fills in
+# band.k0 = pi/a and losses.theta from the coupling; the atoms take
+# coupling.gamma, and "drives" is a list of Lambda-scheme legs (Omega' = 0).
 SCHEMA = {
     "band": {"omega_b": (FREQUENCY, REQUIRED), "alpha": (NUMBER, REQUIRED),
              "a": (NUMBER, REQUIRED), "k0": (NUMBER, None)},
     "coupling": {"Delta": (FREQUENCY, 0.0), "gamma": (FREQUENCY, REQUIRED),
                  "beta": (FREQUENCY, None), "g_cell": (FREQUENCY, None),
                  "bloch_amplitude": (NUMBER, 1.0)},
-    "atoms": {"positions": (NUMBERS, REQUIRED), "bloch_values": (PAIRS, None),
-              "gamma": (FREQUENCY, None)},
-    "drives": {"Omega": (FREQUENCY, REQUIRED), "Omega_prime": (FREQUENCY, 0.0),
-               "delta_L": (FREQUENCY, REQUIRED),
-               "Delta_L": (FREQUENCY, REQUIRED), "phi": (NUMBER, 0.0)},
+    "atoms": {"positions": (NUMBERS, REQUIRED), "bloch_values": (PAIRS, None)},
+    "drives": {"Omega": (FREQUENCY, REQUIRED), "delta_L": (FREQUENCY, REQUIRED),
+               "Delta_L": (FREQUENCY, REQUIRED)},
     "losses": {"kappa_p": (FREQUENCY, 0.0), "gamma": (FREQUENCY, REQUIRED),
                "theta": (NUMBER, None)},
     "disorder": {"r": (NUMBER, REQUIRED), "phi_b": (NUMBER, None),
@@ -185,19 +182,22 @@ def load_config(raw: dict, command: str,
     Any invariant violation inside the embedded physical records surfaces
     as ConfigError.
     """
-    unknown = set(raw) - {"units", "seed", "params", *SCHEMA}
+    unknown = set(raw) - {"units", "params", *SCHEMA}
     if unknown:
         raise ConfigError(f"unknown keys in config: {sorted(unknown)}")
     units = raw.get("units", "si")
     if units not in ("si", "dimensionless"):
         raise ConfigError('units must be "si" or "dimensionless"')
-    seed = _value(raw.get("seed", 0), INTEGER, "seed", 1.0)
     if not isinstance(raw.get("drives", []), list):
         raise ConfigError("drives must be a list")
     scale = TWOPI if units == "si" else 1.0
     sec = {name: _section(raw[name], SCHEMA[name], name, scale)
            for name in SCHEMA if name != "drives" and name in raw}
     params = _section(raw.get("params", {}), PARAMS[command], "params")
+    for name, needed in (("coupling", "band"), ("atoms", "band"),
+                         ("atoms", "coupling")):
+        if name in sec and needed not in sec:
+            raise ConfigError(f"{name} section needs a {needed} section")
 
     try:
         band = coupling = atoms = losses = stack = None
@@ -205,20 +205,12 @@ def load_config(raw: dict, command: str,
             if "k0" not in sec["band"]:
                 sec["band"]["k0"] = math.pi / sec["band"]["a"]
             band = BandEdge(**sec["band"])
-        for name in ("coupling", "atoms"):
-            if name in sec and band is None:
-                raise ConfigError(f"{name} section needs a band section")
         if "coupling" in sec:
             coupling = atom_coupling(band, **sec["coupling"])
         if "atoms" in sec:
-            if "gamma" not in sec["atoms"]:
-                if coupling is None:
-                    raise ConfigError(
-                        "atoms.gamma required without a coupling section")
-                sec["atoms"]["gamma"] = coupling.gamma
-            atoms = atom_array(band=band, **sec["atoms"])
-        drives = [DriveField(**_section(d, SCHEMA["drives"], f"drives[{i}]",
-                                        scale))
+            atoms = atom_array(band=band, gamma=coupling.gamma, **sec["atoms"])
+        drives = [DriveField(Omega_prime=0.0, **_section(
+                      d, SCHEMA["drives"], f"drives[{i}]", scale))
                   for i, d in enumerate(raw.get("drives", []))]
         if "losses" in sec:
             if "theta" not in sec["losses"]:
@@ -227,7 +219,6 @@ def load_config(raw: dict, command: str,
         if "disorder" in sec:
             if seed_override is not None:
                 sec["disorder"]["seed"] = seed_override
-            sec["disorder"].setdefault("seed", seed)
             stack = DielectricStack(**sec["disorder"])
     except ConfigError:
         raise

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -54,6 +55,12 @@ def dimensionless_exchange_cfg(C=1e4):
     }
 
 
+DIMLESS = {"units": "dimensionless",
+           "band": {"omega_b": 1.0, "alpha": 1.0, "a": 1.0},
+           "coupling": {"Delta": 1e-3, "gamma": 1e-9, "beta": 1e-6}}
+TWO_ATOMS = {"positions": [0.0, 3.71e-7]}
+
+
 # ------------------------------------------------------------- basics
 
 def test_preset_list_is_canonical(capsys):
@@ -74,6 +81,29 @@ def test_unknown_key_is_rejected(capsys, tmp_path):
     code, out, err = run(capsys, ["bound-state", "--config", cfg])
     assert code == 2
     assert "unknown keys" in err and "bogus" in err
+
+
+# Each value has one source: the atoms take coupling.gamma, --seed overrides
+# disorder.seed, and a drive is a Lambda-scheme leg with no Omega' or phase.
+@pytest.mark.parametrize("path, message", [
+    (("drives", 0, "phi"), "unknown keys in drives[0]: ['phi']"),
+    (("drives", 0, "Omega_prime"), "unknown keys in drives[0]: ['Omega_prime']"),
+    (("atoms", "gamma"), "unknown keys in atoms: ['gamma']"),
+    (("seed",), "unknown keys in config: ['seed']"),
+], ids=["drive-phi", "drive-Omega_prime", "atoms-gamma", "top-level-seed"])
+def test_second_sources_are_unknown_keys(capsys, tmp_path, path, message):
+    doc = {**DIMLESS, "atoms": {"positions": [0.0, 1.0, 2.0]},
+           "drives": [{"Omega": 1e-4, "delta_L": 1e-3, "Delta_L": 1e-3}],
+           "params": {"t_max": 2e8, "n_times": 5}}
+    *parents, key = path
+    section = doc
+    for part in parents:
+        section = section[part]
+    section[key] = 0   # even a value that would change nothing is refused
+    code, out, err = run(capsys, ["evolve", "--config", write_cfg(tmp_path, "k.json", doc)])
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: {message}\n"
 
 
 def test_invalid_json_is_a_config_error(capsys, tmp_path):
@@ -127,6 +157,15 @@ def test_bound_state_refuses_a_grid_past_the_float_range_unwarned(tmp_path, para
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_a_non_finite_grid_is_refused_in_one_line(capsys, tmp_path):
+    # the refusal names the first bad entry, not all 401 of them
+    cfg = write_cfg(tmp_path, "huge.json", {"params": {"grid_max": 1.7e308}})
+    code, out, err = run(capsys, ["bound-state", "--preset", "apcw", "--config", cfg])
+    assert (code, out) == (2, "")
+    assert err == ("config error: Delta must be finite, got (inf at [1], "
+                   "400 of 401 entries not finite)\n")
+
+
 def test_unwritable_out_is_a_config_error(capsys, tmp_path):
     # a missing parent directory, and a directory in place of a file
     for target in (tmp_path / "missing" / "x.json", tmp_path):
@@ -150,6 +189,15 @@ def test_csv_floats_round_trip(capsys):
     assert code == 0
     cell = out.split("\n")[1].split(",")[1]
     assert format(float(cell), ".17g") == cell
+
+
+def test_csv_cells_are_written_as_format_17g():
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+              1.7976931348623157e308, -1.0 / 3.0]
+    rows = np.array([values, values[::-1]])
+    text = cli._render(cli.Output("", table=(list("abcdefgh"), rows)), None)
+    assert text == "a,b,c,d,e,f,g,h\n" + "".join(
+        ",".join(format(v, ".17g") for v in row) + "\n" for row in (values, values[::-1]))
 
 
 # ------------------------------------------------------------- interactions
@@ -283,12 +331,6 @@ def test_integer_setting_must_be_a_json_integer(capsys, tmp_path, command,
     assert f"params.{key} must be an integer" in err
 
 
-DIMLESS = {"units": "dimensionless",
-           "band": {"omega_b": 1.0, "alpha": 1.0, "a": 1.0},
-           "coupling": {"Delta": 1e-3, "gamma": 1e-9, "beta": 1e-6}}
-TWO_ATOMS = {"positions": [0.0, 3.71e-7]}
-
-
 # (command, layered over the apcw preset, config document, message)
 @pytest.mark.parametrize("command, preset, doc, message", [
     ("bound-state", True, [1, 2], "config root must be a JSON object"),
@@ -311,11 +353,11 @@ TWO_ATOMS = {"positions": [0.0, 3.71e-7]}
      "atoms.bloch_values must be a non-empty list of [re, im] pairs"),
     ("bound-state", False, {"coupling": {"gamma": 5e6, "g_cell": 12.2e9}},
      "coupling section needs a band section"),
-    ("evolve", False, {"atoms": {**TWO_ATOMS, "gamma": 5e6}, "params": {"t_max": 1e-9}},
+    ("evolve", False, {"atoms": TWO_ATOMS, "params": {"t_max": 1e-9}},
      "atoms section needs a band section"),
     ("evolve", False, {"band": DIMLESS["band"], "atoms": {"positions": [0.0, 1.0]},
                        "params": {"t_max": 1.0}},
-     "atoms.gamma required without a coupling section"),
+     "atoms section needs a coupling section"),
     ("evolve", True, {"params": {"t_max": 1e-9}}, "this command needs a 'atoms' section"),
     ("bound-state", True, {"params": {"grid_min": 1.0, "grid_max": 1.0}},
      "grid_min < grid_max and grid_points >= 2 required"),
@@ -331,7 +373,7 @@ TWO_ATOMS = {"positions": [0.0, 3.71e-7]}
 ], ids=["root-not-object", "units", "drives-not-list", "section-not-object",
         "unknown-section-key", "missing-required-key", "true-for-number",
         "one-for-boolean", "empty-Delta_values", "bloch_values-not-pairs",
-        "coupling-without-band", "atoms-without-band", "atoms-without-gamma",
+        "coupling-without-band", "atoms-without-band", "atoms-without-coupling",
         "evolve-without-atoms", "grid_min-not-below-grid_max",
         "interactions-gamma-0", "interactions-sep_max-0",
         "dimensionless-interactions-without-Delta_values", "evolve-t_max-0",
@@ -579,8 +621,8 @@ def test_evolve_with_drive(capsys, tmp_path):
 
 
 def test_evolve_refuses_a_four_level_drive(capsys, tmp_path):
-    # the single-excitation evolution models the Lambda scheme alone: a second
-    # leg would be left out of U, so it is refused, not answered as Lambda
+    # the single-excitation evolution models the Lambda scheme alone: a drive
+    # takes no second leg, so one that names it is refused, not answered as Lambda
     doc = {
         "units": "dimensionless",
         "band": {"omega_b": 1.0, "alpha": 1.0, "a": 1.0},
@@ -593,10 +635,7 @@ def test_evolve_refuses_a_four_level_drive(capsys, tmp_path):
     code, out, err = run(capsys, ["evolve", "--config", write_cfg(tmp_path, "4l.json", doc)])
     assert code == 2
     assert out == ""
-    assert "Omega_prime = 0" in err
-    doc["drives"][0]["Omega_prime"] = 0.0          # an explicit Lambda drive is fine
-    code, out, err = run(capsys, ["evolve", "--config", write_cfg(tmp_path, "l.json", doc)])
-    assert code == 0
+    assert err == "config error: unknown keys in drives[0]: ['Omega_prime', 'phi']\n"
 
 
 def test_evolve_long_chain_takes_the_structured_path(capsys, tmp_path,
@@ -725,9 +764,10 @@ def test_disorder_seed_override(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv, key", [(["--seed", "-1"], "seed"), ([], "seed")])
 def test_disorder_refuses_a_negative_seed(capsys, tmp_path, argv, key):
-    # from --seed, or from the config's top-level seed
-    doc = {"units": "si", "seed": -1 if not argv else 0,
-           "disorder": {"r": 2.0, "epsilon": 1e-3, "n_cells": 64},
+    # from --seed, or from the config's disorder.seed
+    doc = {"units": "si",
+           "disorder": {"r": 2.0, "epsilon": 1e-3, "n_cells": 64,
+                        "seed": -1 if not argv else 0},
            "params": {"n_trials": 2}}
     cfg = write_cfg(tmp_path, "seed.json", doc)
     code, out, err = run(capsys, ["disorder", "--config", cfg, *argv])
@@ -923,12 +963,24 @@ def test_config_overlays_preset(capsys, tmp_path):
     assert rows.shape == (401, 7)
 
 
-def test_readme_documents_every_config_key():
+def test_readme_config_docs_match_the_schema():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    tables = list(SCHEMA.values()) + list(PARAMS.values())
-    missing = [key for table in tables for key, (kind, _) in table.items()
-               if f"| `{key}` | {kind}" not in readme]
-    assert missing == []
+    docs = readme.split("## Configuration schema\n")[1].split("\n## ")[0]
+    # the section table comes before the params table: {(name, key): type}
+    sections, params = docs.split("| command |")
+    for text, schema in ((sections, SCHEMA), (params, PARAMS)):
+        documented = {(name.replace("[i]", ""), key): kind for name, key, kind in
+                      re.findall(r"^\| `([^`]+)` \| `([^`]+)` \| ([^|]+?) \|", text, re.M)}
+        declared = {(name, key): kind for name, table in schema.items()
+                    for key, (kind, _) in table.items()}
+        assert documented.keys() == declared.keys()
+        assert [k for k, kind in declared.items()
+                if not documented[k].startswith(kind)] == []
+    # the example loads, and it holds every top-level key the prose names
+    example = json.loads(docs.split("```json\n")[1].split("```")[0])
+    load_config(example, "bound-state")
+    top = docs.split("The top level takes ")[1].split("\n\n")[0]
+    assert set(re.findall(r"`(\w+)`", top)) <= set(example)
 
 
 # ------------------------------------------------------------- output pins
