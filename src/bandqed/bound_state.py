@@ -32,9 +32,6 @@ TWOPI = 2.0 * math.pi
 
 ArrayLike = Union[float, Sequence[float], np.ndarray]
 
-# relative mismatch allowed when beta and g_cell are both supplied
-BETA_GCELL_RTOL = 1e-6
-
 
 def _check_finite(**values) -> None:
     """Refuse a non-finite value; an array is named by its first bad entry."""
@@ -77,7 +74,7 @@ class AtomCoupling:
     """Atom parameters relative to the band edge.
 
     beta and g_cell are two parametrizations of one coupling strength; use
-    atom_coupling() to derive one from the other, or validate both.
+    atom_coupling() to give one and derive the other.
     """
 
     beta: float    # coupling scale [rad/s]
@@ -110,50 +107,45 @@ class BoundState:
     validity: float     # 1/(k0 L) = sqrt(delta/(alpha*omega_b)); valid when << 1
 
 
-def beta_from_g_cell(band: BandEdge, g_cell: float, bloch_amplitude: float = 1.0) -> float:
+def beta_from_g_cell(band: BandEdge, g_cell: float) -> float:
     """Coupling scale beta implied by the per-cell coupling g_cell.
 
-    Uses g = g_cell*sqrt(a/(2 pi)) so that g*sqrt(2 pi/L) == g_cell*sqrt(a/L),
-    then beta = (pi g^2 |u|^2 k0 / sqrt(4 alpha omega_b))**(2/3).
+    g_cell is the coupling at unit Bloch amplitude; the amplitude at each
+    atom enters the exchange through AtomArray.bloch_values.  Uses
+    g = g_cell*sqrt(a/(2 pi)) so that g*sqrt(2 pi/L) == g_cell*sqrt(a/L),
+    then beta = (pi g^2 k0 / sqrt(4 alpha omega_b))**(2/3).
     """
     g_sq = g_cell**2 * band.a / TWOPI
-    beta_32 = math.pi * g_sq * bloch_amplitude**2 * band.k0 \
+    beta_32 = math.pi * g_sq * band.k0 \
         / math.sqrt(4.0 * abs(band.alpha) * band.omega_b)
     return beta_32 ** (2.0 / 3.0)
 
 
-def g_cell_from_beta(band: BandEdge, beta: float, bloch_amplitude: float = 1.0) -> float:
+def g_cell_from_beta(band: BandEdge, beta: float) -> float:
     """Inverse of beta_from_g_cell."""
     beta_32 = beta**1.5
     g_sq = beta_32 * math.sqrt(4.0 * abs(band.alpha) * band.omega_b) \
-        / (math.pi * bloch_amplitude**2 * band.k0)
+        / (math.pi * band.k0)
     return math.sqrt(g_sq * TWOPI / band.a)
 
 
 def atom_coupling(band: BandEdge, Delta: float, gamma: float,
-                  beta: float | None = None, g_cell: float | None = None,
-                  bloch_amplitude: float = 1.0) -> AtomCoupling:
-    """Build an AtomCoupling from either beta or g_cell (or both, validated).
+                  beta: float | None = None, g_cell: float | None = None) -> AtomCoupling:
+    """Build an AtomCoupling from exactly one of beta and g_cell.
 
-    Supplying both is allowed only if they describe the same atom to within
-    1e-6 relative; a larger mismatch raises ValueError.
+    The other is derived from it, so the two always describe one atom;
+    giving both, or neither, raises ValueError.
     """
-    if beta is None and g_cell is None:
-        raise ValueError("need beta or g_cell")
-    if beta is not None and beta <= 0:
-        raise ValueError("beta must be positive")
-    if g_cell is not None and g_cell <= 0:
-        raise ValueError("g_cell must be positive")
+    if (beta is None) == (g_cell is None):
+        raise ValueError("give exactly one of beta and g_cell")
     if beta is None:
-        beta = beta_from_g_cell(band, g_cell, bloch_amplitude)
-    elif g_cell is None:
-        g_cell = g_cell_from_beta(band, beta, bloch_amplitude)
+        if g_cell <= 0:
+            raise ValueError("g_cell must be positive")
+        beta = beta_from_g_cell(band, g_cell)
     else:
-        implied = beta_from_g_cell(band, g_cell, bloch_amplitude)
-        if abs(implied - beta) > BETA_GCELL_RTOL * beta:
-            raise ValueError(
-                "beta and g_cell are inconsistent: g_cell implies beta = "
-                f"{implied:.9e}, got {beta:.9e}")
+        if beta <= 0:
+            raise ValueError("beta must be positive")
+        g_cell = g_cell_from_beta(band, beta)
     return AtomCoupling(beta=beta, Delta=Delta, gamma=gamma, g_cell=g_cell)
 
 

@@ -50,8 +50,7 @@ SCHEMA = {
     "band": {"omega_b": (FREQUENCY, REQUIRED), "alpha": (NUMBER, REQUIRED),
              "a": (NUMBER, REQUIRED), "k0": (NUMBER, None)},
     "coupling": {"Delta": (FREQUENCY, 0.0), "gamma": (FREQUENCY, REQUIRED),
-                 "beta": (FREQUENCY, None), "g_cell": (FREQUENCY, None),
-                 "bloch_amplitude": (NUMBER, 1.0)},
+                 "beta": (FREQUENCY, None), "g_cell": (FREQUENCY, None)},
     "atoms": {"positions": (NUMBERS, REQUIRED), "bloch_values": (PAIRS, None)},
     "drives": {"Omega": (FREQUENCY, REQUIRED), "delta_L": (FREQUENCY, REQUIRED),
                "Delta_L": (FREQUENCY, REQUIRED)},
@@ -161,15 +160,12 @@ class RunConfig:
         """The losses section, or a zero-photon-loss default from coupling."""
         if self.losses is not None:
             return self.losses
-        gamma = self.coupling.gamma if self.coupling is not None else 0.0
-        return LossModel(kappa_p=0.0, gamma=gamma,
+        return LossModel(kappa_p=0.0, gamma=self.coupling.gamma,
                          theta=default_mixing_theta(self.coupling))
 
 
-def default_mixing_theta(coupling: Optional[AtomCoupling]) -> float:
-    """Bound-state mixing angle at the coupling's detuning; 0 without one."""
-    if coupling is None:
-        return 0.0
+def default_mixing_theta(coupling: AtomCoupling) -> float:
+    """Bound-state mixing angle at the coupling's detuning."""
     delta = float(bound_state_depth(coupling.beta, np.asarray(coupling.Delta)))
     cos_t, sin_t = mixing_angles(delta, coupling.beta)
     return math.atan2(sin_t, cos_t)
@@ -195,7 +191,7 @@ def load_config(raw: dict, command: str,
            for name in SCHEMA if name != "drives" and name in raw}
     params = _section(raw.get("params", {}), PARAMS[command], "params")
     for name, needed in (("coupling", "band"), ("atoms", "band"),
-                         ("atoms", "coupling")):
+                         ("atoms", "coupling"), ("losses", "coupling")):
         if name in sec and needed not in sec:
             raise ConfigError(f"{name} section needs a {needed} section")
 

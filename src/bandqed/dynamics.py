@@ -168,17 +168,17 @@ def _exchange_error_curve(Delta: np.ndarray, band: BandEdge,
 
 
 def optimize_exchange(band: BandEdge, coupling: AtomCoupling, losses: LossModel,
-                      separation: float,
-                      scan: Optional[tuple[float, float]] = None) -> ExchangeResult:
+                      separation: float) -> ExchangeResult:
     """Pick the atomic detuning minimizing the two-atom transfer error.
 
     The loss weights come from losses.kappa_p and losses.gamma; the mixing
     angle is recomputed at every trial detuning, so losses.theta is ignored.
-    Deterministic: a log-spaced scan in Delta (default range centered on the
-    loss-balance scale beta (2 kappa_p/gamma)^{2/3}) followed by a
-    golden-section polish of the bracketed minimum.  A minimum on the scan
-    boundary raises rather than silently returning an edge value.  The
-    returned error is checked against the cooperativity bound 2 pi/sqrt(C).
+    Deterministic: a log-spaced scan in Delta, centered on the loss-balance
+    scale beta (2 kappa_p/gamma)^{2/3} (1e3 beta without both losses),
+    followed by a golden-section polish of the bracketed minimum.  A minimum
+    on the scan boundary, as without photon loss, raises rather than
+    silently returning an edge value.  The returned error is checked
+    against the cooperativity bound 2 pi/sqrt(C).
     """
     if band.alpha <= 0:
         raise ValueError("optimize_exchange assumes a lower band edge (alpha > 0)")
@@ -187,18 +187,12 @@ def optimize_exchange(band: BandEdge, coupling: AtomCoupling, losses: LossModel,
         raise ValueError("separation must be nonnegative")
     kappa_p, gamma = losses.kappa_p, losses.gamma
     beta = coupling.beta
-    if scan is None:
-        if kappa_p > 0 and gamma > 0:
-            center = beta * (2.0 * kappa_p / gamma) ** (2.0 / 3.0)
-        else:
-            center = 1e3 * beta
-        lo = max(10.0 * beta, center / 300.0)
-        hi = max(300.0 * center, 1e3 * lo)
+    if kappa_p > 0 and gamma > 0:
+        center = beta * (2.0 * kappa_p / gamma) ** (2.0 / 3.0)
     else:
-        _check_finite(scan=scan)
-        lo, hi = scan
-        if not (0 < lo < hi):
-            raise ValueError("scan bounds must satisfy 0 < lo < hi")
+        center = 1e3 * beta
+    lo = max(10.0 * beta, center / 300.0)
+    hi = max(300.0 * center, 1e3 * lo)
 
     def err_at(Delta):
         return _exchange_error_curve(Delta, band, coupling, kappa_p, gamma,
@@ -212,7 +206,7 @@ def optimize_exchange(band: BandEdge, coupling: AtomCoupling, losses: LossModel,
     if (i == 0 or i == SCAN_POINTS - 1) and not flat:
         raise RuntimeError(
             f"error minimum at scan boundary (Delta = {grid[i]:.4g}, "
-            f"error = {errs[i]:.4g}); widen the scan range")
+            f"error = {errs[i]:.4g})")
 
     if flat:
         d_opt = float(grid[SCAN_POINTS // 2])

@@ -117,7 +117,6 @@ class CouplingMatrix:
 
     values: np.ndarray
     kind: str
-    diagonal_regularized: bool = False      # 2D diagonal from the short-range cutoff
     gamma_narrowed: Optional[float] = None  # driven kinds: |Omega|^2 gamma/delta_L^2
     gamma_narrowed_prime: Optional[float] = None
     # exponential-sum form of values, set by the 1D chain builders only
@@ -433,8 +432,8 @@ def coupling_matrix_2d(atoms: AtomArray, band: BandEdge,
     """Exchange matrix for an isotropic 2D quadratic edge.
 
     Off-diagonal spatial kernel (2/pi) K0(r/L); the would-be logarithmic
-    self-energy on the diagonal is regularized at r_min = a/2 and the matrix
-    flagged accordingly.  The overall scale pi g_cell^2 a/(2 L^2 Delta)
+    self-energy on the diagonal is regularized at r_min = a/2 (the
+    "two_level_2d" kind says so).  The overall scale pi g_cell^2 a/(2 L^2 Delta)
     reproduces the k-space integral of the 2D single-band model.
     """
     if atoms.positions.ndim != 2 or atoms.positions.shape[1] != 2:
@@ -465,7 +464,7 @@ def coupling_matrix_2d(atoms: AtomArray, band: BandEdge,
         strip = _pair_phases(e, rows, cols, values[rows, cols])
         np.multiply(scale * (2.0 / math.pi) * k, strip, out=strip)   # kernel first
     _mirror_upper(values)
-    return _built(values, "two_level_2d", diagonal_regularized=True)
+    return _built(values, "two_level_2d")
 
 
 def _bessel_k0(x: np.ndarray) -> np.ndarray:

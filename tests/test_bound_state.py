@@ -69,12 +69,39 @@ def test_beta_g_cell_round_trip_and_mismatch():
     c2 = atom_coupling(band, Delta=0.0, gamma=0.0, beta=beta)
     assert c2.g_cell == pytest.approx(g_cell, rel=1e-12)
 
-    # both supplied and consistent: accepted
-    atom_coupling(band, Delta=0.0, gamma=0.0, beta=beta, g_cell=g_cell)
-    # mismatch beyond 1e-6 relative: rejected
-    with pytest.raises(ValueError):
-        atom_coupling(band, Delta=0.0, gamma=0.0, beta=beta * 1.001,
-                      g_cell=g_cell)
+    # one coupling has one source: both supplied is refused, even when consistent
+    with pytest.raises(ValueError, match="exactly one of beta and g_cell"):
+        atom_coupling(band, Delta=0.0, gamma=0.0, beta=beta, g_cell=g_cell)
+
+
+def _apcw_state():
+    return effective_cavity(apcw_band(), apcw_coupling())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: AtomCoupling(beta=0.0, Delta=0.0, gamma=0.0, g_cell=1.0),
+     "beta must be positive"),
+    (lambda: atom_coupling(apcw_band(), Delta=0.0, gamma=0.0, g_cell=0.0),
+     "g_cell must be positive"),
+    (lambda: atom_coupling(apcw_band(), Delta=0.0, gamma=0.0, g_cell=-1.0),
+     "g_cell must be positive"),
+    (lambda: bound_state_depth(0.0, 1.0), "beta must be positive"),
+    (lambda: bound_state_depth_bisect(np.array([1.0, -1.0]), 1.0),
+     "beta must be positive"),
+    (lambda: mixing_angles(0.0, 1.0), "delta and beta must be positive"),
+    (lambda: mixing_angles(np.array([1.0, 2.0]), -1.0),
+     "delta and beta must be positive"),
+    (lambda: decay_length(apcw_band(), np.array([1.0, 0.0])), "delta must be positive"),
+    (lambda: photon_mode_profile(replace(_apcw_state(), L=0.0), 1.0, 0.0),
+     "decay length must be positive"),
+    (lambda: mode_weights(replace(_apcw_state(), delta=-1.0), apcw_band(),
+                          np.array([1.0])), "delta must be positive"),
+], ids=["AtomCoupling-beta-0", "atom_coupling-g_cell-0", "atom_coupling-g_cell-negative",
+        "depth-beta-0", "bisect-beta-negative", "mixing-delta-0", "mixing-beta-negative",
+        "decay_length-delta-0", "mode-profile-L-0", "mode-weights-delta-negative"])
+def test_positivity_guards(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 # ---------------------------------------------------------------- root solver

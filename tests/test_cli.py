@@ -358,7 +358,15 @@ def test_integer_setting_must_be_a_json_integer(capsys, tmp_path, command,
     ("evolve", False, {"band": DIMLESS["band"], "atoms": {"positions": [0.0, 1.0]},
                        "params": {"t_max": 1.0}},
      "atoms section needs a coupling section"),
+    ("exchange", False, {"units": "dimensionless", "band": DIMLESS["band"],
+                         "losses": {"gamma": 1e-9}},
+     "losses section needs a coupling section"),
     ("evolve", True, {"params": {"t_max": 1e-9}}, "this command needs a 'atoms' section"),
+    ("bound-state", True, {"coupling": {"beta": 1e9}}, "give exactly one of beta and g_cell"),
+    ("bound-state", False, {**DIMLESS, "coupling": {"gamma": 1e-9}},
+     "give exactly one of beta and g_cell"),
+    ("bound-state", True, {"coupling": {"bloch_amplitude": 1}},
+     "unknown keys in coupling: ['bloch_amplitude']"),
     ("bound-state", True, {"params": {"grid_min": 1.0, "grid_max": 1.0}},
      "grid_min < grid_max and grid_points >= 2 required"),
     ("interactions", True, {"coupling": {"gamma": 0.0}}, "interactions needs gamma > 0"),
@@ -374,7 +382,8 @@ def test_integer_setting_must_be_a_json_integer(capsys, tmp_path, command,
         "unknown-section-key", "missing-required-key", "true-for-number",
         "one-for-boolean", "empty-Delta_values", "bloch_values-not-pairs",
         "coupling-without-band", "atoms-without-band", "atoms-without-coupling",
-        "evolve-without-atoms", "grid_min-not-below-grid_max",
+        "losses-without-coupling", "evolve-without-atoms", "beta-and-g_cell",
+        "neither-beta-nor-g_cell", "bloch_amplitude", "grid_min-not-below-grid_max",
         "interactions-gamma-0", "interactions-sep_max-0",
         "dimensionless-interactions-without-Delta_values", "evolve-t_max-0",
         "evolve-initial_site-out-of-range"])
@@ -961,6 +970,11 @@ def test_config_overlays_preset(capsys, tmp_path):
     assert code == 0
     header, rows = parse_csv(out)
     assert rows.shape == (401, 7)
+
+
+def test_unknown_preset_is_refused():
+    with pytest.raises(KeyError, match=r"unknown preset 'nope'; available: \['apcw'\]"):
+        get_preset("nope")
 
 
 def test_readme_config_docs_match_the_schema():

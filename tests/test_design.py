@@ -165,6 +165,31 @@ def test_starts_outside_the_rate_bounds_are_skipped(monkeypatch):
     assert np.min(design.rates) >= math.exp(log_lo) * (1 - 1e-12)
 
 
+def test_a_start_with_a_singular_weight_solve_is_skipped(monkeypatch):
+    band = soft_band()
+    want = power_law_designer(0.25, (1, 50), 2, band)
+    fit = design_mod._fit_log_rates
+    starts = []
+
+    def singular_first(x0, *args):
+        starts.append(x0)
+        if len(starts) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return fit(x0, *args)
+
+    monkeypatch.setattr(design_mod, "_fit_log_rates", singular_first)
+    design = power_law_designer(0.25, (1, 50), 2, band)
+    assert len(starts) > 1   # the other starts still ran
+    assert design.max_error == pytest.approx(want.max_error, rel=1e-9)
+
+    def always_singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(design_mod, "_fit_log_rates", always_singular)
+    with pytest.raises(FitError, match="no start converged"):
+        power_law_designer(0.25, (1, 50), 2, band)
+
+
 def test_designer_is_deterministic():
     a = power_law_designer(0.5, (1, 40), 2, soft_band())
     b = power_law_designer(0.5, (1, 40), 2, soft_band())

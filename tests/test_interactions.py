@@ -109,7 +109,7 @@ def test_2d_diagonal_regularization_and_duplicates():
     pos = np.array([[0.0, 0.0], [3 * band.a, 0.0]])
     atoms = AtomArray(positions=pos, bloch_values=np.ones(2), gamma=0.0)
     U = coupling_matrix_2d(atoms, band, coupling)
-    assert U.diagonal_regularized
+    assert U.kind == "two_level_2d"   # the kind that carries the a/2 cutoff
     scale = math.pi * coupling.g_cell**2 * band.a / (2.0 * L**2 * coupling.Delta)
     want = scale * (2.0 / math.pi) * bessel_k0(0.5 * band.a / L)
     assert U.values.real[0, 0] == pytest.approx(want, rel=1e-12)
