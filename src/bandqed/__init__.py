@@ -67,7 +67,6 @@ from .dynamics import (
     ExchangeResult,
     ExchangeTrajectory,
     LossModel,
-    collective_dissipator,
     cooperativity,
     cooperativity_at_length,
     dissipator_ratio,

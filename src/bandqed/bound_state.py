@@ -113,20 +113,39 @@ def beta_from_g_cell(band: BandEdge, g_cell: float) -> float:
     g_cell is the coupling at unit Bloch amplitude; the amplitude at each
     atom enters the exchange through AtomArray.bloch_values.  Uses
     g = g_cell*sqrt(a/(2 pi)) so that g*sqrt(2 pi/L) == g_cell*sqrt(a/L),
-    then beta = (pi g^2 k0 / sqrt(4 alpha omega_b))**(2/3).
+    then beta = (pi g^2 k0 / sqrt(4 alpha omega_b))**(2/3).  A g_cell
+    whose conversion passes the float range raises ValueError.
     """
-    g_sq = g_cell**2 * band.a / TWOPI
+    g_sq = _pow(g_cell, 2) * band.a / TWOPI
     beta_32 = math.pi * g_sq * band.k0 \
         / math.sqrt(4.0 * abs(band.alpha) * band.omega_b)
-    return beta_32 ** (2.0 / 3.0)
+    beta = beta_32 ** (2.0 / 3.0)
+    if not math.isfinite(beta):
+        raise ValueError(f"g_cell = {g_cell:.3g} is past the float range of beta")
+    return beta
 
 
 def g_cell_from_beta(band: BandEdge, beta: float) -> float:
-    """Inverse of beta_from_g_cell."""
-    beta_32 = beta**1.5
+    """Inverse of beta_from_g_cell, with the same refusal."""
+    beta_32 = _pow(beta, 1.5)
     g_sq = beta_32 * math.sqrt(4.0 * abs(band.alpha) * band.omega_b) \
         / (math.pi * band.k0)
-    return math.sqrt(g_sq * TWOPI / band.a)
+    g_cell = math.sqrt(g_sq * TWOPI / band.a)
+    if not math.isfinite(g_cell):
+        raise ValueError(f"beta = {beta:.3g} is past the float range of g_cell")
+    return g_cell
+
+
+def _pow(x: float, y: float) -> float:
+    """x ** y, or inf where ** on a float raises OverflowError, for the caller to refuse.
+
+    ** rounds as libm pow does, which x * x does not always match (about
+    one drive ratio in 1200 differs in its last bit), so it stays.
+    """
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
 
 
 def atom_coupling(band: BandEdge, Delta: float, gamma: float,
@@ -138,13 +157,13 @@ def atom_coupling(band: BandEdge, Delta: float, gamma: float,
     """
     if (beta is None) == (g_cell is None):
         raise ValueError("give exactly one of beta and g_cell")
+    name, value = ("g_cell", g_cell) if beta is None else ("beta", beta)
+    _check_finite(**{name: value})   # named here, not as the value derived from it
+    if value <= 0:
+        raise ValueError(f"{name} must be positive")
     if beta is None:
-        if g_cell <= 0:
-            raise ValueError("g_cell must be positive")
         beta = beta_from_g_cell(band, g_cell)
     else:
-        if beta <= 0:
-            raise ValueError("beta must be positive")
         g_cell = g_cell_from_beta(band, beta)
     return AtomCoupling(beta=beta, Delta=Delta, gamma=gamma, g_cell=g_cell)
 

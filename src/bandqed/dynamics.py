@@ -251,16 +251,6 @@ class EvolutionResult:
     norm: np.ndarray        # total no-jump norm at each time
 
 
-def collective_dissipator(U: CouplingMatrix, kappa: float, Delta: float) -> np.ndarray:
-    """Residual photon-loss jump matrix, (kappa/(4 Delta)) U_jl.
-
-    The eliminated-photon dissipator carries coefficient g^2 kappa/(8 Delta^2),
-    a factor kappa/(4 Delta) below the coherent g^2/(2 Delta).  Emitted for
-    inspection only; the evolution keeps just the Gamma_eff decay.
-    """
-    return dissipator_ratio(kappa, Delta) * np.asarray(U.values)
-
-
 def check_atom_count(n: int) -> None:
     """Refuse N > MAX_ATOMS: too large for the dense U build and dense propagator."""
     if n > MAX_ATOMS:
@@ -291,8 +281,11 @@ def evolve_single_excitation(U: CouplingMatrix, losses: LossModel,
     the floor by more than 2e-8 relative plus LOSS_FLOOR_ABS = 1e-12
     absolute, expm's rounding where the norm has decayed, raises
     ValueError.  A lossless atom (Gamma_min = 0) makes the ceiling 1,
-    which cannot see an undecayed result.
+    which cannot see an undecayed result.  A four_level matrix raises
+    ValueError: sum_jl U_jl S_j S_l does not conserve the excitation number.
     """
+    if U.kind == "four_level":   # no single-excitation vector holds its dynamics
+        raise ValueError("a four_level matrix does not conserve the excitation number")
     n = len(U._chain.positions) if U._chain is not None else len(U.values)
     check_atom_count(n)
     psi0 = np.asarray(psi0, dtype=complex)

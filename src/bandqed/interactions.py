@@ -27,16 +27,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bound_state import (AtomCoupling, BandEdge, _check_finite, _gbar_sq,
+from .bound_state import (AtomCoupling, BandEdge, _check_finite, _gbar_sq, _pow,
                           interaction_length)
 
 HERMITICITY_RTOL = 1e-12
 TILE = 64                   # rows per build strip, side of a check tile; bounds temporaries
 DRIVE_RATIO_WARN = 0.3      # |Omega/delta_L| above this is outside the adiabatic regime
 DETUNING_BETA_WARN = 10.0   # Delta/beta below this strains the photon elimination
-
-MATRIX_KINDS = ("two_level_1d", "two_level_2d", "lambda_driven", "four_level",
-                "multi_drive", "mechanical")
 
 # DLMF 10.31.2 as K0(x) = -ln(x/2) I0(x) + sum_k (H_k - gamma) (x^2/4)^k/(k!)^2,
 # I0(x) = sum_k (x^2/4)^k/(k!)^2, k = 0..12: at x = 2 the first omitted term is 3e-20
@@ -108,25 +105,26 @@ class DriveField:
 class CouplingMatrix:
     """N x N Hermitian matrix of exchange rates U_jl [rad/s].
 
-    Values given here are checked: finite, and Hermitian to HERMITICITY_RTOL
-    of the largest entry, tile pair by tile pair.  The builders below make
-    their values exactly Hermitian, with a real diagonal, and refuse any
-    that could overflow before computing them, so they skip that O(N^2)
-    check (`_built`).
+    The values are its one input, checked here: finite, and Hermitian to
+    HERMITICITY_RTOL of the largest entry, tile pair by tile pair.  The
+    builders below make theirs exactly Hermitian, with a real diagonal, and
+    refuse any that could overflow before computing them, so they skip that
+    O(N^2) check (`_built`) and set what only they know: the kind and the
+    narrowed linewidths, None for given values.
     """
 
     values: np.ndarray
-    kind: str
-    gamma_narrowed: Optional[float] = None  # driven kinds: |Omega|^2 gamma/delta_L^2
-    gamma_narrowed_prime: Optional[float] = None
+    # two_level_1d, two_level_2d, lambda_driven, four_level, multi_drive, mechanical
+    kind: Optional[str] = field(default=None, init=False)
+    # driven kinds: |Omega|^2 gamma/delta_L^2
+    gamma_narrowed: Optional[float] = field(default=None, init=False)
+    gamma_narrowed_prime: Optional[float] = field(default=None, init=False)
     # exponential-sum form of values, set by the 1D chain builders only
     _chain: Optional[_ChainTerms] = field(default=None, init=False, repr=False,
                                           compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        if self.kind not in MATRIX_KINDS:
-            raise ValueError(f"unknown matrix kind {self.kind!r}")
         if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
             raise ValueError("values must be a square matrix")
         if len(self.values) == 0:
@@ -157,19 +155,6 @@ def _built(values: np.ndarray, kind: str, chain: Optional[_ChainTerms] = None,
     vars(matrix).update({f.name: f.default for f in fields(matrix)},
                         values=values, kind=kind, _chain=chain, **attributes)
     return matrix
-
-
-def _square(r: float) -> float:
-    """r ** 2 of a drive ratio, or inf where that overflows, for the build to refuse.
-
-    ** rounds as libm pow does, which r * r does not always match (about
-    one ratio in 1200 differs in its last bit), so it stays; on a float it
-    raises OverflowError in place of returning inf.
-    """
-    try:
-        return r ** 2
-    except OverflowError:
-        return math.inf
 
 
 def _warn(message: str) -> None:
@@ -543,22 +528,24 @@ def multi_drive_sum(atoms: AtomArray, band: BandEdge, coupling: AtomCoupling,
 
     Term i has its own length L_i and weight |Omega_i/delta_L,i|^2.  Drives
     need pairwise distinct delta_L: coincident frequencies interfere at the
-    amplitude level and do not add.  A single drive keeps its own kind.
+    amplitude level and do not add.  The kind is the drive scheme: any
+    drive with Omega_prime != 0 makes it four_level; otherwise one drive
+    is lambda_driven and more are multi_drive.
     """
     if len(drives) == 0:
         raise ValueError("empty drive list")
     deltas = [d.delta_L for d in drives]
     if len(set(deltas)) != len(deltas):
         raise ValueError("drives must have pairwise distinct delta_L")
-    ratios = [_square(d.Omega / d.delta_L) for d in drives]
+    ratios = [_pow(d.Omega / d.delta_L, 2) for d in drives]
     values, chain = _chain_matrix(atoms, band, coupling,
                                   [(d.Delta_L, r) for d, r in zip(drives, ratios)])
     for d in drives:
         _warn_small_detuning(d.Delta_L, coupling.beta)
-    kind = "multi_drive" if len(drives) > 1 else (
-        "lambda_driven" if drives[0].Omega_prime == 0.0 else "four_level")
+    kind = ("four_level" if any(d.Omega_prime != 0.0 for d in drives)
+            else "lambda_driven" if len(drives) == 1 else "multi_drive")
     narrowed = {"gamma_narrowed": sum(r * atoms.gamma for r in ratios),
-                "gamma_narrowed_prime": sum(_square(d.Omega_prime / d.delta_L) * atoms.gamma
+                "gamma_narrowed_prime": sum(_pow(d.Omega_prime / d.delta_L, 2) * atoms.gamma
                                             for d in drives)}
     _check_finite(**narrowed)
     return _built(values, kind, chain, **narrowed)
@@ -578,7 +565,7 @@ def mechanical_potential(atoms: AtomArray, band: BandEdge,
         raise ValueError("omega_L resonant with the atom")
     ratio = Omega / (omega_L - omega_a)
     values, chain = _chain_matrix(atoms, band, coupling,
-                                  [(omega_L - band.omega_b, _square(ratio))])
+                                  [(omega_L - band.omega_b, _pow(ratio, 2))])
     if abs(ratio) > DRIVE_RATIO_WARN:
         _warn("drive is not weak relative to |omega_L - omega_a|; "
               "the mechanical-potential expansion is strained")

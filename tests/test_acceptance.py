@@ -271,7 +271,7 @@ def test_criterion_7_oracle_suite(acceptance_report, k0_mode_integral):
         dt = 0.1 / np.max(np.abs(evals))
         psi0 = np.ones(n, dtype=complex) / math.sqrt(n)
         out = evolve_single_excitation(
-            CouplingMatrix(values=h, kind="two_level_1d"),
+            CouplingMatrix(values=h),
             LossModel(0.0, 0.0), psi0, np.array([0.0, dt]))
         proj0 = evecs.conj().T @ out.amplitudes[0]
         proj1 = evecs.conj().T @ out.amplitudes[1]

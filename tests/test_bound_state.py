@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -72,6 +73,23 @@ def test_beta_g_cell_round_trip_and_mismatch():
     # one coupling has one source: both supplied is refused, even when consistent
     with pytest.raises(ValueError, match="exactly one of beta and g_cell"):
         atom_coupling(band, Delta=0.0, gamma=0.0, beta=beta, g_cell=g_cell)
+
+
+@pytest.mark.parametrize("g_cell", [math.nan, math.inf])
+def test_a_non_finite_g_cell_is_named(g_cell):
+    # the value given is named, not the beta derived from it
+    with pytest.raises(ValueError, match=f"^g_cell must be finite, got {g_cell!r}$"):
+        atom_coupling(apcw_band(), Delta=0.0, gamma=0.0, g_cell=g_cell)
+
+
+@pytest.mark.parametrize("convert, value, message", [
+    (beta_from_g_cell, 1e200, "g_cell = 1e+200 is past the float range of beta"),
+    (g_cell_from_beta, 1e300, "beta = 1e+300 is past the float range of g_cell"),
+])
+def test_conversions_refuse_a_value_past_the_float_range(convert, value, message):
+    # ** on a Python float raises OverflowError there; callers catch ValueError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        convert(BandEdge(omega_b=1.0, alpha=1.0, a=1.0, k0=math.pi), value)
 
 
 def _apcw_state():

@@ -367,6 +367,10 @@ def test_integer_setting_must_be_a_json_integer(capsys, tmp_path, command,
      "give exactly one of beta and g_cell"),
     ("bound-state", True, {"coupling": {"bloch_amplitude": 1}},
      "unknown keys in coupling: ['bloch_amplitude']"),
+    ("bound-state", False, {**DIMLESS, "coupling": {"gamma": 1e-9, "beta": 1e300}},
+     "beta = 1e+300 is past the float range of g_cell"),
+    ("bound-state", False, {**DIMLESS, "coupling": {"gamma": 1e-9, "g_cell": 1e200}},
+     "g_cell = 1e+200 is past the float range of beta"),
     ("bound-state", True, {"params": {"grid_min": 1.0, "grid_max": 1.0}},
      "grid_min < grid_max and grid_points >= 2 required"),
     ("interactions", True, {"coupling": {"gamma": 0.0}}, "interactions needs gamma > 0"),
@@ -383,7 +387,8 @@ def test_integer_setting_must_be_a_json_integer(capsys, tmp_path, command,
         "one-for-boolean", "empty-Delta_values", "bloch_values-not-pairs",
         "coupling-without-band", "atoms-without-band", "atoms-without-coupling",
         "losses-without-coupling", "evolve-without-atoms", "beta-and-g_cell",
-        "neither-beta-nor-g_cell", "bloch_amplitude", "grid_min-not-below-grid_max",
+        "neither-beta-nor-g_cell", "bloch_amplitude", "beta-past-the-float-range",
+        "g_cell-past-the-float-range", "grid_min-not-below-grid_max",
         "interactions-gamma-0", "interactions-sep_max-0",
         "dimensionless-interactions-without-Delta_values", "evolve-t_max-0",
         "evolve-initial_site-out-of-range"])

@@ -18,7 +18,6 @@ from bandqed.dynamics import (
     _evolve_structured,
     _series_order,
     _structured_chain,
-    collective_dissipator,
     cooperativity,
     cooperativity_at_length,
     dissipator_ratio,
@@ -35,6 +34,7 @@ from bandqed.interactions import (
     atom_array,
     coupling_matrix_1d,
     coupling_matrix_2d,
+    driven_coupling_matrix,
     interaction_length,
     multi_drive_sum,
 )
@@ -46,7 +46,7 @@ def exchange_matrix(u, n=2, diag=0.0):
     values = np.full((n, n), 0.0, dtype=complex)
     values[0, 1] = values[1, 0] = u
     np.fill_diagonal(values, diag)
-    return CouplingMatrix(values=values, kind="two_level_1d")
+    return CouplingMatrix(values=values)
 
 
 # ------------------------------------------------------------- closed form
@@ -137,7 +137,7 @@ def test_eigenfrequencies_against_diagonalization():
         h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         h = (h + h.conj().T) / 2.0
         h *= 1e6 / np.max(np.abs(np.linalg.eigvalsh(h)))
-        U = CouplingMatrix(values=h, kind="two_level_1d")
+        U = CouplingMatrix(values=h)
         evals, evecs = np.linalg.eigh(h)
 
         dt = 0.1 / np.max(np.abs(evals))     # |lambda| dt well inside (-pi, pi)
@@ -155,7 +155,7 @@ def test_norm_behavior_and_energy_conservation():
     n = 5
     h = rng.normal(size=(n, n))
     h = (h + h.T) / 2.0 * 1e6
-    U = CouplingMatrix(values=h, kind="two_level_1d")
+    U = CouplingMatrix(values=h)
     psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
     psi0 /= np.linalg.norm(psi0)
     t = np.linspace(0.0, 5e-6, 40)
@@ -175,7 +175,7 @@ def test_uniform_rank_one_revival():
     # U_jl = U0 for every pair: a single bright mode at N U0, so the state
     # revives completely at T = 2 pi/(N U0)
     n, u0 = 6, 7.0e5
-    U = CouplingMatrix(values=np.full((n, n), u0), kind="two_level_1d")
+    U = CouplingMatrix(values=np.full((n, n), u0))
     psi0 = np.zeros(n, dtype=complex)
     psi0[0] = 1.0
     T = TWOPI / (n * u0)
@@ -256,7 +256,7 @@ def test_non_uniform_grid_matches_diagonalization():
     psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
     psi0 /= np.linalg.norm(psi0)
     t = np.geomspace(1e-9, 5e-6, 40)
-    out = evolve_single_excitation(CouplingMatrix(values=h, kind="two_level_1d"),
+    out = evolve_single_excitation(CouplingMatrix(values=h),
                                    LossModel(0.0, gamma), psi0, t)
 
     evals, evecs = np.linalg.eigh(h)
@@ -308,6 +308,29 @@ def apcw_chain(z, drives=0, bloch_values=None):
                          delta_L=TWOPI * 1e9 * (12.0 + 4.0 * i),
                          Delta_L=TWOPI * 300e9 * (i + 1)) for i in range(drives)]
     return multi_drive_sum(atoms, APCW, coupling, fields)
+
+
+@pytest.mark.parametrize("drives", [1, 2])
+def test_four_level_evolution_is_refused(drives, monkeypatch):
+    # the four-level exchange sum_jl U_jl S_j S_l, S = c_x sigma_x + c_y sigma_y,
+    # does not conserve the excitation number, so no single-excitation run holds it
+    coupling = atom_coupling(APCW, Delta=TWOPI * 400e9, gamma=TWOPI * 5e6,
+                             g_cell=TWOPI * 12.2e9)
+    atoms = atom_array(np.arange(6) * APCW.a, APCW, coupling.gamma)
+    fields = [DriveField(Omega=TWOPI * 1e9, Omega_prime=TWOPI * 1e9,
+                         delta_L=TWOPI * 1e9 * (12.0 + 4.0 * i),
+                         Delta_L=TWOPI * 300e9 * (i + 1), phi=0.7)
+              for i in range(drives)]
+    U = (driven_coupling_matrix(atoms, APCW, coupling, fields[0]) if drives == 1
+         else multi_drive_sum(atoms, APCW, coupling, fields))
+    assert U.kind == "four_level"
+    psi0 = np.zeros(6, dtype=complex)
+    psi0[0] = 1.0
+    for path in ("_evolve_dense", "_evolve_spectral", "_evolve_structured"):
+        monkeypatch.setattr(dynamics, path, None)   # refused before any path runs
+    with pytest.raises(ValueError, match="four_level .* excitation number"):
+        evolve_single_excitation(U, LossModel(0.0, coupling.gamma), psi0,
+                                 np.linspace(0.0, 1e-6, 5))
 
 
 def hop_time(U):
@@ -389,7 +412,7 @@ def test_structured_path_needs_chain_terms_uniform_loss_and_a_short_span(monkeyp
                          theta=np.linspace(0.1, 0.5, n))
     assert route(U, per_atom, psi0, t) == "expm"
     # a matrix given by its values has no chain structure
-    assert route(CouplingMatrix(values=U.values, kind=U.kind), losses, psi0,
+    assert route(CouplingMatrix(values=U.values), losses, psi0,
                  t) == "spectral"
     assert U._chain.lengths[0] == pytest.approx(29.9 * APCW.a, rel=1e-3)
     # the series' cost grows with the span, one eigh's does not: past the
@@ -949,7 +972,3 @@ def test_dissipator_ratio_and_matrix():
         dissipator_ratio(kappa, -Delta)
     with pytest.raises(ValueError):
         dissipator_ratio(-kappa, Delta)
-
-    U = exchange_matrix(1e6, diag=2e6)
-    jump = collective_dissipator(U, kappa, Delta)
-    assert np.allclose(jump, ratio * U.values, rtol=1e-15)

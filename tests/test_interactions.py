@@ -197,21 +197,30 @@ def test_hermiticity_with_complex_bloch_values():
 
 def test_matrix_validation():
     good = np.array([[1.0, 0.5], [0.5, 1.0]])
-    CouplingMatrix(values=good, kind="two_level_1d")
+    CouplingMatrix(values=good)
     with pytest.raises(ValueError):
-        CouplingMatrix(values=good, kind="nonsense")
+        CouplingMatrix(values=np.ones((2, 3)))
     with pytest.raises(ValueError):
-        CouplingMatrix(values=np.ones((2, 3)), kind="two_level_1d")
-    with pytest.raises(ValueError):
-        CouplingMatrix(values=np.array([[1.0, 1.0], [0.2, 1.0]]),
-                       kind="two_level_1d")
+        CouplingMatrix(values=np.array([[1.0, 1.0], [0.2, 1.0]]))
     with pytest.raises(ValueError, match="not Hermitian"):   # complex diagonal
-        CouplingMatrix(values=np.diag([1.0, 1.0 + 1e-3j]), kind="two_level_1d")
+        CouplingMatrix(values=np.diag([1.0, 1.0 + 1e-3j]))
     # an asymmetry past the first row block of the check is still caught
     big = np.eye(600, dtype=complex)
     big[500, 10] = 1e-3
     with pytest.raises(ValueError, match="not Hermitian"):
-        CouplingMatrix(values=big, kind="two_level_1d")
+        CouplingMatrix(values=big)
+
+
+@pytest.mark.parametrize("fact, value", [("kind", "four_level"),
+                                         ("gamma_narrowed", 5.0),
+                                         ("gamma_narrowed_prime", 5.0)])
+def test_matrix_takes_values_only(fact, value):
+    # the kind and the narrowed linewidths say how a builder made the
+    # matrix; given values make no such claim
+    U = CouplingMatrix(values=np.eye(2))
+    assert (U.kind, U.gamma_narrowed, U.gamma_narrowed_prime) == (None, None, None)
+    with pytest.raises(TypeError, match=fact):
+        CouplingMatrix(values=np.eye(2), **{fact: value})
 
 
 def _tiled_hermitian(n):
@@ -223,7 +232,7 @@ def _tiled_hermitian(n):
 def test_hermiticity_check_covers_every_tile():
     t = interactions.TILE
     n = 2 * t + 5                        # two full tiles and a partial one
-    CouplingMatrix(values=_tiled_hermitian(n), kind="two_level_1d")
+    CouplingMatrix(values=_tiled_hermitian(n))
     for j, l in [(n - 1, 0),             # last lower off-diagonal tile
                  (0, n - 1),             # last upper off-diagonal tile
                  (t + 3, t + 10),        # interior of a diagonal tile
@@ -232,11 +241,11 @@ def test_hermiticity_check_covers_every_tile():
         v[j, l] += 1e-3 - 2e-3j
         want = f"{np.max(np.abs(v - v.conj().T)):.3e}"
         with pytest.raises(ValueError, match=f"not Hermitian: max.* = {want}$"):
-            CouplingMatrix(values=v, kind="two_level_1d")
+            CouplingMatrix(values=v)
     v = _tiled_hermitian(n)
     v[n - 1, 1] = np.nan                 # lower triangle only
     with pytest.raises(ValueError, match="finite"):
-        CouplingMatrix(values=v, kind="two_level_1d")
+        CouplingMatrix(values=v)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -244,7 +253,7 @@ def test_non_finite_matrix_rejected(bad):
     values = np.eye(3, dtype=complex)
     values[0, 2] = values[2, 0] = bad
     with pytest.raises(ValueError, match="finite"):
-        CouplingMatrix(values=values, kind="two_level_1d")
+        CouplingMatrix(values=values)
 
 
 def test_in_band_detuning_rejected():
@@ -332,6 +341,22 @@ def test_driven_four_level_kind_and_resonance_guard():
     with pytest.raises(ValueError, match="resonant"):
         DriveField(Omega=TWOPI * 1e9, Omega_prime=0.0, delta_L=0.0,
                    Delta_L=coupling.Delta)
+
+
+def test_a_sum_with_a_second_leg_is_four_level():
+    # the kind follows the drive scheme, not the number of drives
+    band, coupling = apcw()
+    atoms = atom_array(np.arange(3) * band.a, band, coupling.gamma)
+    lam, four = ([DriveField(Omega=TWOPI * 40e9, Omega_prime=TWOPI * 40e9 * leg,
+                             delta_L=TWOPI * 400e9 * (i + 1), Delta_L=coupling.Delta)
+                  for i in range(2)] for leg in (0.0, 1.0))
+    assert multi_drive_sum(atoms, band, coupling, lam).kind == "multi_drive"
+    for drives in (four, [lam[0], four[1]]):
+        out = multi_drive_sum(atoms, band, coupling, drives)
+        assert out.kind == "four_level"
+        assert out.gamma_narrowed_prime == pytest.approx(
+            sum(d.Omega_prime**2 / d.delta_L**2 for d in drives) * coupling.gamma,
+            rel=1e-14)
 
 
 def test_strong_drive_warns():
@@ -630,7 +655,7 @@ def test_builders_never_run_the_tile_check(monkeypatch):
             build(atoms, band, coupling)
     coupling_matrix_2d(_seeded_atoms(225, 2, coupling.gamma), band, coupling)
     with pytest.raises(ValueError, match="not Hermitian"):
-        CouplingMatrix(values=np.eye(2), kind="two_level_1d")
+        CouplingMatrix(values=np.eye(2))
 
 
 # ------------------------------------------------------------- the real M
@@ -893,4 +918,4 @@ def test_empty_inputs_are_refused():
         with pytest.raises(ValueError, match="at least one atom"):
             atom_array(positions, band, coupling.gamma)
     with pytest.raises(ValueError, match="at least 1 x 1"):
-        CouplingMatrix(values=np.zeros((0, 0)), kind="two_level_1d")
+        CouplingMatrix(values=np.zeros((0, 0)))
