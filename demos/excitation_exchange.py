@@ -13,8 +13,7 @@ import math
 
 import numpy as np
 
-from bandqed import (BandEdge, LossModel, atom_coupling, cooperativity,
-                     exchange_simulate, optimize_exchange)
+from bandqed import BandEdge, LossModel, atom_coupling, cooperativity, optimize_exchange
 
 BETA = 1e-6     # units of omega_b
 GAMMA = 1e-9    # units of omega_b
@@ -35,11 +34,11 @@ def main():
     best = None
     for C in (1e2, 1e3, 1e4):
         losses = LossModel(kappa_p=kappa_for_target_c(C), gamma=GAMMA)
-        res = optimize_exchange(band, cpl, losses, separation=0.0)
+        best = optimize_exchange(band, cpl, losses, separation=0.0)
+        res = best.result
         bound = math.pi / math.sqrt(res.cooperativity)
         print("%10.0e %12.4g %12.4g %14.4g %12.3f"
               % (C, res.optimal_Delta, res.error, bound, res.error / bound))
-        best = res
 
     # physical-units flavor of the same C: alligator waveguide numbers
     TWOPI = 2.0 * math.pi
@@ -55,23 +54,19 @@ def main():
     print("separation dependence at C = 1e4 (d in lattice units):")
     losses = LossModel(kappa_p=kappa_for_target_c(1e4), gamma=GAMMA)
     for sep in (0.0, 1.0, 2.0, 4.0):
-        res = optimize_exchange(band, cpl, losses, separation=sep)
+        res = optimize_exchange(band, cpl, losses, separation=sep).result
         print("  d = %3.0f: error = %.4f" % (sep, res.error))
 
-    # time trace of the optimal transfer: populations swap at t = tau;
-    # tau fixes |U12| and the optimizer already folded the mixing angle
-    # into its effective linewidth, so a uniform loss model suffices
-    U12 = math.pi / (2.0 * best.tau)
-    traj = exchange_simulate(U12, LossModel(kappa_p=0.0, gamma=best.gamma_eff))
+    # time trace of the optimal transfer: populations swap at t = tau
+    tau, error = best.result.tau, best.result.error
     print()
-    print("transfer trace at the C = 1e4 optimum (tau = %.3g):" % best.tau)
-    n = len(traj.times)
+    print("transfer trace at the C = 1e4 optimum (tau = %.3g):" % tau)
+    n = len(best.times)
     for i in range(0, n, max(1, n // 10)):
-        bar = "#" * int(40 * traj.populations[i, 1])
+        bar = "#" * int(40 * best.populations[i, 1])
         print("  t/tau = %4.2f  P_2 = %.3f %s"
-              % (traj.times[i] / best.tau, traj.populations[i, 1], bar))
-    print("final norm %.4f (1 - error = %.4f)"
-          % (traj.norm[-1], 1.0 - best.error))
+              % (best.times[i] / tau, best.populations[i, 1], bar))
+    print("final norm %.4f (1 - error = %.4f)" % (best.norm[-1], 1.0 - error))
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ the same unit as `a` (meters in SI mode, units of a when a = 1).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -114,26 +115,38 @@ def beta_from_g_cell(band: BandEdge, g_cell: float) -> float:
     atom enters the exchange through AtomArray.bloch_values.  Uses
     g = g_cell*sqrt(a/(2 pi)) so that g*sqrt(2 pi/L) == g_cell*sqrt(a/L),
     then beta = (pi g^2 k0 / sqrt(4 alpha omega_b))**(2/3).  A g_cell
-    whose conversion passes the float range raises ValueError.
+    whose conversion passes the float range, or whose g_cell^2 or beta
+    falls below the smallest normal float, raises ValueError.
     """
-    g_sq = _pow(g_cell, 2) * band.a / TWOPI
+    power = _pow(g_cell, 2)
+    g_sq = power * band.a / TWOPI
     beta_32 = math.pi * g_sq * band.k0 \
         / math.sqrt(4.0 * abs(band.alpha) * band.omega_b)
     beta = beta_32 ** (2.0 / 3.0)
-    if not math.isfinite(beta):
-        raise ValueError(f"g_cell = {g_cell:.3g} is past the float range of beta")
+    _check_conversion("g_cell", g_cell, "beta", power, beta)
     return beta
 
 
 def g_cell_from_beta(band: BandEdge, beta: float) -> float:
-    """Inverse of beta_from_g_cell, with the same refusal."""
-    beta_32 = _pow(beta, 1.5)
-    g_sq = beta_32 * math.sqrt(4.0 * abs(band.alpha) * band.omega_b) \
+    """Inverse of beta_from_g_cell, with the same refusals on beta^{3/2} and g_cell."""
+    power = _pow(beta, 1.5)
+    g_sq = power * math.sqrt(4.0 * abs(band.alpha) * band.omega_b) \
         / (math.pi * band.k0)
     g_cell = math.sqrt(g_sq * TWOPI / band.a)
-    if not math.isfinite(g_cell):
-        raise ValueError(f"beta = {beta:.3g} is past the float range of g_cell")
+    _check_conversion("beta", beta, "g_cell", power, g_cell)
     return g_cell
+
+
+def _check_conversion(name: str, given: float, target: str, power: float,
+                      result: float) -> None:
+    """Refuse a result past the float range, or a power or result below the normal range.
+
+    Both name the given value: a subnormal power loses bits, a zero one zeroes the result.
+    """
+    if not math.isfinite(result):
+        raise ValueError(f"{name} = {given:.3g} is past the float range of {target}")
+    if min(power, result) < sys.float_info.min:
+        raise ValueError(f"{name} = {given:.3g} is below the float range of {target}")
 
 
 def _pow(x: float, y: float) -> float:
@@ -174,8 +187,8 @@ def bound_state_depth(beta: ArrayLike, Delta: ArrayLike) -> np.ndarray:
     Closed form on the depressed cubic x^3 - Delta*x - 2 beta^{3/2} = 0 for
     x = sqrt(delta), kept in real arithmetic: Cardano when the discriminant
     beta^3 - Delta^3/27 >= 0, the trigonometric three-root form otherwise
-    (Delta > 3 beta), always selecting the single positive root.  One Newton
-    step polishes away the cancellation that creeps in for Delta >> beta.
+    (Delta > 3 beta), always selecting the single positive root.  Two Newton
+    steps polish away the cancellation that creeps in for Delta >> beta.
     Vectorized over both arguments.
     """
     beta, Delta = _depth_inputs(beta, Delta)
@@ -226,7 +239,10 @@ def _depth_inputs(beta: ArrayLike, Delta: ArrayLike):
 
     Both must be finite, beta > 0, and beta^3 + |Delta|^3 within the float
     range, which bounds every cube the closed form takes: it holds for both
-    up to ~4.4e102, and fails for either past ~5.6e102.
+    up to ~4.4e102, and fails for either past ~5.6e102.  beta^3 must also
+    be a normal float, so beta at least ~2.8e-103: below it the closed
+    form's cube loses its bits (beta = 1e-200 gave a root 6 % high) and
+    then vanishes (nan at beta = 1e-300, where bisection returns 0).
     """
     beta = np.asarray(beta, dtype=float)
     Delta = np.asarray(Delta, dtype=float)
@@ -238,6 +254,9 @@ def _depth_inputs(beta: ArrayLike, Delta: ArrayLike):
     if not np.all(np.isfinite(cubes)):
         raise ValueError("beta^3 + |Delta|^3 passes the float range "
                          "(beta or |Delta| near or past ~5.6e102)")
+    if np.any(beta**3 < sys.float_info.min):
+        raise ValueError("beta^3 falls below the smallest normal float "
+                         "(beta below ~2.8e-103)")
     return np.broadcast_arrays(beta, Delta)
 
 

@@ -110,7 +110,7 @@ def _load_cfg(args) -> RunConfig:
         raw = _merge(raw, user)
     if not raw:
         raise ConfigError("provide --config and/or --preset")
-    return config_mod.load_config(raw, args.command, args.seed)
+    return config_mod.load_config(raw, args.command, getattr(args, "seed", None))
 
 
 def cmd_bound_state(cfg: RunConfig) -> Output:
@@ -211,15 +211,12 @@ def cmd_exchange(cfg: RunConfig) -> Output:
     separation = cfg.params["separation"] * band.a
 
     if cfg.params["optimize"]:
-        res = optimize_exchange(band, coupling, losses, separation)
-        u12 = math.pi / (2.0 * res.tau)
-        traj = exchange_simulate(u12, LossModel(kappa_p=0.0, gamma=res.gamma_eff,
-                                                theta=0.0))
+        traj = optimize_exchange(band, coupling, losses, separation)
     else:
         atoms = atom_array([0.0, separation], band, coupling.gamma)
         u = coupling_matrix_1d(atoms, band, coupling)
         traj = exchange_simulate(u.values[0, 1], losses)
-        res = traj.result
+    res = traj.result
 
     s = 1.0 / cfg.freq_scale
     payload = {
@@ -317,21 +314,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Band-edge atom-photon toolkit: bound states, exchange "
                     "matrices, power-law design, excitation dynamics, "
                     "disorder localization.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON config file")
-    common.add_argument("--out", metavar="PATH",
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", metavar="PATH",
                         help="write machine output here instead of stdout")
-    common.add_argument("--preset", choices=sorted(PRESETS),
-                        help="layer the config over a named preset")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override disorder.seed")
-    common.add_argument("--format", choices=("csv", "json"), default=None,
+    output.add_argument("--format", choices=("csv", "json"), default=None,
                         help="machine output format")
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", metavar="PATH", help="JSON config file")
+    configured.add_argument("--preset", choices=sorted(PRESETS),
+                            help="layer the config over a named preset")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sub.add_parser(name, parents=[common])
-    sub.choices["preset"].add_argument("action", choices=("list",))
+    for name in config_mod.PARAMS:
+        sub.add_parser(name, parents=[configured, output])
+    sub.choices["disorder"].add_argument("--seed", type=int, default=None,
+                                         help="override disorder.seed")
+    sub.add_parser("preset", parents=[output]).add_argument("action", choices=("list",))
     return parser
 
 

@@ -112,11 +112,16 @@ def exchange_simulate(U12: complex, losses: LossModel) -> ExchangeTrajectory:
     if not math.isfinite(2.0 * tau * max(gamma_eff, 1.0)):   # the span and its decay
         raise ValueError(f"|U12| = {u:.3g}: no exchange, transfer time diverges")
     error = -math.expm1(-gamma_eff * tau)
-    t = np.linspace(0.0, 2.0 * tau, 201)
+    return _exchange_trace(u, ExchangeResult(tau=tau, error=error, gamma_eff=gamma_eff))
+
+
+def _exchange_trace(u: float, result: ExchangeResult) -> ExchangeTrajectory:
+    """The closed form at |U12| = u and result.gamma_eff on 201 times over [0, 2 tau]."""
+    gamma_eff = result.gamma_eff
+    t = np.linspace(0.0, 2.0 * result.tau, 201)
     envelope = np.exp(-gamma_eff * t)
     p1 = envelope * np.cos(u * t) ** 2
     p2 = envelope * np.sin(u * t) ** 2
-    result = ExchangeResult(tau=tau, error=error, gamma_eff=gamma_eff)
     return ExchangeTrajectory(times=t, populations=np.stack([p1, p2], axis=1),
                               norm=np.exp(-0.5 * gamma_eff * t), result=result)
 
@@ -155,21 +160,22 @@ def dissipator_ratio(kappa: float, Delta: float) -> float:
 def _exchange_error_curve(Delta: np.ndarray, band: BandEdge,
                           coupling: AtomCoupling, kappa_p: float, gamma: float,
                           separation: float):
-    """(error, tau, Gamma_eff) of a two-atom transfer vs detuning."""
+    """(error, tau, Gamma_eff, |U12|) of a two-atom transfer vs detuning."""
     delta = bound_state_depth(coupling.beta, Delta)
     cos_t, sin_t = mixing_angles(delta, coupling.beta)
     gamma_eff = _dressed_linewidth(gamma, kappa_p, cos_t, sin_t)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # refused below
-        tau = math.pi / 2.0 / np.abs(_pair_kernel(band, coupling, Delta, separation))
+        u = np.abs(_pair_kernel(band, coupling, Delta, separation))
+        tau = math.pi / 2.0 / u
         error = -np.expm1(-gamma_eff * tau)   # 1 where the decay passes the float range
     if not np.all(np.isfinite(tau)):
         raise ValueError(f"no exchange at separation {separation:.4g}: U12 underflows")
-    return error, tau, gamma_eff
+    return error, tau, gamma_eff, u
 
 
 def optimize_exchange(band: BandEdge, coupling: AtomCoupling, losses: LossModel,
-                      separation: float) -> ExchangeResult:
-    """Pick the atomic detuning minimizing the two-atom transfer error.
+                      separation: float) -> ExchangeTrajectory:
+    """The two-atom transfer at the atomic detuning minimizing its error.
 
     The loss weights come from losses.kappa_p and losses.gamma; the mixing
     angle is recomputed at every trial detuning, so losses.theta is ignored.
@@ -178,7 +184,9 @@ def optimize_exchange(band: BandEdge, coupling: AtomCoupling, losses: LossModel,
     followed by a golden-section polish of the bracketed minimum.  A minimum
     on the scan boundary, as without photon loss, raises rather than
     silently returning an edge value.  The returned error is checked
-    against the cooperativity bound 2 pi/sqrt(C).
+    against the cooperativity bound 2 pi/sqrt(C).  The trajectory is
+    `exchange_simulate`'s closed form at the optimum's |U12| and Gamma_eff;
+    its result carries the optimizer's own tau and error.
     """
     if band.alpha <= 0:
         raise ValueError("optimize_exchange assumes a lower band edge (alpha > 0)")
@@ -228,7 +236,7 @@ def optimize_exchange(band: BandEdge, coupling: AtomCoupling, losses: LossModel,
                 fd = err_at(np.exp(d))[0]
         d_opt = float(math.exp(0.5 * (a + b)))
 
-    err, tau, gamma_eff = (float(v) for v in err_at(np.asarray(d_opt)))
+    err, tau, gamma_eff, u = (float(v) for v in err_at(np.asarray(d_opt)))
 
     coop = None
     if kappa_p > 0 and gamma > 0:
@@ -239,8 +247,8 @@ def optimize_exchange(band: BandEdge, coupling: AtomCoupling, losses: LossModel,
             raise RuntimeError(
                 f"optimized error {err:.4g} violates the cooperativity bound "
                 f"{bound:.4g}; the operating point is inconsistent")
-    return ExchangeResult(tau=tau, error=err, gamma_eff=gamma_eff,
-                          optimal_Delta=d_opt, cooperativity=coop)
+    return _exchange_trace(u, ExchangeResult(tau=tau, error=err, gamma_eff=gamma_eff,
+                                             optimal_Delta=d_opt, cooperativity=coop))
 
 
 @dataclass

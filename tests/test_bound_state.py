@@ -85,9 +85,14 @@ def test_a_non_finite_g_cell_is_named(g_cell):
 @pytest.mark.parametrize("convert, value, message", [
     (beta_from_g_cell, 1e200, "g_cell = 1e+200 is past the float range of beta"),
     (g_cell_from_beta, 1e300, "beta = 1e+300 is past the float range of g_cell"),
+    (beta_from_g_cell, 1e-200, "g_cell = 1e-200 is below the float range of beta"),
+    (beta_from_g_cell, 1e-160, "g_cell = 1e-160 is below the float range of beta"),
+    (g_cell_from_beta, 1e-300, "beta = 1e-300 is below the float range of g_cell"),
 ])
 def test_conversions_refuse_a_value_past_the_float_range(convert, value, message):
-    # ** on a Python float raises OverflowError there; callers catch ValueError
+    # ** on a Python float raises OverflowError there; callers catch ValueError.
+    # Below it they gave beta = 0.0, a beta 1.4e-4 relative off from the
+    # subnormal g_cell^2 of 1e-160, and g_cell = 0.0
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         convert(BandEdge(omega_b=1.0, alpha=1.0, a=1.0, k0=math.pi), value)
 
@@ -168,6 +173,22 @@ def test_depth_paths_refuse_cubes_past_the_float_range(depth, beta, Delta):
     # the closed form returned nan with two RuntimeWarnings at Delta = -1e103
     with pytest.raises(ValueError, match="passes the float range"):
         depth(beta, Delta)
+
+
+@pytest.mark.parametrize("depth", [bound_state_depth, bound_state_depth_bisect])
+@pytest.mark.parametrize("beta", [1e-200, 1e-300, [1e-6, 2e-103]], ids=str)
+def test_depth_paths_refuse_a_beta_whose_cube_underflows(depth, beta):
+    # at beta = 1e-200 the closed form gave 1.68e-200 for the root
+    # 2^{2/3} 1e-200 = 1.59e-200; at 1e-300 it gave nan and bisection 0.0
+    with pytest.raises(ValueError, match=r"^beta\^3 falls below the smallest normal"):
+        depth(beta, 0.0)
+
+
+def test_depth_paths_agree_just_above_the_cube_floor():
+    beta = 3e-103
+    exact = 2.0 ** (2.0 / 3.0) * beta
+    for depth in (bound_state_depth, bound_state_depth_bisect):
+        assert float(depth(beta, 0.0)) == pytest.approx(exact, rel=1e-14)
 
 
 def test_depth_examples():

@@ -106,6 +106,39 @@ def test_second_sources_are_unknown_keys(capsys, tmp_path, path, message):
     assert err == f"config error: {message}\n"
 
 
+# Each subcommand takes only the flags it reads: --seed is disorder's, and
+# preset list reads no config.
+@pytest.mark.parametrize("command", ["bound-state", "interactions", "design-powerlaw",
+                                     "exchange", "evolve", "preset"])
+def test_seed_is_refused_where_nothing_reads_it(capsys, command):
+    target = ["list"] if command == "preset" else ["--preset", "apcw"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *target, "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--config", "--preset"])
+def test_preset_list_refuses_config_flags(capsys, tmp_path, flag):
+    value = str(tmp_path / "missing.json") if flag == "--config" else "apcw"
+    with pytest.raises(SystemExit) as exc:
+        main(["preset", "list", flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def test_build_parser_places_each_flag_where_it_is_read():
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    flags = {name: sorted(opt for action in sub._actions for opt in action.option_strings
+                          if opt.startswith("--") and opt != "--help")
+             for name, sub in subparsers.items()}
+    configured = ["--config", "--format", "--out", "--preset"]
+    assert flags == {**{name: configured for name in PARAMS},
+                     "disorder": sorted(configured + ["--seed"]),
+                     "preset": ["--format", "--out"]}
+    assert sum(map(len, flags.values())) == 27
+
+
 def test_invalid_json_is_a_config_error(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -382,6 +415,12 @@ def test_integer_setting_must_be_a_json_integer(capsys, tmp_path, command,
      "t_max > 0 and n_times >= 2 required"),
     ("evolve", True, {"atoms": TWO_ATOMS, "params": {"t_max": 1e-9, "initial_site": 2}},
      "initial_site out of range"),
+    # beta = 1e-300 gave g_cell = 0.0, then a RuntimeWarning and "delta must
+    # be finite, got nan"; g_cell = 1e-200 was named as "beta must be positive"
+    ("bound-state", False, {**DIMLESS, "coupling": {"gamma": 1e-9, "beta": 1e-300}},
+     "beta = 1e-300 is below the float range of g_cell"),
+    ("bound-state", False, {**DIMLESS, "coupling": {"gamma": 1e-9, "g_cell": 1e-200}},
+     "g_cell = 1e-200 is below the float range of beta"),
 ], ids=["root-not-object", "units", "drives-not-list", "section-not-object",
         "unknown-section-key", "missing-required-key", "true-for-number",
         "one-for-boolean", "empty-Delta_values", "bloch_values-not-pairs",
@@ -391,7 +430,8 @@ def test_integer_setting_must_be_a_json_integer(capsys, tmp_path, command,
         "g_cell-past-the-float-range", "grid_min-not-below-grid_max",
         "interactions-gamma-0", "interactions-sep_max-0",
         "dimensionless-interactions-without-Delta_values", "evolve-t_max-0",
-        "evolve-initial_site-out-of-range"])
+        "evolve-initial_site-out-of-range", "beta-below-the-float-range",
+        "g_cell-below-the-float-range"])
 def test_config_refusals_are_config_errors(capsys, tmp_path, command, preset, doc,
                                            message):
     argv = [command, "--config", write_cfg(tmp_path, "refused.json", doc)]

@@ -851,7 +851,7 @@ def test_optimized_error_tracks_cooperativity_law():
     for C in (1e2, 1e4):
         losses = LossModel(kappa_p=kappa_for_target_C(beta, gamma, C),
                            gamma=gamma)
-        res = optimize_exchange(band, coupling, losses, separation=0.0)
+        res = optimize_exchange(band, coupling, losses, separation=0.0).result
         assert res.cooperativity == pytest.approx(C, rel=2e-3)
         assert 0.8 <= res.error / (math.pi / math.sqrt(C)) <= 1.25
         assert res.optimal_Delta > 0
@@ -892,7 +892,7 @@ def test_optimize_without_losses_takes_the_middle_of_a_flat_scan():
     beta = 1e-6
     coupling = atom_coupling(band, Delta=0.0, gamma=0.0, beta=beta)
     res = optimize_exchange(band, coupling, LossModel(kappa_p=0.0, gamma=0.0),
-                            separation=1.0)
+                            separation=1.0).result
     assert res.error == 0.0
     assert res.cooperativity is None
     # default scan for zero loss: 10 beta to 300 x 1e3 beta, log-spaced
@@ -924,9 +924,30 @@ def test_separation_costs_error():
     coupling = atom_coupling(band, Delta=0.0, gamma=gamma, beta=beta)
     losses = LossModel(kappa_p=kappa_for_target_C(beta, gamma, 1e3),
                        gamma=gamma)
-    near = optimize_exchange(band, coupling, losses, separation=0.0)
-    far = optimize_exchange(band, coupling, losses, separation=4.0)
+    near = optimize_exchange(band, coupling, losses, separation=0.0).result
+    far = optimize_exchange(band, coupling, losses, separation=4.0).result
     assert far.error > near.error
+
+
+@pytest.mark.parametrize("separation", [0.0, 2.0])
+def test_optimized_trace_is_the_closed_form_at_the_optimum(separation):
+    # the trace is exchange_simulate's at |U12(Delta_opt)| and Gamma_eff, and
+    # its result is the optimizer's own: the error is not recomputed by
+    # math.expm1, which differs from np.expm1 in ~1 % of inputs
+    band = unit_band()
+    beta, gamma = 1e-6, 1e-9
+    coupling = atom_coupling(band, Delta=0.0, gamma=gamma, beta=beta)
+    losses = LossModel(kappa_p=kappa_for_target_C(beta, gamma, 1e3), gamma=gamma)
+    traj = optimize_exchange(band, coupling, losses, separation=separation)
+    res = traj.result
+    assert traj.times[-1] == 2.0 * res.tau
+    error, tau, gamma_eff, u = dynamics._exchange_error_curve(
+        np.asarray(res.optimal_Delta), band, coupling, losses.kappa_p, gamma, separation)
+    assert (res.error, res.tau, res.gamma_eff) == (error, tau, gamma_eff)
+    closed = exchange_simulate(float(u), LossModel(kappa_p=0.0, gamma=res.gamma_eff))
+    assert closed.result.tau == res.tau
+    for name in ("times", "populations", "norm"):
+        assert np.array_equal(getattr(traj, name), getattr(closed, name)), name
 
 
 # ------------------------------------------------------------- figures of merit
