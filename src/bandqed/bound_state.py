@@ -115,37 +115,38 @@ def beta_from_g_cell(band: BandEdge, g_cell: float) -> float:
     atom enters the exchange through AtomArray.bloch_values.  Uses
     g = g_cell*sqrt(a/(2 pi)) so that g*sqrt(2 pi/L) == g_cell*sqrt(a/L),
     then beta = (pi g^2 k0 / sqrt(4 alpha omega_b))**(2/3).  A g_cell
-    whose conversion passes the float range, or whose g_cell^2 or beta
-    falls below the smallest normal float, raises ValueError.
+    whose conversion passes the float range, or any of whose products on
+    the way to beta falls below the smallest normal float, raises ValueError.
     """
     power = _pow(g_cell, 2)
     g_sq = power * band.a / TWOPI
     beta_32 = math.pi * g_sq * band.k0 \
         / math.sqrt(4.0 * abs(band.alpha) * band.omega_b)
     beta = beta_32 ** (2.0 / 3.0)
-    _check_conversion("g_cell", g_cell, "beta", power, beta)
+    _check_conversion("g_cell", g_cell, "beta", beta, power, g_sq, beta_32)
     return beta
 
 
 def g_cell_from_beta(band: BandEdge, beta: float) -> float:
-    """Inverse of beta_from_g_cell, with the same refusals on beta^{3/2} and g_cell."""
+    """Inverse of beta_from_g_cell, with the same refusals on its products and g_cell."""
     power = _pow(beta, 1.5)
     g_sq = power * math.sqrt(4.0 * abs(band.alpha) * band.omega_b) \
         / (math.pi * band.k0)
-    g_cell = math.sqrt(g_sq * TWOPI / band.a)
-    _check_conversion("beta", beta, "g_cell", power, g_cell)
+    g_cell_sq = g_sq * TWOPI / band.a
+    g_cell = math.sqrt(g_cell_sq)
+    _check_conversion("beta", beta, "g_cell", g_cell, power, g_sq, g_cell_sq)
     return g_cell
 
 
-def _check_conversion(name: str, given: float, target: str, power: float,
-                      result: float) -> None:
-    """Refuse a result past the float range, or a power or result below the normal range.
+def _check_conversion(name: str, given: float, target: str, result: float,
+                      *products: float) -> None:
+    """Refuse a result past the float range, or a product or result below the normal range.
 
-    Both name the given value: a subnormal power loses bits, a zero one zeroes the result.
+    Both name the given value: a subnormal product loses bits, a zero one zeroes the result.
     """
     if not math.isfinite(result):
         raise ValueError(f"{name} = {given:.3g} is past the float range of {target}")
-    if min(power, result) < sys.float_info.min:
+    if min(*products, result) < sys.float_info.min:
         raise ValueError(f"{name} = {given:.3g} is below the float range of {target}")
 
 

@@ -94,6 +94,12 @@ class ExchangeTrajectory:
     norm: np.ndarray         # survival amplitude norm, exp(-Gamma t/2)
     result: ExchangeResult
 
+    def __getattr__(self, name):
+        """The result's fields, read through as when optimize_exchange returned the result."""
+        if name in ExchangeResult.__dataclass_fields__:
+            return getattr(self.result, name)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
 
 def exchange_simulate(U12: complex, losses: LossModel) -> ExchangeTrajectory:
     """Closed-form two-atom transfer under uniform loss.

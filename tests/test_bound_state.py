@@ -88,11 +88,14 @@ def test_a_non_finite_g_cell_is_named(g_cell):
     (beta_from_g_cell, 1e-200, "g_cell = 1e-200 is below the float range of beta"),
     (beta_from_g_cell, 1e-160, "g_cell = 1e-160 is below the float range of beta"),
     (g_cell_from_beta, 1e-300, "beta = 1e-300 is below the float range of g_cell"),
+    (beta_from_g_cell, 1.6e-154, "g_cell = 1.6e-154 is below the float range of beta"),
+    (g_cell_from_beta, 1e-205, "beta = 1e-205 is below the float range of g_cell"),
 ])
 def test_conversions_refuse_a_value_past_the_float_range(convert, value, message):
     # ** on a Python float raises OverflowError there; callers catch ValueError.
     # Below it they gave beta = 0.0, a beta 1.4e-4 relative off from the
-    # subnormal g_cell^2 of 1e-160, and g_cell = 0.0
+    # subnormal g_cell^2 of 1e-160, and g_cell = 0.0; at 1.6e-154 and 1e-205 the
+    # first power is normal but the product after it is not
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         convert(BandEdge(omega_b=1.0, alpha=1.0, a=1.0, k0=math.pi), value)
 

@@ -11,6 +11,7 @@ from bandqed import dynamics
 from bandqed.bound_state import BandEdge, atom_coupling
 from bandqed.dynamics import (
     SCAN_POINTS,
+    ExchangeResult,
     LossModel,
     _bessel_j,
     _evolve_dense,
@@ -948,6 +949,21 @@ def test_optimized_trace_is_the_closed_form_at_the_optimum(separation):
     assert closed.result.tau == res.tau
     for name in ("times", "populations", "norm"):
         assert np.array_equal(getattr(traj, name), getattr(closed, name)), name
+
+
+def test_trajectory_reads_its_result_fields_through():
+    # code written against the ExchangeResult optimize_exchange used to
+    # return still reads res.error, res.optimal_Delta and res.cooperativity
+    band = unit_band()
+    beta, gamma = 1e-6, 1e-9
+    coupling = atom_coupling(band, Delta=0.0, gamma=gamma, beta=beta)
+    losses = LossModel(kappa_p=kappa_for_target_C(beta, gamma, 1e3), gamma=gamma)
+    traj = optimize_exchange(band, coupling, losses, separation=0.0)
+    for name in ExchangeResult.__dataclass_fields__:
+        assert getattr(traj, name) is getattr(traj.result, name), name
+    with pytest.raises(AttributeError, match="has no attribute 'bogus'"):
+        traj.bogus
+    assert copy.deepcopy(traj).error == traj.error   # a bare copy has no result yet
 
 
 # ------------------------------------------------------------- figures of merit
