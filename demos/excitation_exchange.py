@@ -35,10 +35,9 @@ def main():
     for C in (1e2, 1e3, 1e4):
         losses = LossModel(kappa_p=kappa_for_target_c(C), gamma=GAMMA)
         best = optimize_exchange(band, cpl, losses, separation=0.0)
-        res = best.result
-        bound = math.pi / math.sqrt(res.cooperativity)
+        bound = math.pi / math.sqrt(best.cooperativity)
         print("%10.0e %12.4g %12.4g %14.4g %12.3f"
-              % (C, res.optimal_Delta, res.error, bound, res.error / bound))
+              % (C, best.optimal_Delta, best.error, bound, best.error / bound))
 
     # physical-units flavor of the same C: alligator waveguide numbers
     TWOPI = 2.0 * math.pi
@@ -54,11 +53,11 @@ def main():
     print("separation dependence at C = 1e4 (d in lattice units):")
     losses = LossModel(kappa_p=kappa_for_target_c(1e4), gamma=GAMMA)
     for sep in (0.0, 1.0, 2.0, 4.0):
-        res = optimize_exchange(band, cpl, losses, separation=sep).result
+        res = optimize_exchange(band, cpl, losses, separation=sep)
         print("  d = %3.0f: error = %.4f" % (sep, res.error))
 
     # time trace of the optimal transfer: populations swap at t = tau
-    tau, error = best.result.tau, best.result.error
+    tau, error = best.tau, best.error
     print()
     print("transfer trace at the C = 1e4 optimum (tau = %.3g):" % tau)
     n = len(best.times)

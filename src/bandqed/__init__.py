@@ -64,7 +64,6 @@ from .disorder import (
 )
 from .dynamics import (
     EvolutionResult,
-    ExchangeResult,
     ExchangeTrajectory,
     LossModel,
     cooperativity,

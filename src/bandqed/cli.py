@@ -216,21 +216,18 @@ def cmd_exchange(cfg: RunConfig) -> Output:
         atoms = atom_array([0.0, separation], band, coupling.gamma)
         u = coupling_matrix_1d(atoms, band, coupling)
         traj = exchange_simulate(u.values[0, 1], losses)
-    res = traj.result
 
     s = 1.0 / cfg.freq_scale
     payload = {
-        "tau": float(res.tau),
-        "error": float(res.error),
-        "gamma_eff": float(res.gamma_eff * s),
-        "optimal_Delta": (None if res.optimal_Delta is None
-                          else float(res.optimal_Delta * s)),
-        "cooperativity": (None if res.cooperativity is None
-                          else float(res.cooperativity)),
+        "tau": traj.tau,
+        "error": traj.error,
+        "gamma_eff": traj.gamma_eff * s,
+        "optimal_Delta": None if traj.optimal_Delta is None else traj.optimal_Delta * s,
+        "cooperativity": traj.cooperativity,
     }
     table = (["t", "P_1", "P_2", "norm"],
              np.column_stack([traj.times, traj.populations, traj.norm]))
-    return Output(f"exchange: tau={res.tau:.6g}, error={res.error:.6g}",
+    return Output(f"exchange: tau={traj.tau:.6g}, error={traj.error:.6g}",
                   table, payload)
 
 

@@ -23,12 +23,13 @@ makes h_eff non-Hermitian: its dense matrix is exponentiated by expm.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .bound_state import (BandEdge, AtomCoupling, _check_finite, _gbar_sq,
+from .bound_state import (BandEdge, AtomCoupling, _check_finite, _gbar_sq, _pow,
                           bound_state_depth, interaction_length, mixing_angles)
 from .interactions import (CouplingMatrix, _ChainTerms, _chain_bound,
                            _chain_operator, _chain_values, _pair_kernel)
@@ -77,28 +78,17 @@ def _dressed_linewidth(gamma, kappa_p, cos_t, sin_t):
 
 
 @dataclass
-class ExchangeResult:
-    """Outcome of a half-swap between two atoms."""
-
-    tau: float                 # transfer time pi/(2 |U12|) [s]
-    error: float               # 1 - P_target(tau)
-    gamma_eff: float           # dressed linewidth used [rad/s]
-    optimal_Delta: Optional[float] = None   # set by optimize_exchange [rad/s]
-    cooperativity: Optional[float] = None   # C at the operating point
-
-
-@dataclass
 class ExchangeTrajectory:
+    """A half-swap between two atoms and its closed-form trace over [0, 2 tau]."""
+
+    tau: float               # transfer time pi/2/|U12| [s]
+    error: float             # 1 - P_target(tau)
+    gamma_eff: float         # dressed linewidth used [rad/s]
     times: np.ndarray        # [s]
     populations: np.ndarray  # (nt, 2), no-jump populations of the two atoms
     norm: np.ndarray         # survival amplitude norm, exp(-Gamma t/2)
-    result: ExchangeResult
-
-    def __getattr__(self, name):
-        """The result's fields, read through as when optimize_exchange returned the result."""
-        if name in ExchangeResult.__dataclass_fields__:
-            return getattr(self.result, name)
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    optimal_Delta: Optional[float] = None   # set by optimize_exchange [rad/s]
+    cooperativity: Optional[float] = None   # C at the operating point
 
 
 def exchange_simulate(U12: complex, losses: LossModel) -> ExchangeTrajectory:
@@ -106,38 +96,62 @@ def exchange_simulate(U12: complex, losses: LossModel) -> ExchangeTrajectory:
 
     Populations e^{-Gamma t} cos^2(|U12| t) and e^{-Gamma t} sin^2(|U12| t)
     on 201 times over [0, 2 tau]; the transfer error is evaluated at
-    tau = pi/(2 |U12|).
+    tau = pi/2/|U12|.  A U12 that is not finite, or whose modulus is not,
+    raises ValueError.
     """
     _check_finite(U12=U12)
     g = losses.gamma_eff()
     if np.ndim(g) != 0:
         raise ValueError("exchange_simulate needs a uniform loss model")
-    gamma_eff = float(g)
-    u = float(abs(U12))
-    tau = math.pi / (2.0 * u) if u > 0.0 else math.inf
+    with np.errstate(over="ignore"):   # refused below
+        u = float(np.abs(U12))
+    if not math.isfinite(u):
+        raise ValueError(f"U12 = {U12!r} is past the float range: |U12| overflows")
+    return _exchange_trace(u, float(g))
+
+
+def _transfer(u, gamma_eff):
+    """(tau, error) = (pi/2/|U12|, 1 - e^{-Gamma_eff tau}) of a half-swap, on floats or arrays.
+
+    tau is inf where it diverges, for the caller to refuse; the error is 1
+    where the decay passes the float range.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        tau = np.divide(math.pi / 2.0, u)
+        return tau, -np.expm1(-gamma_eff * tau)
+
+
+def _exchange_trace(u: float, gamma_eff: float, **optimum) -> ExchangeTrajectory:
+    """The closed form at |U12| = u and gamma_eff on 201 times over [0, 2 tau]."""
+    tau, error = (float(v) for v in _transfer(u, gamma_eff))
     if not math.isfinite(2.0 * tau * max(gamma_eff, 1.0)):   # the span and its decay
         raise ValueError(f"|U12| = {u:.3g}: no exchange, transfer time diverges")
-    error = -math.expm1(-gamma_eff * tau)
-    return _exchange_trace(u, ExchangeResult(tau=tau, error=error, gamma_eff=gamma_eff))
-
-
-def _exchange_trace(u: float, result: ExchangeResult) -> ExchangeTrajectory:
-    """The closed form at |U12| = u and result.gamma_eff on 201 times over [0, 2 tau]."""
-    gamma_eff = result.gamma_eff
-    t = np.linspace(0.0, 2.0 * result.tau, 201)
+    t = np.linspace(0.0, 2.0 * tau, 201)
     envelope = np.exp(-gamma_eff * t)
     p1 = envelope * np.cos(u * t) ** 2
     p2 = envelope * np.sin(u * t) ** 2
-    return ExchangeTrajectory(times=t, populations=np.stack([p1, p2], axis=1),
-                              norm=np.exp(-0.5 * gamma_eff * t), result=result)
+    return ExchangeTrajectory(tau=tau, error=error, gamma_eff=gamma_eff, times=t,
+                              populations=np.stack([p1, p2], axis=1),
+                              norm=np.exp(-0.5 * gamma_eff * t), **optimum)
 
 
 def cooperativity(gbar_c: float, kappa_p: float, gamma: float) -> float:
-    """C = gbar_c^2/(kappa_p gamma)."""
+    """C = gbar_c^2/(kappa_p gamma), 0 at gbar_c = 0.
+
+    A product or C outside the normal float range raises ValueError: a
+    subnormal one loses bits, and a zero kappa_p gamma divides by zero.
+    """
     _check_finite(gbar_c=gbar_c, kappa_p=kappa_p, gamma=gamma)
     if kappa_p <= 0 or gamma <= 0:
         raise ValueError("cooperativity needs positive loss rates")
-    return gbar_c**2 / (kappa_p * gamma)
+    if gbar_c == 0.0:
+        return 0.0
+    loss, coupling = kappa_p * gamma, _pow(gbar_c, 2)
+    C = coupling / loss if loss > 0.0 else math.inf
+    if not (math.isfinite(C) and min(loss, coupling, C) >= sys.float_info.min):
+        raise ValueError(f"C = gbar_c^2/(kappa_p gamma) is outside the float range at "
+                         f"gbar_c = {gbar_c:.3g}, kappa_p = {kappa_p:.3g}, gamma = {gamma:.3g}")
+    return C
 
 
 def cooperativity_at_length(C_lambda: float, L: float, wavelength: float) -> float:
@@ -172,8 +186,7 @@ def _exchange_error_curve(Delta: np.ndarray, band: BandEdge,
     gamma_eff = _dressed_linewidth(gamma, kappa_p, cos_t, sin_t)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # refused below
         u = np.abs(_pair_kernel(band, coupling, Delta, separation))
-        tau = math.pi / 2.0 / u
-        error = -np.expm1(-gamma_eff * tau)   # 1 where the decay passes the float range
+    tau, error = _transfer(u, gamma_eff)
     if not np.all(np.isfinite(tau)):
         raise ValueError(f"no exchange at separation {separation:.4g}: U12 underflows")
     return error, tau, gamma_eff, u
@@ -191,8 +204,8 @@ def optimize_exchange(band: BandEdge, coupling: AtomCoupling, losses: LossModel,
     on the scan boundary, as without photon loss, raises rather than
     silently returning an edge value.  The returned error is checked
     against the cooperativity bound 2 pi/sqrt(C).  The trajectory is
-    `exchange_simulate`'s closed form at the optimum's |U12| and Gamma_eff;
-    its result carries the optimizer's own tau and error.
+    `exchange_simulate`'s closed form at the optimum's |U12| and Gamma_eff,
+    with tau and the error from the same `_transfer` the scan minimizes.
     """
     if band.alpha <= 0:
         raise ValueError("optimize_exchange assumes a lower band edge (alpha > 0)")
@@ -242,19 +255,17 @@ def optimize_exchange(band: BandEdge, coupling: AtomCoupling, losses: LossModel,
                 fd = err_at(np.exp(d))[0]
         d_opt = float(math.exp(0.5 * (a + b)))
 
-    err, tau, gamma_eff, u = (float(v) for v in err_at(np.asarray(d_opt)))
-
+    _, _, gamma_eff, u = (float(v) for v in err_at(np.asarray(d_opt)))
     coop = None
     if kappa_p > 0 and gamma > 0:
         gbar_sq = _gbar_sq(band, coupling, interaction_length(band, d_opt))
         coop = cooperativity(math.sqrt(gbar_sq), kappa_p, gamma)
-        bound = 2.0 * math.pi / math.sqrt(coop)
-        if err > bound:
-            raise RuntimeError(
-                f"optimized error {err:.4g} violates the cooperativity bound "
-                f"{bound:.4g}; the operating point is inconsistent")
-    return _exchange_trace(u, ExchangeResult(tau=tau, error=err, gamma_eff=gamma_eff,
-                                             optimal_Delta=d_opt, cooperativity=coop))
+    traj = _exchange_trace(u, gamma_eff, optimal_Delta=d_opt, cooperativity=coop)
+    if coop is not None and traj.error > (bound := 2.0 * math.pi / math.sqrt(coop)):
+        raise RuntimeError(
+            f"optimized error {traj.error:.4g} violates the cooperativity bound "
+            f"{bound:.4g}; the operating point is inconsistent")
+    return traj
 
 
 @dataclass

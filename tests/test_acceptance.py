@@ -189,7 +189,7 @@ def test_criterion_5_exchange_error_law(acceptance_report):
         kappa_p = 8.0 * math.sqrt(2.0) * beta**3 / (gamma**2 * C**1.5)
         res = optimize_exchange(band, coupling,
                                 LossModel(kappa_p=kappa_p, gamma=gamma),
-                                separation=0.0).result
+                                separation=0.0)
         ratios[C] = res.error / (math.pi / math.sqrt(C))
     law_ok = all(0.8 <= r <= 1.25 for r in ratios.values())
 

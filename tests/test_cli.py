@@ -634,6 +634,18 @@ def test_exchange_refuses_a_separation_without_exchange(capsys, tmp_path):
     assert "transfer time diverges" in err
 
 
+def test_exchange_refuses_a_cooperativity_outside_the_float_range(capsys, tmp_path):
+    # kappa_p gamma = 1e-337 underflowed and C divided by zero: a traceback, exit 1
+    cfg = write_cfg(tmp_path, "coop.json", {
+        "units": "dimensionless", "band": {"omega_b": 1, "alpha": 1, "a": 1},
+        "coupling": {"gamma": 1e-170, "beta": 1e-6},
+        "losses": {"kappa_p": 1e-167, "gamma": 1e-170}})
+    code, out, err = run(capsys, ["exchange", "--config", cfg])
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "outside the float range" in err
+
+
 # ------------------------------------------------------------- evolve
 
 def test_evolve_csv_layout(capsys, tmp_path):

@@ -11,7 +11,6 @@ from bandqed import dynamics
 from bandqed.bound_state import BandEdge, atom_coupling
 from bandqed.dynamics import (
     SCAN_POINTS,
-    ExchangeResult,
     LossModel,
     _bessel_j,
     _evolve_dense,
@@ -54,10 +53,10 @@ def exchange_matrix(u, n=2, diag=0.0):
 
 def test_lossless_exchange_is_perfect():
     traj = exchange_simulate(1.0e6, LossModel(kappa_p=0.0, gamma=0.0))
-    assert traj.result.error == 0.0
+    assert traj.error == 0.0
     assert np.allclose(traj.norm, 1.0)
     assert np.allclose(traj.populations.sum(axis=1), 1.0, atol=1e-12)
-    assert traj.result.tau == pytest.approx(math.pi / 2e6, rel=1e-15)
+    assert traj.tau == pytest.approx(math.pi / 2e6, rel=1e-15)
 
 
 def test_exchange_error_value():
@@ -66,9 +65,9 @@ def test_exchange_error_value():
     tau = math.pi / (2.0 * u)
     gamma = 0.1 / tau
     traj = exchange_simulate(u, LossModel(kappa_p=0.0, gamma=gamma))
-    assert traj.result.error == pytest.approx(-math.expm1(-0.1), rel=1e-14)
-    assert traj.result.error == pytest.approx(0.09516, rel=1e-4)
-    assert traj.result.gamma_eff == pytest.approx(gamma, rel=1e-15)
+    assert traj.error == pytest.approx(-math.expm1(-0.1), rel=1e-14)
+    assert traj.error == pytest.approx(0.09516, rel=1e-4)
+    assert traj.gamma_eff == pytest.approx(gamma, rel=1e-15)
 
 
 def test_exchange_guards():
@@ -86,7 +85,7 @@ def test_exchange_refuses_a_coupling_whose_transfer_time_overflows(u, gamma):
     with pytest.raises(ValueError, match="transfer time diverges"):
         exchange_simulate(u, LossModel(kappa_p=0.0, gamma=gamma))
     # a decay that stays in range is an error of 1, and no failure
-    assert exchange_simulate(1e-300, LossModel(kappa_p=0.0, gamma=1e7)).result.error == 1.0
+    assert exchange_simulate(1e-300, LossModel(kappa_p=0.0, gamma=1e7)).error == 1.0
 
 
 def test_exchange_refuses_non_finite_coupling():
@@ -94,6 +93,41 @@ def test_exchange_refuses_non_finite_coupling():
     for u in (np.nan, np.inf, complex(np.inf, 0.0), complex(0.0, np.nan)):
         with pytest.raises(ValueError, match="U12 must be finite"):
             exchange_simulate(u, LossModel(kappa_p=0.0, gamma=0.0))
+
+
+def test_exchange_refuses_a_coupling_whose_modulus_overflows():
+    # finite parts, infinite |U12|: Python's abs raised OverflowError, numpy's warned
+    for u in (complex(1.5e308, 1.5e308), np.complex128(complex(1.5e308, -1.5e308))):
+        with pytest.raises(ValueError, match="U12 = .* is past the float range"):
+            exchange_simulate(u, LossModel(kappa_p=0.0, gamma=0.0))
+
+
+def test_exchange_at_a_coupling_near_the_top_of_the_float_range():
+    # 2 |U12| overflowed past ~9e307: tau and the error came out 0, and the
+    # 201 times all 0
+    traj = exchange_simulate(1e308, LossModel(kappa_p=0.0, gamma=1.0))
+    assert traj.tau == math.pi / 2.0 / 1e308 == pytest.approx(1.5708e-308, rel=1e-4)
+    assert traj.error == pytest.approx(traj.tau, rel=1e-15)
+    assert traj.times[-1] == 2.0 * traj.tau
+    assert np.all(np.diff(traj.times) > 0.0)
+    assert traj.populations[100, 1] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_exchange_simulate_takes_the_optimizer_curve_transfer():
+    # one formula: tau = pi/2/|U12| and error = -np.expm1(-Gamma tau) on
+    # arrays, as the optimizer scans it, bit for bit on seeded pairs with
+    # Gamma tau in 1e-6..10; math.expm1 differs from np.expm1 in ~1 % of them
+    rng = np.random.default_rng(33)
+    u = 10.0 ** rng.uniform(-12.0, 6.0, 4000)
+    tau = math.pi / 2.0 / u
+    gamma = 10.0 ** rng.uniform(-6.0, 1.0, 4000) / tau
+    error = -np.expm1(-gamma * tau)
+    got = np.array([(t.tau, t.error) for t in (
+        exchange_simulate(float(uj), LossModel(kappa_p=0.0, gamma=float(gj)))
+        for uj, gj in zip(u, gamma))])
+    assert np.array_equal(got[:, 0], tau)
+    mismatch = np.flatnonzero(got[:, 1] != error)
+    assert mismatch.size == 0, f"{mismatch.size} of {len(u)} errors differ"
 
 
 def test_mixing_angle_weights_losses():
@@ -852,7 +886,7 @@ def test_optimized_error_tracks_cooperativity_law():
     for C in (1e2, 1e4):
         losses = LossModel(kappa_p=kappa_for_target_C(beta, gamma, C),
                            gamma=gamma)
-        res = optimize_exchange(band, coupling, losses, separation=0.0).result
+        res = optimize_exchange(band, coupling, losses, separation=0.0)
         assert res.cooperativity == pytest.approx(C, rel=2e-3)
         assert 0.8 <= res.error / (math.pi / math.sqrt(C)) <= 1.25
         assert res.optimal_Delta > 0
@@ -893,7 +927,7 @@ def test_optimize_without_losses_takes_the_middle_of_a_flat_scan():
     beta = 1e-6
     coupling = atom_coupling(band, Delta=0.0, gamma=0.0, beta=beta)
     res = optimize_exchange(band, coupling, LossModel(kappa_p=0.0, gamma=0.0),
-                            separation=1.0).result
+                            separation=1.0)
     assert res.error == 0.0
     assert res.cooperativity is None
     # default scan for zero loss: 10 beta to 300 x 1e3 beta, log-spaced
@@ -925,45 +959,29 @@ def test_separation_costs_error():
     coupling = atom_coupling(band, Delta=0.0, gamma=gamma, beta=beta)
     losses = LossModel(kappa_p=kappa_for_target_C(beta, gamma, 1e3),
                        gamma=gamma)
-    near = optimize_exchange(band, coupling, losses, separation=0.0).result
-    far = optimize_exchange(band, coupling, losses, separation=4.0).result
+    near = optimize_exchange(band, coupling, losses, separation=0.0)
+    far = optimize_exchange(band, coupling, losses, separation=4.0)
     assert far.error > near.error
 
 
 @pytest.mark.parametrize("separation", [0.0, 2.0])
 def test_optimized_trace_is_the_closed_form_at_the_optimum(separation):
-    # the trace is exchange_simulate's at |U12(Delta_opt)| and Gamma_eff, and
-    # its result is the optimizer's own: the error is not recomputed by
-    # math.expm1, which differs from np.expm1 in ~1 % of inputs
+    # tau and the error are the scanned curve's own at Delta_opt, and the
+    # trajectory is exchange_simulate's at |U12(Delta_opt)| and Gamma_eff,
+    # its tau and error included
     band = unit_band()
     beta, gamma = 1e-6, 1e-9
     coupling = atom_coupling(band, Delta=0.0, gamma=gamma, beta=beta)
     losses = LossModel(kappa_p=kappa_for_target_C(beta, gamma, 1e3), gamma=gamma)
     traj = optimize_exchange(band, coupling, losses, separation=separation)
-    res = traj.result
-    assert traj.times[-1] == 2.0 * res.tau
+    assert traj.times[-1] == 2.0 * traj.tau
     error, tau, gamma_eff, u = dynamics._exchange_error_curve(
-        np.asarray(res.optimal_Delta), band, coupling, losses.kappa_p, gamma, separation)
-    assert (res.error, res.tau, res.gamma_eff) == (error, tau, gamma_eff)
-    closed = exchange_simulate(float(u), LossModel(kappa_p=0.0, gamma=res.gamma_eff))
-    assert closed.result.tau == res.tau
+        np.asarray(traj.optimal_Delta), band, coupling, losses.kappa_p, gamma, separation)
+    assert (traj.error, traj.tau, traj.gamma_eff) == (error, tau, gamma_eff)
+    closed = exchange_simulate(float(u), LossModel(kappa_p=0.0, gamma=traj.gamma_eff))
+    assert (closed.tau, closed.error) == (traj.tau, traj.error)
     for name in ("times", "populations", "norm"):
         assert np.array_equal(getattr(traj, name), getattr(closed, name)), name
-
-
-def test_trajectory_reads_its_result_fields_through():
-    # code written against the ExchangeResult optimize_exchange used to
-    # return still reads res.error, res.optimal_Delta and res.cooperativity
-    band = unit_band()
-    beta, gamma = 1e-6, 1e-9
-    coupling = atom_coupling(band, Delta=0.0, gamma=gamma, beta=beta)
-    losses = LossModel(kappa_p=kappa_for_target_C(beta, gamma, 1e3), gamma=gamma)
-    traj = optimize_exchange(band, coupling, losses, separation=0.0)
-    for name in ExchangeResult.__dataclass_fields__:
-        assert getattr(traj, name) is getattr(traj.result, name), name
-    with pytest.raises(AttributeError, match="has no attribute 'bogus'"):
-        traj.bogus
-    assert copy.deepcopy(traj).error == traj.error   # a bare copy has no result yet
 
 
 # ------------------------------------------------------------- figures of merit
@@ -998,6 +1016,18 @@ def test_figures_of_merit_refuse_non_finite_arguments(call, args, bad):
     for k in range(len(args)):
         with pytest.raises(ValueError, match="must be finite"):
             call(*args[:k], bad, *args[k + 1:])
+
+
+@pytest.mark.parametrize("args", [
+    (1.0, 1e-200, 1e-200),   # kappa_p gamma underflows to 0: ZeroDivisionError
+    (1e200, 1.0, 1.0),       # gbar_c^2 overflows: OverflowError
+    (1e154, 1e-200, 1.0),    # C overflows: inf
+    (1e-160, 1.0, 1.0),      # gbar_c^2 is subnormal: C lost its low bits
+])
+def test_cooperativity_refuses_a_product_outside_the_float_range(args):
+    with pytest.raises(ValueError, match="outside the float range"):
+        cooperativity(*args)
+    assert cooperativity(0.0, 1e-200, 1.0) == 0.0   # no coupling, no cooperativity
 
 
 def test_dissipator_ratio_and_matrix():

@@ -265,8 +265,7 @@ def test_a_preset_blas_thread_timeout_is_kept(monkeypatch):
 
 PUBLIC_API = [
     "AtomArray", "AtomCoupling", "BandEdge", "BoundState", "CouplingMatrix",
-    "DielectricStack", "DriveField", "EvolutionResult", "ExchangeResult",
-    "ExchangeTrajectory", "FitError", "KPMap", "LocalizationResult",
+    "DielectricStack", "DriveField", "EvolutionResult", "ExchangeTrajectory", "FitError", "KPMap", "LocalizationResult",
     "LossModel", "PowerLawDesign", "SpinRotation", "atom_array",
     "atom_coupling", "band_edge_phase", "beta_from_g_cell", "bound_state",
     "bound_state_depth", "bound_state_depth_bisect", "cell_matrix",
