@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from bandqed import (BandEdge, atom_coupling, bound_state_depth,
-                     decay_length, effective_cavity, mixing_angles)
+                     effective_cavity, interaction_length, mixing_angles)
 
 TWOPI = 2.0 * math.pi
 
@@ -37,7 +37,7 @@ def main():
     delta = bound_state_depth(beta, x * beta)
     cos_t, sin_t = mixing_angles(delta, beta)
     p_e, p_p = cos_t ** 2, sin_t ** 2
-    L = decay_length(band, delta)
+    L = interaction_length(band, delta)
 
     print()
     print("%8s %12s %8s %8s %10s" % ("Delta/b", "delta/b", "P_e", "P_p", "L/a"))

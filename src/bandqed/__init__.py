@@ -41,7 +41,6 @@ from .bound_state import (
     beta_from_g_cell,
     bound_state_depth,
     bound_state_depth_bisect,
-    decay_length,
     effective_cavity,
     g_cell_from_beta,
     mixing_angles,

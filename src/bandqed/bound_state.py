@@ -278,13 +278,21 @@ def mixing_angles(delta: ArrayLike, beta: ArrayLike):
     return cos_theta, sin_theta
 
 
+def _mixing_theta(delta: ArrayLike, beta: ArrayLike) -> ArrayLike:
+    """Mixing angle theta of the dressed bound state, the one place it is computed."""
+    cos_theta, sin_theta = mixing_angles(delta, beta)
+    return np.arctan2(sin_theta, cos_theta)
+
+
 def interaction_length(band: BandEdge, detuning: ArrayLike) -> ArrayLike:
     """L = sqrt(alpha omega_b/detuning)/k0 for an in-gap detuning.
 
-    The gap side is set by the curvature sign, so alpha*detuning > 0 is
-    required; anything else is a detuning inside the band.  So is a
-    detuning so small that L passes the float range.  Vectorized; a scalar
-    detuning gives a float.
+    One formula for two lengths: the range of the exchange at an atomic
+    detuning Delta, and the decay length of the bound photon cloud at its
+    depth delta (effective_cavity).  The gap side is set by the curvature
+    sign, so alpha*detuning > 0 is required; anything else is a detuning
+    inside the band.  So is a detuning so small that L passes the float
+    range.  Vectorized; a scalar detuning gives a float.
     """
     detuning = np.asarray(detuning, dtype=float)
     _check_finite(detuning=detuning)
@@ -307,19 +315,6 @@ def _gbar_sq(band: BandEdge, coupling: AtomCoupling, L: ArrayLike) -> ArrayLike:
     return coupling.g_cell**2 * band.a / L
 
 
-def decay_length(band: BandEdge, delta: ArrayLike) -> ArrayLike:
-    """Photon-cloud decay length L = sqrt(alpha*omega_b/delta)/k0.
-
-    delta > 0 belongs to a lower edge (alpha > 0); a negative-curvature band
-    with delta > 0 would put the state inside the band, which is rejected.
-    """
-    delta = np.asarray(delta, dtype=float)
-    _check_finite(delta=delta)
-    if np.any(delta <= 0):
-        raise ValueError("delta must be positive")
-    return interaction_length(band, delta)
-
-
 def effective_cavity(band: BandEdge, coupling: AtomCoupling) -> BoundState:
     """Solve the bound state and package it as an effective JC cavity.
 
@@ -327,12 +322,11 @@ def effective_cavity(band: BandEdge, coupling: AtomCoupling) -> BoundState:
     an array, a scalar one with floats.
     """
     delta = bound_state_depth(coupling.beta, coupling.Delta)
-    L = decay_length(band, delta)
-    cos_t, sin_t = mixing_angles(delta, coupling.beta)
+    L = interaction_length(band, delta)
     fields = dict(
         delta=delta,
         L=L,
-        theta=np.arctan2(sin_t, cos_t),
+        theta=_mixing_theta(delta, coupling.beta),
         gbar_c=np.sqrt(_gbar_sq(band, coupling, L)),
         omega_c_eff=band.omega_b - delta,
         Delta_c_eff=coupling.Delta + delta,

@@ -193,11 +193,11 @@ def cmd_design_powerlaw(cfg: RunConfig) -> Output:
              np.column_stack([design.z_grid, design.target, design.fit,
                               design.fit - design.target]))
     payload = {
-        "weights": [float(w) for w in design.weights],
-        "rates": [float(s) for s in design.rates],
-        "detunings": [float(d / band.omega_b) for d in design.detunings],
-        "max_error": float(design.max_error),
-        "rms_error": float(design.rms_error),
+        "weights": design.weights,
+        "rates": design.rates,
+        "detunings": design.detunings / band.omega_b,
+        "max_error": design.max_error,
+        "rms_error": design.rms_error,
     }
     return Output(summary, table, payload, code=4 if missed else 0)
 
@@ -342,8 +342,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _say(f"config error: {exc}")
         return 2
-    except (ValueError, RuntimeError, FloatingPointError, MemoryError,
-            np.linalg.LinAlgError) as exc:
+    except (ValueError, RuntimeError, FloatingPointError, MemoryError) as exc:
         _say(f"numerical failure: {exc}")
         return 3
     text = _render(out, args.format)
@@ -354,30 +353,21 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
             sys.stdout.flush()
-    except OSError as exc:
-        return _cannot_write(exc)
+    except OSError as exc:   # run flushes no stdout after this
+        _say(f"config error: cannot write output: {exc}")
+        return 2
     _say(out.summary)
     return out.code
 
 
-def _cannot_write(exc: OSError) -> int:
-    _say(f"config error: cannot write output: {exc}")
-    return 2
-
-
 def run() -> None:
-    """Console entry: `main`, then flush and end the process at once.
+    """Console entry: `main`, which flushes its stdout, then end the process at once.
 
     `os._exit` skips interpreter finalization and the join of the BLAS
     worker threads, which would otherwise follow every command's output.
     An exception or argparse's SystemExit leaves `main` the usual way.
     """
     code = main()
-    try:
-        sys.stdout.flush()
-    except OSError as exc:
-        if code != 2:       # else main has reported this failed write already
-            code = _cannot_write(exc)
     sys.stderr.flush()
     os._exit(code)
 

@@ -24,8 +24,8 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .bound_state import (TWOPI, AtomCoupling, BandEdge, atom_coupling,
-                          bound_state_depth, mixing_angles)
+from .bound_state import (TWOPI, AtomCoupling, BandEdge, _mixing_theta,
+                          atom_coupling, bound_state_depth)
 from .disorder import DielectricStack
 from .dynamics import LossModel
 from .interactions import AtomArray, DriveField, atom_array
@@ -34,6 +34,9 @@ from .interactions import AtomArray, DriveField, atom_array
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
+
+# units -> multiplier from config frequency numbers to internal rad/s
+_FREQ_SCALES = {"si": TWOPI, "dimensionless": 1.0}
 
 # Value kinds.  A frequency is a number multiplied by 2*pi under units "si".
 NUMBER, FREQUENCY, INTEGER, BOOLEAN, NUMBERS, PAIRS = (
@@ -148,7 +151,7 @@ class RunConfig:
     @property
     def freq_scale(self) -> float:
         """Multiplier from config frequency numbers to internal rad/s."""
-        return TWOPI if self.units == "si" else 1.0
+        return _FREQ_SCALES[self.units]
 
     def require(self, name: str):
         value = getattr(self, name)
@@ -160,15 +163,9 @@ class RunConfig:
         """The losses section, or a zero-photon-loss default from coupling."""
         if self.losses is not None:
             return self.losses
-        return LossModel(kappa_p=0.0, gamma=self.coupling.gamma,
-                         theta=default_mixing_theta(self.coupling))
-
-
-def default_mixing_theta(coupling: AtomCoupling) -> float:
-    """Bound-state mixing angle at the coupling's detuning."""
-    delta = float(bound_state_depth(coupling.beta, np.asarray(coupling.Delta)))
-    cos_t, sin_t = mixing_angles(delta, coupling.beta)
-    return math.atan2(sin_t, cos_t)
+        coupling = self.coupling
+        return LossModel(kappa_p=0.0, gamma=coupling.gamma, theta=_mixing_theta(
+            bound_state_depth(coupling.beta, coupling.Delta), coupling.beta))
 
 
 def load_config(raw: dict, command: str,
@@ -182,11 +179,11 @@ def load_config(raw: dict, command: str,
     if unknown:
         raise ConfigError(f"unknown keys in config: {sorted(unknown)}")
     units = raw.get("units", "si")
-    if units not in ("si", "dimensionless"):
+    if not isinstance(units, str) or units not in _FREQ_SCALES:
         raise ConfigError('units must be "si" or "dimensionless"')
     if not isinstance(raw.get("drives", []), list):
         raise ConfigError("drives must be a list")
-    scale = TWOPI if units == "si" else 1.0
+    scale = _FREQ_SCALES[units]
     sec = {name: _section(raw[name], SCHEMA[name], name, scale)
            for name in SCHEMA if name != "drives" and name in raw}
     params = _section(raw.get("params", {}), PARAMS[command], "params")
@@ -210,7 +207,8 @@ def load_config(raw: dict, command: str,
                   for i, d in enumerate(raw.get("drives", []))]
         if "losses" in sec:
             if "theta" not in sec["losses"]:
-                sec["losses"]["theta"] = default_mixing_theta(coupling)
+                sec["losses"]["theta"] = _mixing_theta(
+                    bound_state_depth(coupling.beta, coupling.Delta), coupling.beta)
             losses = LossModel(**sec["losses"])
         if "disorder" in sec:
             if seed_override is not None:

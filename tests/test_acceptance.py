@@ -13,8 +13,8 @@ import time
 import numpy as np
 
 from bandqed.bound_state import (BandEdge, atom_coupling, bound_state_depth,
-                                 bound_state_depth_bisect, decay_length,
-                                 effective_cavity, mixing_angles)
+                                 bound_state_depth_bisect, effective_cavity,
+                                 mixing_angles)
 from bandqed.cli import main
 from bandqed.design import power_law_designer
 from bandqed.disorder import (DielectricStack, interface_matrix, lyapunov_mc,
@@ -81,7 +81,7 @@ def test_criterion_2_depth_and_mixing_curves(acceptance_report):
     delta = bound_state_depth(beta, x * beta)
     cos_t, _ = mixing_angles(delta, beta)
     p_e = cos_t**2
-    lengths = np.array([decay_length(band, d) for d in delta])
+    lengths = interaction_length(band, delta)
 
     mono = (np.all(np.diff(delta) > 0) and np.all(np.diff(p_e) > 0)
             and np.all(np.diff(lengths) < 0))

@@ -13,9 +13,9 @@ from bandqed.bound_state import (
     beta_from_g_cell,
     bound_state_depth,
     bound_state_depth_bisect,
-    decay_length,
     effective_cavity,
     g_cell_from_beta,
+    interaction_length,
     mixing_angles,
     mode_weights,
     photon_mode_profile,
@@ -117,14 +117,16 @@ def _apcw_state():
     (lambda: mixing_angles(0.0, 1.0), "delta and beta must be positive"),
     (lambda: mixing_angles(np.array([1.0, 2.0]), -1.0),
      "delta and beta must be positive"),
-    (lambda: decay_length(apcw_band(), np.array([1.0, 0.0])), "delta must be positive"),
+    (lambda: interaction_length(apcw_band(), np.array([1.0, 0.0])),
+     "detuning 0 lies inside the band for curvature alpha = 10.6; "
+     "no exponentially bound interaction"),
     (lambda: photon_mode_profile(replace(_apcw_state(), L=0.0), 1.0, 0.0),
      "decay length must be positive"),
     (lambda: mode_weights(replace(_apcw_state(), delta=-1.0), apcw_band(),
                           np.array([1.0])), "delta must be positive"),
 ], ids=["AtomCoupling-beta-0", "atom_coupling-g_cell-0", "atom_coupling-g_cell-negative",
         "depth-beta-0", "bisect-beta-negative", "mixing-delta-0", "mixing-beta-negative",
-        "decay_length-delta-0", "mode-profile-L-0", "mode-weights-delta-negative"])
+        "interaction_length-delta-0", "mode-profile-L-0", "mode-weights-delta-negative"])
 def test_positivity_guards(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
@@ -280,17 +282,18 @@ def test_effective_cavity_vectorized_matches_scalar():
 
 # ---------------------------------------------------------------- lengths
 
-def test_decay_length_examples_and_monotonicity():
+def test_interaction_length_examples_and_monotonicity():
     band = apcw_band()
     scale = band.alpha * band.omega_b
-    assert decay_length(band, scale) == pytest.approx(1.0 / band.k0, rel=1e-12)
+    assert interaction_length(band, scale) == pytest.approx(1.0 / band.k0, rel=1e-12)
     deltas = np.geomspace(1e-8, 1e-2, 200) * band.omega_b
-    lengths = np.array([decay_length(band, d) for d in deltas])
+    lengths = interaction_length(band, deltas)
     assert np.all(np.diff(lengths) < 0)
+    assert [interaction_length(band, d) for d in deltas] == lengths.tolist()
 
     upper = BandEdge(omega_b=1.0, alpha=-1.0, k0=math.pi, a=1.0)
     with pytest.raises(ValueError):
-        decay_length(upper, 1e-4)
+        interaction_length(upper, 1e-4)
 
 
 def test_apcw_operating_point():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from bandqed import cli, dynamics
+from bandqed.bound_state import effective_cavity
 from bandqed.cli import MAX_TABLE_CELLS, main
 from bandqed.config import PARAMS, SCHEMA, canonical_dumps, load_config
 from bandqed.disorder import MAX_TRIALS
@@ -176,6 +177,33 @@ def test_bound_state_rejects_upper_edge(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "config error" in err
+
+
+def test_default_losses_take_the_effective_cavity_theta():
+    # one function gives both; two separate atan2 calls differed in the last
+    # bit on 81 of these 2000 pairs
+    rng = np.random.default_rng(7)
+    betas = 10.0 ** rng.uniform(-8.0, -2.0, 2000)
+    ratios = rng.uniform(-10.0, 10.0, 2000)
+    differ = []
+    for beta, ratio in zip(betas, ratios):
+        doc = {**DIMLESS, "coupling": {"Delta": ratio * beta, "gamma": 1e-9,
+                                       "beta": beta}}
+        cfg = load_config(doc, "exchange")
+        with_losses = load_config({**doc, "losses": {"gamma": 1e-9}}, "exchange")
+        theta = effective_cavity(cfg.band, cfg.coupling).theta
+        if not theta == cfg.loss_model().theta == with_losses.losses.theta:
+            differ.append((beta, ratio))
+    assert differ == []
+
+    # the default angle needs no decay length: an upper band edge, which
+    # effective_cavity refuses, still loads its default losses
+    upper = {**DIMLESS, "band": {**DIMLESS["band"], "alpha": -1.0},
+             "losses": {"gamma": 1e-9}}
+    cfg = load_config(upper, "exchange")
+    with pytest.raises(ValueError, match="inside the band"):
+        effective_cavity(cfg.band, cfg.coupling)
+    assert cfg.losses.theta == load_config(DIMLESS, "exchange").loss_model().theta
 
 
 @pytest.mark.parametrize("params", [{"grid_min": -1e100, "grid_max": 1e100},
@@ -369,6 +397,8 @@ def test_integer_setting_must_be_a_json_integer(capsys, tmp_path, command,
     ("bound-state", True, [1, 2], "config root must be a JSON object"),
     ("bound-state", True, {"units": "imperial"},
      'units must be "si" or "dimensionless"'),
+    ("bound-state", True, {"units": ["si"]},
+     'units must be "si" or "dimensionless"'),
     ("evolve", True, {"drives": {"Omega": 1e9}}, "drives must be a list"),
     ("bound-state", True, {"losses": [1.0]}, "losses must be a JSON object"),
     ("bound-state", True, {"coupling": {"bogus": 1}},
@@ -421,9 +451,9 @@ def test_integer_setting_must_be_a_json_integer(capsys, tmp_path, command,
      "beta = 1e-300 is below the float range of g_cell"),
     ("bound-state", False, {**DIMLESS, "coupling": {"gamma": 1e-9, "g_cell": 1e-200}},
      "g_cell = 1e-200 is below the float range of beta"),
-], ids=["root-not-object", "units", "drives-not-list", "section-not-object",
-        "unknown-section-key", "missing-required-key", "true-for-number",
-        "one-for-boolean", "empty-Delta_values", "bloch_values-not-pairs",
+], ids=["root-not-object", "units", "units-not-a-string", "drives-not-list",
+        "section-not-object", "unknown-section-key", "missing-required-key",
+        "true-for-number", "one-for-boolean", "empty-Delta_values", "bloch_values-not-pairs",
         "coupling-without-band", "atoms-without-band", "atoms-without-coupling",
         "losses-without-coupling", "evolve-without-atoms", "beta-and-g_cell",
         "neither-beta-nor-g_cell", "bloch_amplitude", "beta-past-the-float-range",
@@ -1069,6 +1099,8 @@ def _pin_docs():
                         {"params": {"grid_points": 9}}),
         "interactions": (["interactions", "--preset", "apcw"],
                          {"params": {"sep_max": 10, "sep_points": 6}}),
+        "design-powerlaw": (["design-powerlaw", "--preset", "apcw"],
+                            {"params": {"eta": 1.5, "n_drives": 3}}),
         "exchange-optimized": (["exchange"], dimensionless_exchange_cfg(1e4)),
         "exchange-fixed": (["exchange"], fixed),
         "evolve": (["evolve"], {**dimless,
@@ -1111,6 +1143,12 @@ OUTPUT_PINS = {
         'interactions: 4 detuning curves, separations 0..10 a\n'),
     ('interactions', 'json'): (0, "cde75478c5fa5764e9efbce36f2262b77d558e8d536f3fddb59381c057b4a04c",
         'interactions: 4 detuning curves, separations 0..10 a\n'),
+    ('design-powerlaw', None): (0, "7f902d88e22768db10992698206540c9392968f31bf9f015b2c10faa95eaea68",
+        'design-powerlaw: eta=1.5, 3 drives, max|resid|=0.002424, rms=0.0008396\n'),
+    ('design-powerlaw', 'csv'): (0, "9ebd67287d23c91b83da05494843f80204ffd0d411d468b928744f4312239a38",
+        'design-powerlaw: eta=1.5, 3 drives, max|resid|=0.002424, rms=0.0008396\n'),
+    ('design-powerlaw', 'json'): (0, "7f902d88e22768db10992698206540c9392968f31bf9f015b2c10faa95eaea68",
+        'design-powerlaw: eta=1.5, 3 drives, max|resid|=0.002424, rms=0.0008396\n'),
     ('exchange-optimized', None): (0, "9db2535171b140189caa01bc0bea7418387e60fffd3a690465d54f4919d8a6d6",
         'exchange: tau=2.22105e+07, error=0.0327697\n'),
     ('exchange-optimized', 'csv'): (0, "eae11d8f9bfe51dd7ef3ce247379cf2efbdc23f841ce90cbf5c6d057eafba373",
@@ -1166,7 +1204,8 @@ def test_output_pins(capsys, tmp_path, case, fmt):
 
 @pytest.mark.parametrize("fmt", [None, "csv", "json"], ids=str)
 def test_design_output_shape(capsys, tmp_path, fmt):
-    # design-powerlaw digits may move with the optimizer: pin shape, not bytes
+    # a design that misses its tolerance still writes its result; the bytes
+    # of a design are pinned in OUTPUT_PINS
     doc = {"units": "dimensionless",
            "band": {"omega_b": 1.0, "alpha": 0.2, "a": 1.0},
            "params": {"eta": 0.25, "z_min": 1, "z_max": 20, "n_drives": 2,

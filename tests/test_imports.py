@@ -270,7 +270,7 @@ PUBLIC_API = [
     "atom_coupling", "band_edge_phase", "beta_from_g_cell", "bound_state",
     "bound_state_depth", "bound_state_depth_bisect", "cell_matrix",
     "cooperativity", "cooperativity_at_length",
-    "coupling_matrix_1d", "coupling_matrix_2d", "decay_length", "design",
+    "coupling_matrix_1d", "coupling_matrix_2d", "design",
     "detuning_for_rate", "disorder", "dissipator_ratio",
     "driven_coupling_matrix", "dynamics", "effective_cavity",
     "evolve_single_excitation", "exchange_simulate", "g_cell_from_beta",
