@@ -67,7 +67,6 @@ from .dynamics import (
     LossModel,
     cooperativity,
     cooperativity_at_length,
-    dissipator_ratio,
     evolve_single_excitation,
     exchange_simulate,
     optimize_exchange,

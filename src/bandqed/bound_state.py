@@ -190,7 +190,7 @@ def bound_state_depth(beta: ArrayLike, Delta: ArrayLike) -> np.ndarray:
     beta^3 - Delta^3/27 >= 0, the trigonometric three-root form otherwise
     (Delta > 3 beta), always selecting the single positive root.  Two Newton
     steps polish away the cancellation that creeps in for Delta >> beta.
-    Vectorized over both arguments.
+    Vectorized over both arguments; a depth below the normal range raises ValueError.
     """
     beta, Delta = _depth_inputs(beta, Delta)
     q_half = beta**1.5                      # -q/2 of the depressed cubic
@@ -210,7 +210,7 @@ def bound_state_depth(beta: ArrayLike, Delta: ArrayLike) -> np.ndarray:
 
     for _ in range(2):                      # Newton polish; f' = 3x^2 - Delta > 0 at the root
         x = x - (x**3 - Delta * x - 2.0 * q_half) / (3.0 * x**2 - Delta)
-    return x * x
+    return _depth(x)
 
 
 def bound_state_depth_bisect(beta: ArrayLike, Delta: ArrayLike) -> np.ndarray:
@@ -232,7 +232,7 @@ def bound_state_depth_bisect(beta: ArrayLike, Delta: ArrayLike) -> np.ndarray:
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
         mid = 0.5 * (lo + hi)
-    return mid * mid
+    return _depth(mid)
 
 
 def _depth_inputs(beta: ArrayLike, Delta: ArrayLike):
@@ -261,6 +261,15 @@ def _depth_inputs(beta: ArrayLike, Delta: ArrayLike):
     return np.broadcast_arrays(beta, Delta)
 
 
+def _depth(x: np.ndarray) -> np.ndarray:
+    """delta = x^2 for both depth solvers, refused below the normal float range."""
+    delta = x * x
+    if np.any(delta < sys.float_info.min):
+        raise ValueError("the bound-state depth ~4 beta^3/Delta^2 falls below the "
+                         "smallest normal float")
+    return delta
+
+
 def mixing_angles(delta: ArrayLike, beta: ArrayLike):
     """(cos theta, sin theta) of the dressed bound state.
 
@@ -271,8 +280,9 @@ def mixing_angles(delta: ArrayLike, beta: ArrayLike):
     beta = np.asarray(beta, dtype=float)
     if np.any(delta <= 0) or np.any(beta <= 0):
         raise ValueError("delta and beta must be positive")
-    cos_theta = 1.0 / np.sqrt(1.0 + (beta / delta) ** 1.5)
-    sin_theta = 1.0 / np.sqrt(1.0 + (delta / beta) ** 1.5)
+    with np.errstate(over="ignore"):   # 1/sqrt(1 + inf) = 0, the right limit
+        cos_theta = 1.0 / np.sqrt(1.0 + (beta / delta) ** 1.5)
+        sin_theta = 1.0 / np.sqrt(1.0 + (delta / beta) ** 1.5)
     if cos_theta.ndim == 0:
         return float(cos_theta), float(sin_theta)
     return cos_theta, sin_theta

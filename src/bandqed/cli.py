@@ -30,14 +30,13 @@ import numpy as np
 
 from . import config as config_mod
 from .bound_state import effective_cavity, mixing_angles
-from .config import ConfigError, RunConfig, canonical_dumps
+from .config import PRESETS, ConfigError, RunConfig, canonical_dumps
 from .design import FitError, power_law_designer
 from .disorder import lyapunov_mc
 from .dynamics import (LossModel, check_atom_count, evolve_single_excitation,
                        exchange_simulate, optimize_exchange)
-from .interactions import (_pair_kernel, atom_array, coupling_matrix_1d,
+from .interactions import (_pair_kernel, _warn_small_detuning, coupling_matrix_1d,
                            multi_drive_sum)
-from .presets import PRESETS, get_preset
 
 INTERACTIONS_DEFAULT_DELTAS_HZ = (400e9, 800e9, 1300e9, 2800e9)
 MAX_TABLE_CELLS = 5_000_000   # rows x columns of one table; ~80-100 B each to render
@@ -92,9 +91,8 @@ def _merge(base: dict, over: dict) -> dict:
 
 
 def _load_cfg(args) -> RunConfig:
-    raw: dict = {}
-    if args.preset:
-        raw = get_preset(args.preset)
+    """Layer --preset, then --config, then --seed into one document and load it."""
+    raw = PRESETS[args.preset] if args.preset else {}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -110,7 +108,10 @@ def _load_cfg(args) -> RunConfig:
         raw = _merge(raw, user)
     if not raw:
         raise ConfigError("provide --config and/or --preset")
-    return config_mod.load_config(raw, args.command, getattr(args, "seed", None))
+    seed = getattr(args, "seed", None)
+    if seed is not None and isinstance(raw.get("disorder"), dict):
+        raw = _merge(raw, {"disorder": {"seed": seed}})   # checked as disorder.seed
+    return config_mod.load_config(raw, args.command)
 
 
 def cmd_bound_state(cfg: RunConfig) -> Output:
@@ -156,18 +157,14 @@ def cmd_interactions(cfg: RunConfig) -> Output:
     _check_table_size(sep_points, 1 + len(raw_deltas))
     sep = np.linspace(0.0, sep_max, sep_points)
 
-    header = ["separation_over_a"]
-    cols = [sep]
-    for d_raw in raw_deltas:
-        u = _pair_kernel(band, coupling, d_raw * cfg.freq_scale, sep * band.a)
-        cols.append(np.abs(u) / coupling.gamma)
-        if cfg.units == "si":
-            header.append(f"U_over_gamma_Delta{d_raw / 1e9:g}GHz")
-        else:
-            header.append(f"U_over_gamma_Delta{d_raw:g}")
+    u = _pair_kernel(band, coupling, np.asarray(raw_deltas) * cfg.freq_scale,
+                     sep[:, None] * band.a)
+    scale, unit = (1e9, "GHz") if cfg.units == "si" else (1.0, "")
+    header = ["separation_over_a"] + [f"U_over_gamma_Delta{d_raw / scale:g}{unit}"
+                                      for d_raw in raw_deltas]
     return Output(f"interactions: {len(raw_deltas)} detuning curves, "
                   f"separations 0..{sep_max:g} a",
-                  table=(header, np.column_stack(cols)))
+                  table=(header, np.column_stack([sep, np.abs(u) / coupling.gamma])))
 
 
 def cmd_design_powerlaw(cfg: RunConfig) -> Output:
@@ -213,9 +210,9 @@ def cmd_exchange(cfg: RunConfig) -> Output:
     if cfg.params["optimize"]:
         traj = optimize_exchange(band, coupling, losses, separation)
     else:
-        atoms = atom_array([0.0, separation], band, coupling.gamma)
-        u = coupling_matrix_1d(atoms, band, coupling)
-        traj = exchange_simulate(u.values[0, 1], losses)
+        u12 = _pair_kernel(band, coupling, coupling.Delta, separation)
+        _warn_small_detuning(coupling.Delta, coupling.beta)
+        traj = exchange_simulate(u12, losses)
 
     s = 1.0 / cfg.freq_scale
     payload = {

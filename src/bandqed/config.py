@@ -44,6 +44,17 @@ NUMBER, FREQUENCY, INTEGER, BOOLEAN, NUMBERS, PAIRS = (
     "list of [re, im] pairs")
 REQUIRED = "required"
 
+# name -> a document in config units (Hz) that a config is layered over and
+# nothing writes to; apcw is the alligator photonic-crystal waveguide
+# operating point (k0 = pi/a, and beta from g_cell, at load time)
+PRESETS = {
+    "apcw": {
+        "units": "si",
+        "band": {"omega_b": 333.0e12, "alpha": 10.6, "a": 371.0e-9},
+        "coupling": {"g_cell": 12.2e9, "gamma": 5.0e6},
+    },
+}
+
 # section -> key -> (kind, default).  A REQUIRED key must be given; an
 # optional key whose default is None is left out when absent, so the record
 # built from the section applies its own default.  load_config fills in
@@ -168,8 +179,7 @@ class RunConfig:
             bound_state_depth(coupling.beta, coupling.Delta), coupling.beta))
 
 
-def load_config(raw: dict, command: str,
-                seed_override: Optional[int] = None) -> RunConfig:
+def load_config(raw: dict, command: str) -> RunConfig:
     """Validate and convert a parsed JSON document into live records.
 
     Any invariant violation inside the embedded physical records surfaces
@@ -211,8 +221,6 @@ def load_config(raw: dict, command: str,
                     bound_state_depth(coupling.beta, coupling.Delta), coupling.beta)
             losses = LossModel(**sec["losses"])
         if "disorder" in sec:
-            if seed_override is not None:
-                sec["disorder"]["seed"] = seed_override
             stack = DielectricStack(**sec["disorder"])
     except ConfigError:
         raise

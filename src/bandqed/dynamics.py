@@ -162,21 +162,6 @@ def cooperativity_at_length(C_lambda: float, L: float, wavelength: float) -> flo
     return wavelength * C_lambda / L
 
 
-def dissipator_ratio(kappa: float, Delta: float) -> float:
-    """Residual collective-dissipator weight relative to the coherent exchange.
-
-    The eliminated photon returns Gamma_jl = (kappa/(2 Delta)) U_jl, so the
-    incoherent piece is kappa/(4 Delta) of the Hamiltonian one at matched
-    matrix elements.
-    """
-    _check_finite(kappa=kappa, Delta=Delta)
-    if Delta <= 0:
-        raise ValueError("Delta must be positive")
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
-    return kappa / (4.0 * Delta)
-
-
 def _exchange_error_curve(Delta: np.ndarray, band: BandEdge,
                           coupling: AtomCoupling, kappa_p: float, gamma: float,
                           separation: float):

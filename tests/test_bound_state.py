@@ -189,6 +189,17 @@ def test_depth_paths_refuse_a_beta_whose_cube_underflows(depth, beta):
         depth(beta, 0.0)
 
 
+@pytest.mark.parametrize("depth", [bound_state_depth, bound_state_depth_bisect])
+@pytest.mark.parametrize("Delta", [-1e100, [-1.0, -1e100]], ids=str)
+def test_depth_paths_refuse_a_root_below_the_normal_range(depth, Delta):
+    # the root ~4 beta^3/Delta^2 = 4e-500 came back 0.0 from both paths
+    with pytest.raises(ValueError, match=r"^the bound-state depth .* falls below the "
+                                         "smallest normal float"):
+        depth(1e-100, Delta)
+    # at Delta = -1 the root 4e-300 is still a normal float, and both paths find it
+    assert depth(1e-100, -1.0) == pytest.approx(4e-300, rel=1e-12)
+
+
 def test_depth_paths_agree_just_above_the_cube_floor():
     beta = 3e-103
     exact = 2.0 ** (2.0 / 3.0) * beta

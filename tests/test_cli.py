@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import math
@@ -15,11 +16,10 @@ import pytest
 from bandqed import cli, dynamics
 from bandqed.bound_state import effective_cavity
 from bandqed.cli import MAX_TABLE_CELLS, main
-from bandqed.config import PARAMS, SCHEMA, canonical_dumps, load_config
+from bandqed.config import PARAMS, PRESETS, SCHEMA, canonical_dumps, load_config
 from bandqed.disorder import MAX_TRIALS
-from bandqed.dynamics import MAX_ATOMS
-from bandqed.interactions import AtomArray, atom_array, coupling_matrix_1d
-from bandqed.presets import get_preset
+from bandqed.dynamics import MAX_ATOMS, exchange_simulate
+from bandqed.interactions import AtomArray, _pair_kernel, atom_array, coupling_matrix_1d
 
 TWOPI = 2.0 * math.pi
 
@@ -218,6 +218,31 @@ def test_bound_state_refuses_a_grid_past_the_float_range_unwarned(tmp_path, para
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_bound_state_refuses_a_depth_below_the_float_range(capsys, tmp_path):
+    # delta ~ 4 beta^3/Delta^2 = 4e-500 came back 0.0, and the refusal blamed
+    # "detuning 0 lies inside the band"
+    cfg = write_cfg(tmp_path, "deep.json", {
+        **DIMLESS, "coupling": {"gamma": 1e-9, "beta": 1e-100},
+        "params": {"grid_min": -1e200}})
+    code, out, err = run(capsys, ["bound-state", "--config", cfg])
+    assert (code, out) == (2, "")
+    assert err == ("config error: the bound-state depth ~4 beta^3/Delta^2 falls "
+                   "below the smallest normal float\n")
+
+
+def test_bound_state_deep_below_the_edge_writes_one_stderr_line(tmp_path):
+    # (beta/delta)^1.5 overflows to inf and cos theta to its limit 0; the
+    # overflow's RuntimeWarning used to reach stderr ahead of the summary
+    cfg = write_cfg(tmp_path, "deep.json", {
+        **DIMLESS, "coupling": {"gamma": 1e-9, "beta": 1e-60},
+        "params": {"grid_min": -1e120}})
+    proc = cold_cli(["bound-state", "--config", cfg])
+    assert proc.returncode == 0
+    assert proc.stderr == "bound-state: 401 rows, Delta/beta in [-1e+120, 10]\n"
+    header, rows = parse_csv(proc.stdout)
+    assert rows[0, 2] == 0.0 and rows[0, 3] == 1.0   # P_e and P_p
+
+
 def test_a_non_finite_grid_is_refused_in_one_line(capsys, tmp_path):
     # the refusal names the first bad entry, not all 401 of them
     cfg = write_cfg(tmp_path, "huge.json", {"params": {"grid_max": 1.7e308}})
@@ -288,7 +313,7 @@ def test_interactions_columns_match_coupling_matrix(capsys):
     code, out, err = run(capsys, ["interactions", "--preset", "apcw"])
     assert code == 0
     header, rows = parse_csv(out)
-    cfg = load_config(get_preset("apcw"), "interactions")
+    cfg = load_config(PRESETS["apcw"], "interactions")
     band, coupling = cfg.band, cfg.coupling
     atoms = atom_array(rows[:, 0] * band.a, band, coupling.gamma)
     for col, delta_hz in enumerate((400e9, 800e9, 1300e9, 2800e9), start=1):
@@ -642,6 +667,28 @@ def test_exchange_trajectory_csv(capsys, tmp_path):
     assert np.all(np.diff(rows[:, 3]) <= 0)
 
 
+def test_fixed_detuning_exchange_takes_the_interactions_pair_rate():
+    # optimize false read U12 from a two-atom matrix, whose |E_0 E_1^*| rounds
+    # off 1: tau or the error differed in the last bits on 332 of these pairs
+    # (the payload's floats are written exactly, as the exchange pins show)
+    rng = np.random.default_rng(3)
+    n = 2000
+    deltas_hz = 10.0 ** rng.uniform(11.0, 13.0, n)
+    seps = np.where(np.arange(n) < n // 2, rng.integers(0, 60, n),
+                    rng.uniform(0.0, 60.0, n))
+    differ = []
+    for delta_hz, sep in zip(deltas_hz, seps):
+        doc = {"coupling": {"Delta": delta_hz},
+               "params": {"separation": sep, "optimize": False}}
+        cfg = load_config(cli._merge(PRESETS["apcw"], doc), "exchange")
+        want = exchange_simulate(_pair_kernel(cfg.band, cfg.coupling, cfg.coupling.Delta,
+                                              sep * cfg.band.a), cfg.loss_model())
+        got = cli.cmd_exchange(cfg).payload
+        if (got["tau"], got["error"]) != (want.tau, want.error):
+            differ.append((delta_hz, sep))
+    assert differ == []
+
+
 @pytest.mark.parametrize("optimize", [False, True])
 def test_exchange_refuses_a_negative_separation(capsys, tmp_path, optimize):
     cfg = write_cfg(tmp_path, "neg.json", {
@@ -742,7 +789,7 @@ def test_evolve_long_chain_takes_the_structured_path(capsys, tmp_path,
            "atoms": {"positions": list((np.arange(n) + rng.uniform(-0.1, 0.1, n))
                                        * 371e-9)},
            "params": {"t_max": 1.0, "n_times": 21, "initial_site": n // 2}}
-    c = load_config(cli._merge(get_preset("apcw"), doc), "evolve")
+    c = load_config(cli._merge(PRESETS["apcw"], doc), "evolve")
     u = coupling_matrix_1d(c.atoms, c.band, c.coupling)
     # two hop times (1/max off-diagonal |U_jl|): the series costs less than one eigh
     doc["params"]["t_max"] = 2.0 / np.max(np.abs(u.values - np.diag(np.diag(u.values))))
@@ -870,6 +917,27 @@ def test_disorder_refuses_a_negative_seed(capsys, tmp_path, argv, key):
     assert code == 2
     assert out == ""
     assert f"config error: {key} must be nonnegative" in err
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be nonnegative, got -1"),
+    (10**400, "disorder.seed is beyond the float range"),
+], ids=["negative", "huge"])
+def test_seed_flag_is_checked_as_disorder_seed(capsys, tmp_path, seed, message):
+    # --seed is the last config layer; 10**400 as a flag used to run with exit 0
+    doc = {"units": "si", "disorder": {"r": 2.0, "epsilon": 1e-3, "n_cells": 64},
+           "params": {"n_trials": 2}}
+    flag = run(capsys, ["disorder", "--config", write_cfg(tmp_path, "flag.json", doc),
+                        "--seed", str(seed)])
+    doc["disorder"]["seed"] = seed
+    in_file = run(capsys, ["disorder", "--config", write_cfg(tmp_path, "file.json", doc)])
+    assert flag == in_file == (2, "", f"config error: {message}\n")
+
+
+def test_seed_flag_adds_no_disorder_section(capsys):
+    code, out, err = run(capsys, ["disorder", "--preset", "apcw", "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert err == "config error: this command needs a 'disorder' section\n"
 
 
 def test_disorder_sweep_csv(capsys, tmp_path):
@@ -1049,19 +1117,27 @@ def test_repeat_runs_are_byte_identical(capsys, tmp_path):
 
 
 def test_config_overlays_preset(capsys, tmp_path):
-    # overriding one coupling number must keep the preset's other sections
+    # overriding one coupling number must keep the preset's other sections,
+    # and leave the preset itself as it was
+    before = copy.deepcopy(PRESETS)
     cfg = write_cfg(tmp_path, "overlay.json",
-                    {"coupling": {"Delta": 800e9}})
+                    {"coupling": {"Delta": 800e9}, "disorder": {"r": 2.0}})
     code, out, err = run(capsys, ["bound-state", "--preset", "apcw",
                                   "--config", cfg])
     assert code == 0
     header, rows = parse_csv(out)
     assert rows.shape == (401, 7)
+    code, out, err = run(capsys, ["disorder", "--preset", "apcw", "--config", cfg,
+                                  "--seed", "4"])
+    assert code == 0
+    assert PRESETS == before
 
 
-def test_unknown_preset_is_refused():
-    with pytest.raises(KeyError, match=r"unknown preset 'nope'; available: \['apcw'\]"):
-        get_preset("nope")
+def test_unknown_preset_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound-state", "--preset", "nope"])
+    assert exc.value.code == 2
+    assert "argument --preset: invalid choice: 'nope'" in capsys.readouterr().err
 
 
 def test_readme_config_docs_match_the_schema():

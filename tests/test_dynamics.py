@@ -20,7 +20,6 @@ from bandqed.dynamics import (
     _structured_chain,
     cooperativity,
     cooperativity_at_length,
-    dissipator_ratio,
     evolve_single_excitation,
     exchange_simulate,
     optimize_exchange,
@@ -1009,7 +1008,6 @@ def test_cooperativity_examples():
 @pytest.mark.parametrize("call, args", [
     (cooperativity, (1.0, 1.0, 1.0)),
     (cooperativity_at_length, (1e4, 1.0, 1.0)),
-    (dissipator_ratio, (1.0, 1.0)),
 ])
 def test_figures_of_merit_refuse_non_finite_arguments(call, args, bad):
     # cooperativity(1, inf, 1) used to return 0.0, and NaN passed all three
@@ -1028,14 +1026,3 @@ def test_cooperativity_refuses_a_product_outside_the_float_range(args):
     with pytest.raises(ValueError, match="outside the float range"):
         cooperativity(*args)
     assert cooperativity(0.0, 1e-200, 1.0) == 0.0   # no coupling, no cooperativity
-
-
-def test_dissipator_ratio_and_matrix():
-    kappa = TWOPI * 1.665e9
-    Delta = TWOPI * 400e9
-    ratio = dissipator_ratio(kappa, Delta)
-    assert ratio == pytest.approx(1.040625e-3, rel=1e-12)
-    with pytest.raises(ValueError):
-        dissipator_ratio(kappa, -Delta)
-    with pytest.raises(ValueError):
-        dissipator_ratio(-kappa, Delta)

@@ -271,7 +271,7 @@ PUBLIC_API = [
     "bound_state_depth", "bound_state_depth_bisect", "cell_matrix",
     "cooperativity", "cooperativity_at_length",
     "coupling_matrix_1d", "coupling_matrix_2d", "design",
-    "detuning_for_rate", "disorder", "dissipator_ratio",
+    "detuning_for_rate", "disorder",
     "driven_coupling_matrix", "dynamics", "effective_cavity",
     "evolve_single_excitation", "exchange_simulate", "g_cell_from_beta",
     "interaction_length", "interactions", "interface_matrix", "kp_map",
