@@ -172,11 +172,15 @@ class RunConfig:
 
     def loss_model(self) -> LossModel:
         """The losses section, or a zero-photon-loss default from coupling."""
-        if self.losses is not None:
-            return self.losses
-        coupling = self.coupling
-        return LossModel(kappa_p=0.0, gamma=coupling.gamma, theta=_mixing_theta(
-            bound_state_depth(coupling.beta, coupling.Delta), coupling.beta))
+        return self.losses or _loss_model(self.coupling, gamma=self.coupling.gamma)
+
+
+def _loss_model(coupling: AtomCoupling, gamma: float, kappa_p: float = 0.0,
+                theta: Optional[float] = None) -> LossModel:
+    """A LossModel whose theta defaults to the mixing angle at the coupling's detuning."""
+    if theta is None:
+        theta = _mixing_theta(bound_state_depth(coupling.beta, coupling.Delta), coupling.beta)
+    return LossModel(kappa_p=kappa_p, gamma=gamma, theta=theta)
 
 
 def load_config(raw: dict, command: str) -> RunConfig:
@@ -216,10 +220,7 @@ def load_config(raw: dict, command: str) -> RunConfig:
                       d, SCHEMA["drives"], f"drives[{i}]", scale))
                   for i, d in enumerate(raw.get("drives", []))]
         if "losses" in sec:
-            if "theta" not in sec["losses"]:
-                sec["losses"]["theta"] = _mixing_theta(
-                    bound_state_depth(coupling.beta, coupling.Delta), coupling.beta)
-            losses = LossModel(**sec["losses"])
+            losses = _loss_model(coupling, **sec["losses"])
         if "disorder" in sec:
             stack = DielectricStack(**sec["disorder"])
     except ConfigError:

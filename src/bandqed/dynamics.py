@@ -29,8 +29,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .bound_state import (BandEdge, AtomCoupling, _check_finite, _gbar_sq, _pow,
-                          bound_state_depth, interaction_length, mixing_angles)
+from .bound_state import (BandEdge, AtomCoupling, _check_finite, _gbar_sq, _mixing_theta,
+                          _pow, bound_state_depth, interaction_length)
 from .interactions import (CouplingMatrix, _ChainTerms, _chain_bound,
                            _chain_operator, _chain_values, _pair_kernel)
 
@@ -69,12 +69,11 @@ class LossModel:
 
     def gamma_eff(self):
         """gamma cos^2(theta) + kappa_p sin^2(theta); vector iff theta is one."""
-        return _dressed_linewidth(self.gamma, self.kappa_p,
-                                  np.cos(self.theta), np.sin(self.theta))
+        return _dressed_linewidth(self.gamma, self.kappa_p, self.theta)
 
 
-def _dressed_linewidth(gamma, kappa_p, cos_t, sin_t):
-    return gamma * cos_t**2 + kappa_p * sin_t**2
+def _dressed_linewidth(gamma, kappa_p, theta):
+    return gamma * np.cos(theta)**2 + kappa_p * np.sin(theta)**2
 
 
 @dataclass
@@ -97,17 +96,26 @@ def exchange_simulate(U12: complex, losses: LossModel) -> ExchangeTrajectory:
     Populations e^{-Gamma t} cos^2(|U12| t) and e^{-Gamma t} sin^2(|U12| t)
     on 201 times over [0, 2 tau]; the transfer error is evaluated at
     tau = pi/2/|U12|.  A U12 that is not finite, or whose modulus is not,
-    raises ValueError.
+    raises ValueError, as does a transfer time or its decay that diverges.
     """
     _check_finite(U12=U12)
-    g = losses.gamma_eff()
-    if np.ndim(g) != 0:
+    if np.ndim(losses.theta) != 0:   # gamma_eff is a vector iff theta is one
         raise ValueError("exchange_simulate needs a uniform loss model")
+    g = float(losses.gamma_eff())
     with np.errstate(over="ignore"):   # refused below
         u = float(np.abs(U12))
     if not math.isfinite(u):
         raise ValueError(f"U12 = {U12!r} is past the float range: |U12| overflows")
-    return _exchange_trace(u, float(g))
+    tau, error = (float(v) for v in _transfer(u, g))
+    if not math.isfinite(2.0 * tau * max(g, 1.0)):   # the span and its decay
+        raise ValueError(f"|U12| = {u:.3g}: no exchange, transfer time diverges")
+    t = np.linspace(0.0, 2.0 * tau, 201)
+    envelope = np.exp(-g * t)
+    p1 = envelope * np.cos(u * t) ** 2
+    p2 = envelope * np.sin(u * t) ** 2
+    return ExchangeTrajectory(tau=tau, error=error, gamma_eff=g, times=t,
+                              populations=np.stack([p1, p2], axis=1),
+                              norm=np.exp(-0.5 * g * t))
 
 
 def _transfer(u, gamma_eff):
@@ -119,20 +127,6 @@ def _transfer(u, gamma_eff):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         tau = np.divide(math.pi / 2.0, u)
         return tau, -np.expm1(-gamma_eff * tau)
-
-
-def _exchange_trace(u: float, gamma_eff: float, **optimum) -> ExchangeTrajectory:
-    """The closed form at |U12| = u and gamma_eff on 201 times over [0, 2 tau]."""
-    tau, error = (float(v) for v in _transfer(u, gamma_eff))
-    if not math.isfinite(2.0 * tau * max(gamma_eff, 1.0)):   # the span and its decay
-        raise ValueError(f"|U12| = {u:.3g}: no exchange, transfer time diverges")
-    t = np.linspace(0.0, 2.0 * tau, 201)
-    envelope = np.exp(-gamma_eff * t)
-    p1 = envelope * np.cos(u * t) ** 2
-    p2 = envelope * np.sin(u * t) ** 2
-    return ExchangeTrajectory(tau=tau, error=error, gamma_eff=gamma_eff, times=t,
-                              populations=np.stack([p1, p2], axis=1),
-                              norm=np.exp(-0.5 * gamma_eff * t), **optimum)
 
 
 def cooperativity(gbar_c: float, kappa_p: float, gamma: float) -> float:
@@ -164,17 +158,15 @@ def cooperativity_at_length(C_lambda: float, L: float, wavelength: float) -> flo
 
 def _exchange_error_curve(Delta: np.ndarray, band: BandEdge,
                           coupling: AtomCoupling, kappa_p: float, gamma: float,
-                          separation: float):
-    """(error, tau, Gamma_eff, |U12|) of a two-atom transfer vs detuning."""
-    delta = bound_state_depth(coupling.beta, Delta)
-    cos_t, sin_t = mixing_angles(delta, coupling.beta)
-    gamma_eff = _dressed_linewidth(gamma, kappa_p, cos_t, sin_t)
+                          separation: float) -> np.ndarray:
+    """Two-atom transfer error vs detuning, from the fixed-detuning path's U12 and theta."""
+    theta = _mixing_theta(bound_state_depth(coupling.beta, Delta), coupling.beta)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # refused below
         u = np.abs(_pair_kernel(band, coupling, Delta, separation))
-    tau, error = _transfer(u, gamma_eff)
+    tau, error = _transfer(u, _dressed_linewidth(gamma, kappa_p, theta))
     if not np.all(np.isfinite(tau)):
         raise ValueError(f"no exchange at separation {separation:.4g}: U12 underflows")
-    return error, tau, gamma_eff, u
+    return error
 
 
 def optimize_exchange(band: BandEdge, coupling: AtomCoupling, losses: LossModel,
@@ -187,10 +179,11 @@ def optimize_exchange(band: BandEdge, coupling: AtomCoupling, losses: LossModel,
     scale beta (2 kappa_p/gamma)^{2/3} (1e3 beta without both losses),
     followed by a golden-section polish of the bracketed minimum.  A minimum
     on the scan boundary, as without photon loss, raises rather than
-    silently returning an edge value.  The returned error is checked
-    against the cooperativity bound 2 pi/sqrt(C).  The trajectory is
-    `exchange_simulate`'s closed form at the optimum's |U12| and Gamma_eff,
-    with tau and the error from the same `_transfer` the scan minimizes.
+    silently returning an edge value.  The trajectory is `exchange_simulate`
+    at Delta_opt with LossModel(kappa_p, gamma, theta_opt), the calls each
+    trial makes, so a fixed-detuning run at Delta_opt reproduces it.  Its
+    error is checked against the cooperativity bound 2 pi e^{d/L}/sqrt(C),
+    L at Delta_opt, as the separation d stretches tau by e^{d/L}.
     """
     if band.alpha <= 0:
         raise ValueError("optimize_exchange assumes a lower band edge (alpha > 0)")
@@ -211,7 +204,7 @@ def optimize_exchange(band: BandEdge, coupling: AtomCoupling, losses: LossModel,
                                      separation)
 
     grid = np.geomspace(lo, hi, SCAN_POINTS)
-    errs = err_at(grid)[0]
+    errs = err_at(grid)
 
     i = int(np.argmin(errs))
     flat = np.max(errs) - np.min(errs) <= 1e-300
@@ -227,29 +220,33 @@ def optimize_exchange(band: BandEdge, coupling: AtomCoupling, losses: LossModel,
         invphi = (math.sqrt(5.0) - 1.0) / 2.0
         a, b = math.log(grid[i - 1]), math.log(grid[i + 1])
         c, d = b - invphi * (b - a), a + invphi * (b - a)
-        fc = err_at(np.exp(c))[0]
-        fd = err_at(np.exp(d))[0]
+        fc = err_at(np.exp(c))
+        fd = err_at(np.exp(d))
         for _ in range(64):
             if fc < fd:
                 b, d, fd = d, c, fc
                 c = b - invphi * (b - a)
-                fc = err_at(np.exp(c))[0]
+                fc = err_at(np.exp(c))
             else:
                 a, c, fc = c, d, fd
                 d = a + invphi * (b - a)
-                fd = err_at(np.exp(d))[0]
+                fd = err_at(np.exp(d))
         d_opt = float(math.exp(0.5 * (a + b)))
 
-    _, _, gamma_eff, u = (float(v) for v in err_at(np.asarray(d_opt)))
-    coop = None
+    theta = _mixing_theta(bound_state_depth(beta, d_opt), beta)
+    traj = exchange_simulate(_pair_kernel(band, coupling, d_opt, separation),
+                             LossModel(kappa_p, gamma, theta))
+    traj.optimal_Delta = d_opt
     if kappa_p > 0 and gamma > 0:
-        gbar_sq = _gbar_sq(band, coupling, interaction_length(band, d_opt))
-        coop = cooperativity(math.sqrt(gbar_sq), kappa_p, gamma)
-    traj = _exchange_trace(u, gamma_eff, optimal_Delta=d_opt, cooperativity=coop)
-    if coop is not None and traj.error > (bound := 2.0 * math.pi / math.sqrt(coop)):
-        raise RuntimeError(
-            f"optimized error {traj.error:.4g} violates the cooperativity bound "
-            f"{bound:.4g}; the operating point is inconsistent")
+        L = interaction_length(band, d_opt)
+        C = traj.cooperativity = cooperativity(
+            math.sqrt(_gbar_sq(band, coupling, L)), kappa_p, gamma)
+        with np.errstate(over="ignore"):   # an infinite bound holds
+            bound = 2.0 * math.pi * np.exp(separation / L) / math.sqrt(C)
+        if traj.error > bound:
+            raise RuntimeError(
+                f"optimized error {traj.error:.4g} violates the cooperativity bound "
+                f"{bound:.4g}; the operating point is inconsistent")
     return traj
 
 

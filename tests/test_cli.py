@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from bandqed import cli, dynamics
-from bandqed.bound_state import effective_cavity
+from bandqed.bound_state import effective_cavity, interaction_length
 from bandqed.cli import MAX_TABLE_CELLS, main
 from bandqed.config import PARAMS, PRESETS, SCHEMA, canonical_dumps, load_config
 from bandqed.disorder import MAX_TRIALS
@@ -689,6 +689,47 @@ def test_fixed_detuning_exchange_takes_the_interactions_pair_rate():
     assert differ == []
 
 
+@pytest.mark.parametrize("separation", [0.0, 2.0])
+def test_fixed_detuning_at_the_optimum_reproduces_the_optimized_run(capsys, tmp_path,
+                                                                    separation):
+    # the optimizer's trajectory is exchange_simulate at Delta_opt with the
+    # loss model there, so optimize false at the printed optimal_Delta gives
+    # the same transfer and the same trace bytes
+    doc = dimensionless_exchange_cfg(1e4)
+    doc["params"]["separation"] = separation
+    runs = []
+    for _ in range(2):
+        argv = ["exchange", "--config", write_cfg(tmp_path, "ex.json", doc)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        code, csv, _ = run(capsys, argv + ["--format", "csv"])
+        assert code == 0
+        runs.append((json.loads(out), csv))
+        doc["coupling"]["Delta"] = runs[0][0]["optimal_Delta"]
+        doc["params"]["optimize"] = False
+    (best, best_csv), (fixed, fixed_csv) = runs
+    assert fixed["optimal_Delta"] is None
+    for key in ("tau", "error", "gamma_eff"):
+        assert fixed[key] == best[key], key
+    assert fixed_csv == best_csv
+
+
+@pytest.mark.parametrize("C, separation", [(1e4, 30.0), (1e2, 4.0)])
+def test_exchange_at_a_separation_meets_the_scaled_cooperativity_bound(
+        capsys, tmp_path, C, separation):
+    # at a fixed detuning U12 falls by e^{-d/L}, so tau and the error bound
+    # grow by e^{d/L}: these errors pass 2 pi/sqrt(C), and were refused as
+    # an inconsistent operating point
+    doc = dimensionless_exchange_cfg(C)
+    doc["params"]["separation"] = separation
+    code, out, err = run(capsys, ["exchange", "--config", write_cfg(tmp_path, "d.json", doc)])
+    assert code == 0, err
+    payload = json.loads(out)
+    bound = 2.0 * math.pi / math.sqrt(payload["cooperativity"])
+    L = interaction_length(load_config(doc, "exchange").band, payload["optimal_Delta"])
+    assert bound < payload["error"] <= bound * math.exp(separation / L)
+
+
 @pytest.mark.parametrize("optimize", [False, True])
 def test_exchange_refuses_a_negative_separation(capsys, tmp_path, optimize):
     cfg = write_cfg(tmp_path, "neg.json", {
@@ -1225,11 +1266,11 @@ OUTPUT_PINS = {
         'design-powerlaw: eta=1.5, 3 drives, max|resid|=0.002424, rms=0.0008396\n'),
     ('design-powerlaw', 'json'): (0, "7f902d88e22768db10992698206540c9392968f31bf9f015b2c10faa95eaea68",
         'design-powerlaw: eta=1.5, 3 drives, max|resid|=0.002424, rms=0.0008396\n'),
-    ('exchange-optimized', None): (0, "9db2535171b140189caa01bc0bea7418387e60fffd3a690465d54f4919d8a6d6",
+    ('exchange-optimized', None): (0, "9b1f8d864d8f3898047393c6ff2f774c6332297e5c5e7124557ca35441cc5655",
         'exchange: tau=2.22105e+07, error=0.0327697\n'),
-    ('exchange-optimized', 'csv'): (0, "eae11d8f9bfe51dd7ef3ce247379cf2efbdc23f841ce90cbf5c6d057eafba373",
+    ('exchange-optimized', 'csv'): (0, "8a41d9cf6b4c939cb1f6fc88a7c6e5e7570abb2ece6ba1b7ac2728cfe654f4f8",
         'exchange: tau=2.22105e+07, error=0.0327697\n'),
-    ('exchange-optimized', 'json'): (0, "9db2535171b140189caa01bc0bea7418387e60fffd3a690465d54f4919d8a6d6",
+    ('exchange-optimized', 'json'): (0, "9b1f8d864d8f3898047393c6ff2f774c6332297e5c5e7124557ca35441cc5655",
         'exchange: tau=2.22105e+07, error=0.0327697\n'),
     ('exchange-fixed', None): (0, "8b767ff55ae8f702ee202f3711153a86bb63155777626af5a20107639fccaa9f",
         'exchange: tau=2.74306e+07, error=0.0365574\n'),

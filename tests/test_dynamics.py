@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bandqed import dynamics
-from bandqed.bound_state import BandEdge, atom_coupling
+from bandqed.bound_state import BandEdge, atom_coupling, effective_cavity
 from bandqed.dynamics import (
     SCAN_POINTS,
     LossModel,
@@ -30,6 +30,7 @@ from bandqed.interactions import (
     DriveField,
     _chain_bound,
     _chain_operator,
+    _pair_kernel,
     atom_array,
     coupling_matrix_1d,
     coupling_matrix_2d,
@@ -952,6 +953,18 @@ def test_optimize_refuses_a_separation_without_exchange():
         optimize_exchange(APCW, coupling, losses, separation=1e5 * APCW.a)
 
 
+def test_optimize_refuses_an_error_above_the_cooperativity_bound(monkeypatch):
+    # a C 1e6 times too large puts 2 pi/sqrt(C) below the error at d = 0
+    band = unit_band()
+    beta, gamma = 1e-6, 1e-9
+    coupling = atom_coupling(band, Delta=0.0, gamma=gamma, beta=beta)
+    losses = LossModel(kappa_p=kappa_for_target_C(beta, gamma, 1e3), gamma=gamma)
+    true_c = dynamics.cooperativity
+    monkeypatch.setattr(dynamics, "cooperativity", lambda *args: 1e6 * true_c(*args))
+    with pytest.raises(RuntimeError, match="violates the cooperativity bound"):
+        optimize_exchange(band, coupling, losses, separation=0.0)
+
+
 def test_separation_costs_error():
     band = unit_band()
     beta, gamma = 1e-6, 1e-9
@@ -963,24 +976,64 @@ def test_separation_costs_error():
     assert far.error > near.error
 
 
+def fixed_detuning_run(band, traj, beta, losses, separation):
+    """exchange_simulate at the optimum, with the physical loss model there."""
+    at = atom_coupling(band, Delta=traj.optimal_Delta, gamma=losses.gamma, beta=beta)
+    return exchange_simulate(_pair_kernel(band, at, traj.optimal_Delta, separation),
+                             LossModel(losses.kappa_p, losses.gamma,
+                                       effective_cavity(band, at).theta))
+
+
 @pytest.mark.parametrize("separation", [0.0, 2.0])
 def test_optimized_trace_is_the_closed_form_at_the_optimum(separation):
-    # tau and the error are the scanned curve's own at Delta_opt, and the
-    # trajectory is exchange_simulate's at |U12(Delta_opt)| and Gamma_eff,
-    # its tau and error included
+    # the trajectory is exchange_simulate's at |U12(Delta_opt)| and the
+    # physical LossModel(kappa_p, gamma, theta_opt), and its error is the
+    # scanned curve's own at Delta_opt
     band = unit_band()
     beta, gamma = 1e-6, 1e-9
     coupling = atom_coupling(band, Delta=0.0, gamma=gamma, beta=beta)
     losses = LossModel(kappa_p=kappa_for_target_C(beta, gamma, 1e3), gamma=gamma)
     traj = optimize_exchange(band, coupling, losses, separation=separation)
     assert traj.times[-1] == 2.0 * traj.tau
-    error, tau, gamma_eff, u = dynamics._exchange_error_curve(
+    assert traj.error == dynamics._exchange_error_curve(
         np.asarray(traj.optimal_Delta), band, coupling, losses.kappa_p, gamma, separation)
-    assert (traj.error, traj.tau, traj.gamma_eff) == (error, tau, gamma_eff)
-    closed = exchange_simulate(float(u), LossModel(kappa_p=0.0, gamma=traj.gamma_eff))
-    assert (closed.tau, closed.error) == (traj.tau, traj.error)
-    for name in ("times", "populations", "norm"):
+    closed = fixed_detuning_run(band, traj, beta, losses, separation)
+    for name in ("tau", "error", "gamma_eff", "times", "populations", "norm"):
         assert np.array_equal(getattr(traj, name), getattr(closed, name)), name
+
+
+def test_optimizer_trajectory_is_the_fixed_detuning_run_on_seeded_draws():
+    # the scan weighted the loss by (cos, sin) from mixing_angles and the
+    # fixed-detuning path by cos and sin of theta: with the trajectory built
+    # from the scan's own numbers, 59 of 96 optima differed from it (and the
+    # unscaled cooperativity bound refused 44 draws at d > 0).  The scanned
+    # error at Delta_opt is the trajectory's too.
+    rng = np.random.default_rng(7)
+    n = 150
+    betas = 10.0 ** rng.uniform(-8.0, -4.0, n)
+    gammas = betas * 10.0 ** rng.uniform(-4.0, -2.0, n)
+    coops = 10.0 ** rng.uniform(2.0, 5.0, n)
+    seps = rng.integers(0, 6, n)
+    band = unit_band()
+    optima, differ = 0, []
+    for beta, gamma, C, d in zip(betas, gammas, coops, seps):
+        coupling = atom_coupling(band, Delta=0.0, gamma=gamma, beta=beta)
+        losses = LossModel(kappa_p=kappa_for_target_C(beta, gamma, C), gamma=gamma)
+        try:
+            traj = optimize_exchange(band, coupling, losses, separation=float(d))
+        except RuntimeError as exc:   # no loss balance in the scan
+            assert "scan boundary" in str(exc), exc
+            continue
+        optima += 1
+        closed = fixed_detuning_run(band, traj, beta, losses, float(d))
+        scanned = dynamics._exchange_error_curve(
+            np.asarray(traj.optimal_Delta), band, coupling, losses.kappa_p, gamma, float(d))
+        if scanned != traj.error or not all(
+                np.array_equal(getattr(traj, name), getattr(closed, name))
+                for name in ("tau", "error", "gamma_eff", "populations")):
+            differ.append((beta, gamma, C, d))
+    assert optima == 140
+    assert differ == []
 
 
 # ------------------------------------------------------------- figures of merit
