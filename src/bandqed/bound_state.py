@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -160,6 +161,15 @@ def _pow(x: float, y: float) -> float:
         return x ** y
     except OverflowError:
         return math.inf
+
+
+def _warn(message: str) -> None:
+    """UserWarning attributed to the nearest caller outside the calling module."""
+    frame, level = sys._getframe(1), 2
+    module = frame.f_globals.get("__name__")
+    while frame.f_globals.get("__name__") == module:   # its dataclass __init__s too
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 def atom_coupling(band: BandEdge, Delta: float, gamma: float,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bound_state import BandEdge, _check_finite, interaction_length
+from .bound_state import BandEdge, _check_finite, _warn, interaction_length
 
 # Hard floor when no coupling scale is supplied; with one, the floor is the
 # rate at detuning beta, the closest approach the drive elimination allows.
@@ -36,6 +36,9 @@ LM_DAMPING_START = 1e-3   # initial damping, relative to max diag(J^T J)
 # A recipe is realizable only with distinct rates and without cancellation.
 MIN_RATE_GAP = 1e-3       # smallest relative gap between two rates
 MAX_CANCELLATION = 10.0   # bound on sum_i |w_i| e^{-s_i z_min} / max|target|
+# 1/(k0 L) of the stiffest drive above this leaves the band-edge model's range:
+# on a tight-binding array its exp(-|z|/L) kernel is off by 4 % at 0.10, 39 % at 0.23
+VALIDITY_WARN = 0.1
 
 
 class FitError(RuntimeError):
@@ -147,7 +150,8 @@ def power_law_designer(eta: float, z_range: tuple[float, float], n_drives: int,
     than MIN_RATE_GAP, and no cancellation between terms (the summed
     |w_i| e^{-s_i z_min} at most MAX_CANCELLATION times max|target|).  Ties
     between candidates break toward lower max-error, then a tighter rate
-    spread.  Raises FitError if no start leaves a candidate.
+    spread.  Raises FitError if no start leaves a candidate, and warns when
+    the stiffest drive has 1/(k0 L) = s/(a k0) above VALIDITY_WARN.
     """
     _check_finite(eta=eta)
     if eta < 0:
@@ -167,7 +171,7 @@ def power_law_designer(eta: float, z_range: tuple[float, float], n_drives: int,
         s_min = rate_for_detuning(band, math.copysign(beta, band.alpha))
     else:
         s_min = S_FLOOR_DEFAULT
-    s_max = band.a * band.k0   # L = a: interaction range down to one site
+    s_max = band.a * band.k0   # L = 1/k0, where 1/(k0 L) = 1
     log_lo, log_hi = math.log(s_min), math.log(s_max)
 
     candidates = []
@@ -196,6 +200,9 @@ def power_law_designer(eta: float, z_range: tuple[float, float], n_drives: int,
     tied = [c for c in candidates if c[0] <= best_cost * (1 + 1e-9) + 1e-300]
     tied.sort(key=lambda c: (c[1], c[2]))
     cost, max_err, _, w, s_fit, r = tied[0]
+    if s_fit[0] / s_max > VALIDITY_WARN:
+        _warn(f"1/(k0 L) = {s_fit[0] / s_max:.3g} exceeds {VALIDITY_WARN} for the stiffest "
+              "drive; the band-edge kernel exp(-|z|/L) is outside its range")
 
     detunings = np.array([detuning_for_rate(band, s) for s in s_fit])
     return PowerLawDesign(

@@ -22,12 +22,11 @@ where the sigma combination comes from.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bound_state import _check_finite
+from .bound_state import _check_finite, _warn
 
 EPSILON_WARN = 0.05      # fractional thickness noise beyond the perturbative regime
 RENORM_CELLS = 16        # renormalize the propagated vector every 32 layers
@@ -58,9 +57,8 @@ class DielectricStack:
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
         if self.epsilon > EPSILON_WARN:
-            warnings.warn(
-                f"epsilon = {self.epsilon:g} exceeds {EPSILON_WARN}; the "
-                "perturbative disorder mapping is unreliable", stacklevel=2)
+            _warn(f"epsilon = {self.epsilon:g} exceeds {EPSILON_WARN}; the "
+                  "perturbative disorder mapping is unreliable")
         for name in ("n_cells", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -89,8 +87,7 @@ class KPMap:
 def kp_map(stack: DielectricStack) -> KPMap:
     r, phi_b = stack.r, stack.phi_b
     if r == 1.0:
-        warnings.warn("r = 1: no index contrast, the mapping degenerates",
-                      stacklevel=2)
+        _warn("r = 1: no index contrast, the mapping degenerates")
     phi_kp = math.asin(2.0 * math.sqrt(r) / (1.0 + r))
     return KPMap(
         phi_kp=phi_kp,

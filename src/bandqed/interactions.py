@@ -20,15 +20,13 @@ exchange cooperativity drive-independent.
 from __future__ import annotations
 
 import math
-import sys
-import warnings
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .bound_state import (AtomCoupling, BandEdge, _check_finite, _gbar_sq, _pow,
-                          interaction_length)
+                          _warn, interaction_length)
 
 HERMITICITY_RTOL = 1e-12
 TILE = 64                   # rows per build strip, side of a check tile; bounds temporaries
@@ -155,14 +153,6 @@ def _built(values: np.ndarray, kind: str, chain: Optional[_ChainTerms] = None,
     vars(matrix).update({f.name: f.default for f in fields(matrix)},
                         values=values, kind=kind, _chain=chain, **attributes)
     return matrix
-
-
-def _warn(message: str) -> None:
-    """UserWarning attributed to the nearest caller outside this module."""
-    frame, level = sys._getframe(1), 2
-    while frame.f_globals.get("__name__") == __name__:
-        frame, level = frame.f_back, level + 1
-    warnings.warn(message, stacklevel=level)
 
 
 def _warn_small_detuning(detuning: float, beta: float) -> None:

@@ -224,6 +224,24 @@ def test_gap_asymptotics():
     assert float(bound_state_depth(beta, -100 * beta)) < 0.05 * beta
 
 
+def test_depth_matches_the_probe_array_to_first_order(probe_band, probe_depth):
+    # The model's (delta - Delta) sqrt(delta) = 2 beta^1.5 is the probe
+    # array's (delta - Delta) sqrt(delta (4J + delta)) = g^2 without the
+    # factor sqrt(1 + delta/4J) ~ 1 + delta/8J (J = 1).  To first order that
+    # raises the root by delta/8J times F/(delta F') = 2(delta - Delta)/(3 delta
+    # - Delta), F = (delta - Delta) sqrt(delta).  The next order is
+    # ~(delta/8J)^2, so a tenth of delta/8J is loose, and a depth off by
+    # delta/8J itself fails.
+    g = 1e-3
+    beta = beta_from_g_cell(probe_band, g)
+    for Delta in np.array([-3.0, -1.0, 0.0, 1.0, 3.0, 10.0]) * beta:
+        exact = probe_depth(g, Delta)
+        first = exact / 8.0
+        shift = first * 2.0 * (exact - Delta) / (3.0 * exact - Delta)
+        deviation = float(bound_state_depth(beta, Delta)) / exact - 1.0
+        assert abs(deviation - shift) <= first / 10.0, Delta / beta
+
+
 # ---------------------------------------------------------------- mixing
 
 def test_mixing_angle_examples():

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import bandqed.design as design_mod
-from bandqed.bound_state import BandEdge, _gbar_sq, atom_coupling
+from bandqed.bound_state import BandEdge, _gbar_sq, atom_coupling, beta_from_g_cell
 from bandqed.design import (
     MAX_CANCELLATION,
     MIN_RATE_GAP,
     N_STARTS,
+    VALIDITY_WARN,
     FitError,
     PowerLawDesign,
     detuning_for_rate,
@@ -230,6 +231,23 @@ def test_non_finite_z_range_is_refused(z_range):
 def test_fit_error_type():
     err = FitError("nothing converged")
     assert isinstance(err, RuntimeError)
+
+
+def test_designer_warns_when_the_stiffest_drive_leaves_the_model_range():
+    # the pinned `design-powerlaw --preset apcw` case (eta 1.5, 3 drives):
+    # its stiffest drive has 1/(k0 L) = s/(a k0) = 0.558
+    a = 371e-9
+    band = BandEdge(omega_b=2.0 * math.pi * 333e12, alpha=10.6, k0=math.pi / a, a=a)
+    beta = beta_from_g_cell(band, 2.0 * math.pi * 12.2e9)
+    with pytest.warns(UserWarning, match=r"1/\(k0 L\) = 0\.558 exceeds 0\.1") as record:
+        design = power_law_designer(1.5, (1, 50), 3, band, beta=beta)
+    assert [w.filename for w in record] == [__file__]
+    assert design.rates[0] / (band.a * band.k0) > VALIDITY_WARN
+    # criterion 4's quarter law stays in range, and the designer is silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        design = power_law_designer(0.25, (1, 50), 2, soft_band(), beta=1e-6)
+    assert design.rates[0] / math.pi <= VALIDITY_WARN
 
 
 @pytest.mark.parametrize("eta, z_range, n_drives, warns",

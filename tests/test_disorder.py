@@ -42,8 +42,11 @@ def test_stack_validation():
         DielectricStack(r=2.0, epsilon=-1e-3)
     with pytest.raises(ValueError):
         DielectricStack(r=2.0, n_cells=0)
-    with pytest.warns(UserWarning, match="perturbative"):
+    # the guard runs in the dataclass-generated __init__ (file "<string>"),
+    # a frame the warning skips to name this line
+    with pytest.warns(UserWarning, match="perturbative") as record:
         DielectricStack(r=2.0, epsilon=0.2)
+    assert [w.filename for w in record] == [__file__]
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -85,8 +88,9 @@ def test_kp_map_coefficients():
                                               rel=1e-14)
     assert m.alpha_per_eps_h == pytest.approx(
         (math.pi / 2.0) * 2.0 / (m.phi_kp * 3.0), rel=1e-14)
-    with pytest.warns(UserWarning, match="degenerate"):
+    with pytest.warns(UserWarning, match="degenerate") as record:
         kp_map(DielectricStack(r=1.0))
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_sigma_value_and_linearity():

@@ -270,6 +270,26 @@ def test_in_band_detuning_rejected():
         coupling_matrix_1d(atoms, band, replace(coupling, Delta=1e-300))
 
 
+@pytest.mark.parametrize("Delta", [1e-3, 1e-2])
+def test_kernel_matches_the_probe_array_to_first_order(probe_band, probe_green, Delta):
+    # On the probe array (J = a = 1) the exchange is g^2 G_n(omega_b + Delta).
+    # Against it the model's prefactor drops 1/sqrt(1 + Delta/4J) and its
+    # range 1/L = sqrt(Delta/J) overshoots kappa = arccosh(1 + Delta/2J) by
+    # (Delta/24J)/L, so U_0n/(g^2 G_n) - 1 = (Delta/8J)(1 - |n|/3L) to first
+    # order, with Delta/J = pi^2 (1/(k0 L))^2.  The next order is
+    # ~(1/(k0 L))^4, so a tenth of (1/(k0 L))^2 is loose, and a kernel off
+    # by (1/(k0 L))^2 itself fails.
+    g = 1e-3
+    L = interaction_length(probe_band, Delta)
+    n = np.arange(math.ceil(3.0 * L) + 1)
+    coupling = atom_coupling(probe_band, Delta=Delta, gamma=0.0, g_cell=g)
+    U = coupling_matrix_1d(atom_array(n, probe_band, 0.0), probe_band, coupling)
+    exact = g * g * probe_green(n, probe_band.omega_b + Delta)
+    validity = 1.0 / (probe_band.k0 * L)
+    shift = math.pi**2 / 8.0 * validity**2 * (1.0 - n / (3.0 * L))
+    assert np.max(np.abs(U.values[0] / exact - 1.0 - shift)) <= validity**2 / 10.0
+
+
 def test_small_detuning_warns():
     band, _ = apcw()
     coupling = atom_coupling(band, Delta=TWOPI * 1e6, gamma=0.0,
@@ -446,9 +466,12 @@ def test_small_detuning_warning_points_at_the_caller():
     band = BandEdge(omega_b=1.0, alpha=1.0, k0=math.pi, a=1.0)
     coupling = atom_coupling(band, Delta=1e-3, gamma=1e-9, beta=1e-3)
     atoms = atom_array([0.0, 1.0], band, coupling.gamma)
+    atoms_2d = atom_array([[0.0, 0.0], [1.0, 0.0]], band, coupling.gamma)
     drive = DriveField(Omega=1e-4, Omega_prime=0.0, delta_L=1e-2,
                        Delta_L=5e-3)
-    for build in (lambda: driven_coupling_matrix(atoms, band, coupling, drive),
+    for build in (lambda: coupling_matrix_1d(atoms, band, coupling),
+                  lambda: coupling_matrix_2d(atoms_2d, band, coupling),
+                  lambda: driven_coupling_matrix(atoms, band, coupling, drive),
                   lambda: multi_drive_sum(atoms, band, coupling, [drive])):
         with pytest.warns(UserWarning, match="marginal") as record:
             build()
@@ -880,9 +903,10 @@ def test_mechanical_guards():
     with pytest.raises(ValueError):
         mechanical_potential(atoms, band, coupling, omega_a, TWOPI * 1e9)
     omega_L = band.omega_b + TWOPI * 800e9
-    with pytest.warns(UserWarning, match="weak"):
+    with pytest.warns(UserWarning, match="weak") as record:
         mechanical_potential(atoms, band, coupling, omega_L,
                              0.5 * (omega_L - omega_a))
+    assert [w.filename for w in record] == [__file__]
 
 
 # ------------------------------------------------------------- arrays
